@@ -6,7 +6,7 @@ Every mode is a thin wrapper over one library operation; no numerics
 live here.  Output files use '.' as decimal separator, '\\n' line
 endings and UTF-8, and re-running the same config reproduces them byte
 for byte.  Exit codes: 0 success, 2 config parse error, 3 validation
-error, 4 solver error.
+error, 4 solver error (including any non-finite result).
 """
 
 from __future__ import annotations
@@ -414,6 +414,20 @@ def _run_sweep(cfg: dict):
     return meta, {key: vals, metric: errs_arr, "slope": slope}
 
 
+def _non_finite(meta: dict, cols: dict) -> str | None:
+    """Name of the first metadata value or column holding inf or NaN."""
+    for key, v in meta.items():
+        if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+            return key
+    for name, col in cols.items():
+        values = np.asarray(col, dtype=float)
+        if meta.get("mode") == "sweep" and name == "slope":
+            values = values[1:]  # no slope before the first run, by construction
+        if not np.all(np.isfinite(values)):
+            return name
+    return None
+
+
 def dispatch(cfg: dict):
     mode = _get(cfg, "mode", None, required=True)
     if mode not in MODES:
@@ -471,6 +485,9 @@ def run(config_path: str, overrides=()) -> int:
         if not isinstance(out_path, str):
             raise ConfigError("output", "expected a file path string")
         meta, cols = dispatch(cfg)
+        bad = _non_finite(meta, cols)
+        if bad is not None:
+            raise FracsourceError(f"non-finite value in result {bad!r}")
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3

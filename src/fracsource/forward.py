@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, weakly_singular_convolve
-from .mlf import MLParams, ml_eval
+from .mlf import ml_eval_array
 from .spectral import Domain1D, SpectralField
 
 __all__ = [
@@ -61,8 +61,7 @@ class EvolutionField:
 
 def ml_on_nodes(alpha: float, beta: float, lam: float, t: np.ndarray) -> np.ndarray:
     """E_{alpha,beta}(-lam t^alpha) on an array of time nodes."""
-    p = MLParams(alpha, beta)
-    return np.array([ml_eval(p, -lam * tk**alpha) for tk in t])
+    return ml_eval_array(alpha, beta, -lam * np.asarray(t, dtype=float) ** alpha)
 
 
 @lru_cache(maxsize=4096)

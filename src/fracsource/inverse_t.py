@@ -104,13 +104,11 @@ def mollify(f: TimeSeries, width: int) -> TimeSeries:
     v = f.values
     n = v.shape[0]
     half = width // 2
-    out = np.empty(n)
     csum = np.concatenate(([0.0], np.cumsum(v)))
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        out[i] = (csum[hi] - csum[lo]) / (hi - lo)
-    return TimeSeries(f.grid, out)
+    i = np.arange(n)
+    lo = np.maximum(0, i - half)
+    hi = np.minimum(n, i + half + 1)
+    return TimeSeries(f.grid, (csum[hi] - csum[lo]) / (hi - lo))
 
 
 def kernel_q(

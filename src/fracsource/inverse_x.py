@@ -125,27 +125,38 @@ def modal_response(
     return float(c @ rho.values[n:0:-1] + d @ rho.values[n - 1 :: -1])
 
 
-def reconstruct_final(problem: XSourceFinalProblem) -> ReconstructionReport:
-    """Regularized mode-by-mode division of final data by the modal response."""
+def _modal_responses(problem: XSourceFinalProblem) -> tuple[np.ndarray, np.ndarray]:
+    """All B_n and the mask of modes the cutoff retains; mu plays no part."""
     quarter = problem.rho.values[-(problem.grid.n_steps // 4 + 1) :]
     if float(np.max(np.abs(quarter))) == 0.0:
         raise DegenerateRhoError("rho vanishes on the last quarter of the grid")
     dom = problem.final_data.domain
-    lam = dom.eigenvalues()
     b = np.array(
-        [modal_response(l, problem.rho, problem.alpha, problem.grid) for l in lam]
+        [modal_response(l, problem.rho, problem.alpha, problem.grid) for l in dom.eigenvalues()]
     )
     keep = np.abs(b) >= problem.cutoff
     if not np.any(keep):
         raise AllModesCutError(
             f"cutoff {problem.cutoff} removed all {dom.n_modes} modes"
         )
-    u_t = problem.final_data.coeffs
-    g = np.zeros(dom.n_modes)
-    g[keep] = b[keep] * u_t[keep] / (b[keep] ** 2 + problem.tikhonov)
-    discrepancy = float(np.linalg.norm(g * b - u_t))
+    return b, keep
+
+
+def _tikhonov_fit(
+    b: np.ndarray, keep: np.ndarray, u_t: np.ndarray, mu: float
+) -> tuple[np.ndarray, float]:
+    """Regularized coefficients and the discrepancy ||g B - u_T|| they leave."""
+    g = np.zeros(u_t.shape[0])
+    g[keep] = b[keep] * u_t[keep] / (b[keep] ** 2 + mu)
+    return g, float(np.linalg.norm(g * b - u_t))
+
+
+def reconstruct_final(problem: XSourceFinalProblem) -> ReconstructionReport:
+    """Regularized mode-by-mode division of final data by the modal response."""
+    b, keep = _modal_responses(problem)
+    g, discrepancy = _tikhonov_fit(b, keep, problem.final_data.coeffs, problem.tikhonov)
     return ReconstructionReport(
-        recovered=SpectralField(dom, g),
+        recovered=SpectralField(problem.final_data.domain, g),
         residual_history=[discrepancy],
         iterations=1,
         diagnostics={
@@ -170,26 +181,27 @@ def choose_mu_discrepancy(
 
     The discrepancy grows monotonically with mu, so a log-scale bisection
     finds the weight at which the reconstruction stops fitting the noise.
+    The modal responses do not depend on mu and are built once.
     """
     if noise_norm <= 0.0:
         return 1e-10
+    b, keep = _modal_responses(XSourceFinalProblem(rho, alpha, grid, final_data, cutoff))
 
     def disc(mu: float) -> float:
-        problem = XSourceFinalProblem(rho, alpha, grid, final_data, cutoff, mu)
-        return reconstruct_final(problem).residual_history[-1]
+        return _tikhonov_fit(b, keep, final_data.coeffs, mu)[1]
 
     if disc(lo) >= noise_norm:
         return lo
     if disc(hi) <= noise_norm:
         return hi
-    a, b = math.log(lo), math.log(hi)
+    log_lo, log_hi = math.log(lo), math.log(hi)
     for _ in range(80):
-        mid = 0.5 * (a + b)
+        mid = 0.5 * (log_lo + log_hi)
         if disc(math.exp(mid)) < noise_norm:
-            a = mid
+            log_lo = mid
         else:
-            b = mid
-    return math.exp(0.5 * (a + b))
+            log_hi = mid
+    return math.exp(0.5 * (log_lo + log_hi))
 
 
 class _InteriorOperator:

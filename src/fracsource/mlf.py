@@ -1,15 +1,25 @@
 """Two-parameter Mittag-Leffler function on the negative real axis.
 
-E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) is evaluated by three regimes:
+E_{a,b}(z) = sum_k z^k / Gamma(a*k + b).  `ml_eval_array` evaluates it on
+whole arrays; `ml_eval` is its one-element form.  With the cancellation
+scale x = |z|^(1/a), the regimes for 0 < a < 1 are
 
-* plain double-precision power series (with Kahan summation) while the
-  terms stay small enough that cancellation is harmless,
-* the algebraic asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k) with
-  optimal truncation for large |z| (plus the saddle-point exponential
-  term when a > 1, where it is not negligible),
-* the power series in extended precision (stdlib ``decimal``, with a
-  Spouge gamma evaluated in the same precision) for the gap in between,
-  where neither double-precision route reaches the accuracy target.
+* z = 0: 1/Gamma(b); 0 < z <= 1: the double-precision power series,
+* x < 35: the inverse Laplace transform of s^(a-b)/(s^a - z) by the
+  trapezoid rule on the fixed parabola s(u) = mu (1 + iu)^2 (Garrappa,
+  SIAM J. Numer. Anal. 53(3), 2015; Weideman & Trefethen, Math. Comp.
+  76, 2007); s^a never equals z <= 0 on the principal sheet, so one
+  contour serves every argument,
+* x >= 35: the algebraic asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k)
+  at envelope-based optimal truncation, summed by Horner's rule over
+  sorted blocks of arguments; points whose truncation error misses the
+  target fall back to the contour.
+
+For 1 <= a < 2 or b > 3 (reached only from the `ml-eval` mode) values are
+computed one at a time: the power series while x <= 4, the asymptotic expansion
+(plus the saddle-point exponential term) where it meets the target, and
+otherwise the power series in extended precision (stdlib ``decimal``, with
+a Spouge gamma evaluated in the same precision).
 
 Only real z <= 1 is supported; the diffusion solvers feed in z <= 0.
 """
@@ -17,18 +27,40 @@ Only real z <= 1 is supported; the diffusion solvers feed in z <= 0.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
-__all__ = ["MLParams", "MLConvergenceError", "ml_eval", "ml_decay_constant"]
+import numpy as np
+
+__all__ = [
+    "MLParams",
+    "MLConvergenceError",
+    "ml_eval",
+    "ml_eval_array",
+    "ml_decay_constant",
+]
 
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 10_000
 # cancellation scale x = |z|^(1/alpha); largest term of the series ~ e^x
 _DOUBLE_SERIES_MAX_X = 4.0
 _DECIMAL_SERIES_MAX_X = 700.0
+# below this x the omitted exponentially small part of the asymptotic
+# expansion for alpha < 1 (~ exp(-0.9 x)) is not negligible
+_ASYMPTOTIC_MIN_X = 35.0
 _ASYMPTOTIC_REL_TOL = 1e-13
+_ASYMPTOTIC_MAX_TERMS = 399
+# parabolic contour s(u) = mu (1 + iu)^2 sampled at u = 0, h, ..., (n-1) h;
+# with mu fixed, e^s s^(-beta) cancels too much beyond beta = 3 (rel. error
+# 7e-13 at beta = 3.5 against 7e-14 at 3)
+_CONTOUR_MAX_BETA = 3.0
+_CONTOUR_MU = 2.0
+_CONTOUR_H = 0.15
+_CONTOUR_NODES = 32
+# arguments per block: the (block, nodes) float temporaries stay at 512 KiB
+_BLOCK = 2048
 
 
 class MLConvergenceError(ArithmeticError):
@@ -157,20 +189,26 @@ def _gamma_decimal(x: Decimal, a: int, prec: int) -> Decimal:
 
 
 _gamma_tables: dict[tuple[float, float, int], list[Decimal]] = {}
+_gamma_tables_lock = threading.Lock()
 
 
 def _gamma_table(alpha: float, beta: float, prec: int, n: int) -> list[Decimal]:
-    """Incrementally extended cache of Gamma(alpha*k + beta) at `prec` digits."""
-    tab = _gamma_tables.setdefault((alpha, beta, prec), [])
-    if len(tab) <= n:
-        a = int(prec / 0.79) + 3
-        da, db = Decimal(alpha), Decimal(beta)
-        with localcontext() as ctx:
-            # the argument alpha*k + beta must carry full working precision;
-            # the default context would truncate it to 28 digits
-            ctx.prec = prec + 10
-            while len(tab) <= n:
-                tab.append(_gamma_decimal(da * len(tab) + db, a, prec))
+    """Incrementally extended cache of Gamma(alpha*k + beta) at `prec` digits.
+
+    The table is shared between threads, so it is extended under a lock;
+    entries already present never change.
+    """
+    with _gamma_tables_lock:
+        tab = _gamma_tables.setdefault((alpha, beta, prec), [])
+        if len(tab) <= n:
+            a = int(prec / 0.79) + 3
+            da, db = Decimal(alpha), Decimal(beta)
+            with localcontext() as ctx:
+                # the argument alpha*k + beta must carry full working precision;
+                # the default context would truncate it to 28 digits
+                ctx.prec = prec + 10
+                while len(tab) <= n:
+                    tab.append(_gamma_decimal(da * len(tab) + db, a, prec))
     return tab
 
 
@@ -203,25 +241,22 @@ def _series_decimal(alpha: float, beta: float, z: float, x_scale: float) -> floa
 # asymptotic expansion for large -z
 
 
-def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """Algebraic asymptotic series at optimal truncation.
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Returns (value, absolute error estimate: the first omitted nonzero
-    term).  For alpha >= 1 the exponentially damped saddle-point term is
-    added explicitly, since near alpha = 2 it decays too slowly to ignore.
-    The reflection formula makes |Gamma(beta - alpha*k)| oscillate, so the
-    truncation point is picked as the global minimum of |term|, not the
-    first local increase.
+
+@lru_cache(maxsize=256)
+def _asymptotic_coeffs(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the expansion in 1/eta, eta = -z, and their envelopes.
+
+    Term k = 1, 2, ... is c[k-1] eta^-k with c[k-1] = (-1)^(k+1) / Gamma(beta -
+    alpha*k); its smooth size envelope is exp(log_env[k-1] - k log eta).  The
+    arrays end before the first coefficient that overflows.
     """
-    eta = -z
-    log_eta = math.log(eta)
-    terms: list[float] = []
-    envs: list[float] = []
-    min_env = math.inf
-    best = -1
-    for k in range(1, 400):
-        log_epow = -k * log_eta
-        epow = math.exp(log_epow) if log_epow > -745.0 else 0.0
+    c: list[float] = []
+    log_env: list[float] = []
+    for k in range(1, _ASYMPTOTIC_MAX_TERMS + 1):
         x = beta - alpha * k
         # snap float round-off onto the exact poles of Gamma, where the
         # term vanishes; otherwise a ~1e-17 residue derails the truncation
@@ -229,28 +264,81 @@ def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, float]:
             r = 0.0
         else:
             r = _rgamma(x)
-        t = epow * r if k % 2 == 1 else -epow * r
-        terms.append(t)
-        # smooth size envelope: |1/Gamma(x)| <= Gamma(1-x)/pi for x <= 1/2
-        # (reflection with |sin| <= 1); near-pole dips of the actual term
-        # must not be mistaken for the optimal truncation point
-        if x <= 0.5:
-            log_env = log_epow + math.lgamma(1.0 - x) - math.log(math.pi)
-            env = math.exp(log_env) if log_env < 700.0 else math.inf
-        else:
-            env = epow * abs(r)
-        envs.append(env)
-        if env < min_env:
-            min_env, best = env, k - 1
-        if env > 10.0 * min_env or env < 1e-25:
+        if math.isinf(r):
             break
-    total = math.fsum(terms[: best + 1])
-    if best + 1 < len(envs):
-        err = envs[best + 1]
-    else:
-        err = min_env
-    if best < 0:
-        err = math.inf
+        c.append(r if k % 2 == 1 else -r)
+        # |1/Gamma(x)| <= Gamma(1-x)/pi for x <= 1/2 (reflection with
+        # |sin| <= 1); near-pole dips of the actual term must not be mistaken
+        # for the optimal truncation point
+        if x <= 0.5:
+            log_env.append(math.lgamma(1.0 - x) - math.log(math.pi))
+        else:
+            log_env.append(math.log(r) if r > 0.0 else -math.inf)
+    return _readonly(np.array(c)), _readonly(np.array(log_env))
+
+
+def _envelope(log_env, k, log_eta):
+    """exp(log_env - k log_eta), infinite once the exponent reaches 700."""
+    e = log_env - k * log_eta
+    return np.where(e < 700.0, np.exp(np.minimum(e, 700.0)), math.inf)
+
+
+def _truncation(log_env: np.ndarray, log_eta: float) -> tuple[int, int]:
+    """Optimal truncation of the expansion at one eta.
+
+    Returns (index of the last kept term, index of the term whose envelope
+    estimates the error), both 0-based.  The envelope is scanned until it
+    rises tenfold above its running minimum or falls below 1e-25, and the
+    terms up to its first global minimum are kept: the reflection formula
+    makes |Gamma(beta - alpha*k)| oscillate, so the first local increase is
+    not the optimum.  The error term is the next envelope scanned, or the
+    minimum itself when the scan ended there.
+    """
+    env = _envelope(log_env, np.arange(1, log_env.size + 1), log_eta)
+    stops = np.flatnonzero((env > 10.0 * np.minimum.accumulate(env)) | (env < 1e-25))
+    n = int(stops[0]) + 1 if stops.size else env.size
+    best = int(np.argmin(env[:n]))
+    return best, best + 1 if best + 1 < n else best
+
+
+def _asymptotic_array(
+    alpha: float, beta: float, eta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algebraic expansion at every eta = -z > 0, at optimal truncation.
+
+    Returns (values, absolute error estimates).  The arguments are sorted
+    and summed by Horner's rule in 1/eta in blocks, each truncated where the
+    scan puts the optimum for its smallest eta.  A larger eta shrinks every
+    term, so the kept terms stay accurate for the whole block; each point's
+    error estimate is the envelope of its own first omitted term.
+    """
+    c, log_env = _asymptotic_coeffs(alpha, beta)
+    order = np.argsort(eta)
+    val = np.empty(eta.shape)
+    err = np.empty(eta.shape)
+    for lo in range(0, eta.size, _BLOCK):
+        idx = order[lo : lo + _BLOCK]
+        e = eta[idx]
+        log_e = np.log(e)
+        best, last = _truncation(log_env, float(log_e[0]))
+        w = 1.0 / e
+        p = np.full(e.shape, c[best])
+        for j in range(best - 1, -1, -1):
+            p = p * w + c[j]
+        val[idx] = p * w
+        err[idx] = _envelope(log_env[last], last + 1, log_e)
+    return val, err
+
+
+def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, float]:
+    """The expansion at one z < 0: (value, absolute error estimate).
+
+    For alpha >= 1 the exponentially damped saddle-point term is added
+    explicitly, since near alpha = 2 it decays too slowly to ignore.
+    """
+    eta = -z
+    val, err = _asymptotic_array(alpha, beta, np.array([eta]))
+    total = float(val[0])
     if alpha >= 1.0:
         c = eta ** (1.0 / alpha)
         ang = math.pi / alpha
@@ -261,10 +349,49 @@ def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, float]:
             * math.exp(c * math.cos(ang))
             * math.cos(c * math.sin(ang) + (1.0 - beta) * ang)
         )
-    return total, err
+    return total, float(err[0])
+
+
+# ---------------------------------------------------------------------------
+# inverse Laplace transform on a parabolic contour
+
+
+@lru_cache(maxsize=256)
+def _contour(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
+    """Nodes s^alpha and trapezoid weights of the contour integral.
+
+    E(z) = (1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds along
+    s(u) = mu (1 + iu)^2; the integrand at -u is minus the conjugate of the
+    one at u, so E(z) = (h/pi) Im sum' w_k / (s_k^alpha - z) over u_k >= 0
+    with w_k = e^s s^(alpha-beta) s'(u) at u_k and the u = 0 term halved.
+    Returned as real and imaginary parts (Re s^alpha, Im s^alpha, Re w, Im w).
+    """
+    u = _CONTOUR_H * np.arange(_CONTOUR_NODES)
+    s = _CONTOUR_MU * (1.0 + 1j * u) ** 2
+    ds = 2j * _CONTOUR_MU * (1.0 + 1j * u)
+    w = (_CONTOUR_H / math.pi) * np.exp(s) * s ** (alpha - beta) * ds
+    w[0] *= 0.5
+    sa = s**alpha
+    return tuple(_readonly(a.copy()) for a in (sa.real, sa.imag, w.real, w.imag))
+
+
+def _contour_eval(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) for 0 < alpha < 1 and z <= 0 by the contour rule."""
+    ar, ai, wr, wi = _contour(alpha, beta)
+    out = np.empty(z.shape)
+    for lo in range(0, z.size, _BLOCK):
+        # Im(w / (s^alpha - z)) in real arithmetic
+        dr = ar - z[lo : lo + _BLOCK, None]
+        out[lo : lo + _BLOCK] = ((wi * dr - wr * ai) / (dr * dr + ai * ai)).sum(axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# evaluation
 
 
 def _eval(alpha: float, beta: float, z: float) -> float:
+    """Scalar evaluation, for 1 <= alpha < 2 or beta > 3."""
     if z == 0.0:
         return _rgamma(beta)
     if alpha == 1.0 and beta == 1.0:
@@ -282,9 +409,7 @@ def _eval(alpha: float, beta: float, z: float) -> float:
 
     val, err = _asymptotic(alpha, beta, z)
     scale = max(abs(val), abs(_rgamma(beta)) / (1.0 + eta))
-    # for alpha < 1 the omitted exponentially small contribution is of size
-    # ~ exp(-0.9 x); only trust the algebraic estimate once x is large
-    if err <= _ASYMPTOTIC_REL_TOL * scale and (alpha >= 1.0 or x_scale >= 35.0):
+    if err <= _ASYMPTOTIC_REL_TOL * scale and (alpha >= 1.0 or x_scale >= _ASYMPTOTIC_MIN_X):
         return val
     if x_scale <= _DECIMAL_SERIES_MAX_X:
         return _series_decimal(alpha, beta, z, x_scale)
@@ -301,13 +426,41 @@ def _eval_cached(alpha: float, beta: float, z: float) -> float:
     return _eval(alpha, beta, z)
 
 
+def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
+    """E_{alpha,beta}(z) elementwise for real z <= 0 (z <= 1 is tolerated).
+
+    Returns a float array of the shape of z.  Raises ValueError for an
+    order pair outside MLParams' range or a non-finite or too large z.
+    """
+    MLParams(alpha, beta)
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("arguments must be finite")
+    if np.any(z > 1.0):
+        raise ValueError(f"only z <= 1 is supported, got {float(np.max(z))}")
+    flat = z.ravel()
+    if alpha >= 1.0 or beta > _CONTOUR_MAX_BETA:
+        vals = [_eval_cached(alpha, beta, float(v)) for v in flat]
+        return np.array(vals, dtype=float).reshape(z.shape)
+    out = np.empty(flat.shape)
+    out[flat == 0.0] = _rgamma(beta)
+    for i in np.flatnonzero(flat > 0.0):
+        out[i] = _series_double(alpha, beta, float(flat[i]))
+    neg = np.flatnonzero(flat < 0.0)
+    eta = -flat[neg]
+    far = eta >= _ASYMPTOTIC_MIN_X**alpha
+    val, err = _asymptotic_array(alpha, beta, eta[far])
+    scale = np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 + eta[far]))
+    ok = err <= _ASYMPTOTIC_REL_TOL * scale
+    out[neg[far][ok]] = val[ok]
+    near = np.concatenate((neg[~far], neg[far][~ok]))
+    out[near] = _contour_eval(alpha, beta, flat[near])
+    return out.reshape(z.shape)
+
+
 def ml_eval(p: MLParams, z: float) -> float:
     """E_{alpha,beta}(z) for real z <= 0 (a guard of z <= 1 is tolerated)."""
-    if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got {z}")
-    if z > 1.0:
-        raise ValueError(f"only z <= 1 is supported, got {z}")
-    return _eval_cached(p.alpha, p.beta, float(z))
+    return float(ml_eval_array(p.alpha, p.beta, (z,))[0])
 
 
 def ml_decay_constant(p: MLParams, eta_grid) -> float:
@@ -315,9 +468,9 @@ def ml_decay_constant(p: MLParams, eta_grid) -> float:
 
     This is the constant C of the decay bound |E(-eta)| <= C/(1+eta).
     """
-    etas = list(eta_grid)
-    if not etas:
+    etas = np.asarray(list(eta_grid), dtype=float)
+    if etas.size == 0:
         raise ValueError("eta_grid must be non-empty")
-    if any(e < 0 for e in etas):
+    if np.any(etas < 0):
         raise ValueError("eta_grid entries must be >= 0")
-    return max(abs(ml_eval(p, -e)) * (1.0 + e) for e in etas)
+    return float(np.max(np.abs(ml_eval_array(p.alpha, p.beta, -etas)) * (1.0 + etas)))

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +137,40 @@ def test_sweep_threads_same_result(tmp_path):
     assert b1 == b2
 
 
+def test_sweep_threads_same_result_ml_kernels(tmp_path):
+    # the inner mode evaluates Mittag-Leffler kernels in every worker; each
+    # thread count runs in a fresh interpreter, so no cache is warm
+    import fracsource
+
+    cfg = write_cfg(
+        tmp_path,
+        "t.json",
+        {
+            "mode": "sweep",
+            "sweep": {
+                "key": "n_steps",
+                "values": [64, 128, 256, 512],
+                "metric": "rel_l2_error",
+                "inner": {"mode": "invert-rho-volterra", "alpha": 0.5, "N": 32},
+            },
+        },
+    )
+    src = os.path.dirname(os.path.dirname(fracsource.__file__))
+    out = {}
+    for threads in ("2", "1"):
+        env = dict(os.environ, FRACSOURCE_THREADS=threads, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "fracsource.cli", cfg, "--override", f'output="t{threads}.csv"'],
+            cwd=tmp_path,
+            env=env,
+            check=True,
+            capture_output=True,
+            timeout=600,
+        )
+        out[threads] = (tmp_path / f"t{threads}.csv").read_bytes()
+    assert out["1"] == out["2"]
+
+
 def test_exit_code_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -166,6 +202,43 @@ def test_exit_code_solver_error(tmp_path):
         },
     )
     assert run(cfg) == 4
+
+
+def test_exit_code_non_finite_metadata(tmp_path, monkeypatch, capsys):
+    import fracsource.cli as cli
+
+    monkeypatch.setattr(cli, "relative_l2", lambda *a, **k: math.nan)
+    cfg = write_cfg(tmp_path, "nf.json", {"mode": "caputo-t2", "alpha": 0.5, "n_steps": 16})
+    assert run(cfg) == 4
+    assert "solver error:" in capsys.readouterr().err
+    assert not (tmp_path / "nf.csv").exists()
+
+
+def test_exit_code_non_finite_column(tmp_path, monkeypatch, capsys):
+    import fracsource.cli as cli
+
+    monkeypatch.setattr(cli, "ml_eval", lambda p, z: math.inf if z < -1.0 else 1.0)
+    cfg = write_cfg(
+        tmp_path,
+        "nc.json",
+        {"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [0.0, -2.0]}},
+    )
+    assert run(cfg) == 4
+    assert "solver error:" in capsys.readouterr().err
+    # the sweep slope column is NaN in its first row by construction
+    sweep = write_cfg(
+        tmp_path,
+        "ns.json",
+        {
+            "mode": "sweep",
+            "sweep": {
+                "key": "n_steps",
+                "values": [16, 32],
+                "inner": {"mode": "caputo-t2", "alpha": 0.5},
+            },
+        },
+    )
+    assert run(sweep) == 0
 
 
 def test_override_flag(tmp_path):

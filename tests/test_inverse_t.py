@@ -171,6 +171,20 @@ def test_mollify_endpoints_and_constants():
     assert mollify(f, 1) is f
 
 
+def test_mollify_matches_loop_formula():
+    grid = TimeGrid(1.0, 40)
+    v = np.random.default_rng(4).normal(size=41)
+    csum = np.concatenate(([0.0], np.cumsum(v)))
+    for width in (1, 2, 5, 6):
+        half = width // 2
+        ref = np.empty(41)
+        for i in range(41):
+            lo, hi = max(0, i - half), min(41, i + half + 1)
+            ref[i] = (csum[hi] - csum[lo]) / (hi - lo)
+        out = mollify(TimeSeries(grid, v), width).values
+        assert np.array_equal(out, v if width == 1 else ref)
+
+
 # ---------------------------------------------------------------------------
 # fixed-point iteration
 

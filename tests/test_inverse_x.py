@@ -123,6 +123,50 @@ def test_choose_mu_discrepancy():
     assert rep.residual_history[-1] == pytest.approx(target, rel=1e-3)
 
 
+def noisy_final_case():
+    grid = TimeGrid(1.0, 64)
+    a = FractionalOrder(0.6)
+    rho = make_rho(grid, "affine")
+    data = final_data_of(make_g(DOM, "hat"), rho, a)
+    bump = 0.01 * np.max(np.abs(data.coeffs)) * np.random.default_rng(5).uniform(-1, 1, 8)
+    return grid, a, rho, SpectralField(DOM, data.coeffs + bump), float(np.linalg.norm(bump))
+
+
+def test_choose_mu_builds_responses_once(monkeypatch):
+    import fracsource.inverse_x as inverse_x
+
+    calls = []
+    original = inverse_x.modal_kernel_weights
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(inverse_x, "modal_kernel_weights", counting)
+    grid, a, rho, data, noise_norm = noisy_final_case()
+    choose_mu_discrepancy(rho, a, grid, data, 0.0, noise_norm)
+    assert len(calls) == DOM.n_modes
+
+
+def test_choose_mu_equals_per_step_reconstruction():
+    # the bisection as it ran when every step rebuilt B through reconstruct_final
+    grid, a, rho, data, noise_norm = noisy_final_case()
+
+    def disc(mu):
+        problem = XSourceFinalProblem(rho, a, grid, data, 0.0, mu)
+        return reconstruct_final(problem).residual_history[-1]
+
+    lo, hi = math.log(1e-16), math.log(1e6)
+    assert disc(1e-16) < noise_norm < disc(1e6)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if disc(math.exp(mid)) < noise_norm:
+            lo = mid
+        else:
+            hi = mid
+    assert choose_mu_discrepancy(rho, a, grid, data, 0.0, noise_norm) == math.exp(0.5 * (lo + hi))
+
+
 def test_holder_stability_single_constant():
     # ||g||_L2 <= C E^(1/2) ||u(., T)||_L2^(1/2) with E the graph-norm
     # size of g; one constant C works across scalings and profiles

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsource.mlf import MLConvergenceError, MLParams, ml_decay_constant, ml_eval
+from fracsource.mlf import (
+    MLConvergenceError,
+    MLParams,
+    ml_decay_constant,
+    ml_eval,
+    ml_eval_array,
+)
 
 DATA_PATH = os.path.join(os.path.dirname(__file__), "data", "ml_reference.json")
 
@@ -133,6 +139,61 @@ def test_decay_bound_property(a, b, eta):
 def test_oracle_spot_checks():
     # live cross-check against the independent evaluator on a small set
     ml_reference = pytest.importorskip("ml_reference")
-    for a, b, eta in [(0.45, 1.15, 7.3), (0.85, 0.6, 33.0), (1.4, 1.0, 12.5), (0.25, 1.0, 250.0)]:
+    # beta > 3 lies beyond the reach of the fixed contour
+    for a, b, eta in [
+        (0.45, 1.15, 7.3),
+        (0.85, 0.6, 33.0),
+        (1.4, 1.0, 12.5),
+        (0.25, 1.0, 250.0),
+        (0.5, 10.0, 3.0),
+        (0.3, 30.0, 1.5),
+    ]:
         ref = ml_reference.ml_reference(a, b, -eta)
         assert ml_eval(MLParams(a, b), -eta) == pytest.approx(ref, rel=1e-10)
+
+
+ARRAY_ALPHAS = (0.1, 0.3, 0.5, 0.75, 0.9, 0.95)
+
+
+def test_array_evaluator_against_mpmath():
+    # seeded points in every band of x = |z|^(1/alpha): the contour below
+    # x = 35 (x < 4 included), the asymptotic series above, and x > 400,
+    # where the reference switches to its integral representation
+    ml_reference = pytest.importorskip("ml_reference")
+    rng = np.random.default_rng(2024)
+    for a in ARRAY_ALPHAS:
+        for b in (a, 1.0, a + 1.0, a + 2.0):
+            x = np.concatenate(
+                (
+                    rng.uniform(0.0, 4.0, 2),
+                    rng.uniform(4.0, 35.0, 3),
+                    rng.uniform(35.0, 60.0, 1),
+                    rng.uniform(500.0, 5000.0, 1),
+                )
+            )
+            eta = x**a
+            vals = ml_eval_array(a, b, -eta)
+            for e, v in zip(eta, vals):
+                tol = 1e-10 if e <= 100.0 else 1e-8
+                ref = ml_reference.ml_reference(a, b, -e)
+                assert v == pytest.approx(ref, rel=tol, abs=1e-300), (a, b, e)
+
+
+def test_scalar_is_one_element_array_call():
+    for a in ARRAY_ALPHAS + (1.0, 1.4):
+        for b in (a, 1.0, a + 2.0):
+            for z in (0.0, 0.5, -0.3, -(20.0**a), -(50.0**a), -1e5):
+                assert ml_eval(MLParams(a, b), z) == ml_eval_array(a, b, [z])[0]
+    grid = np.array([[0.0, -1.0], [-40.0, -1e6]])
+    vals = ml_eval_array(0.5, 1.0, grid)
+    assert vals.shape == grid.shape
+    assert vals[1, 1] == ml_eval(MLParams(0.5, 1.0), -1e6)
+
+
+def test_array_argument_validation():
+    for a in (0.5, 1.5):
+        for bad in ([0.0, math.nan], [math.inf], [-math.inf, -1.0], [-1.0, 1.5]):
+            with pytest.raises(ValueError):
+                ml_eval_array(a, 1.0, bad)
+    with pytest.raises(ValueError):
+        ml_eval_array(0.0, 1.0, [-1.0])
