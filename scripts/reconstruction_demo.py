@@ -48,8 +48,7 @@ def temporal_demo():
         trace = add_noise(clean, level, seed)
         problem = TSourceProblem(g, 0.3, ALPHA, GRID, trace, noise_level=level)
         volt = solve_volterra(problem, mollify_width=5)
-        k_bound = fixed_point_iterate(problem, K=1e9, m_max=1).diagnostics["k_bound"]
-        fp = fixed_point_iterate(problem, K=k_bound, m_max=50, mollify_width=5)
+        fp = fixed_point_iterate(problem, m_max=50, mollify_width=5)
         print(
             f"{label:>9}: volterra err {relative_l2(volt.recovered, rho_true, 1):.3e}"
             f" | fixed-point err {relative_l2(fp.recovered, rho_true, 1):.3e}"

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,16 +49,22 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def add_noise(series: TimeSeries, level: float, seed: int) -> TimeSeries:
-    """I.i.d. uniform perturbation of amplitude level * max|series|."""
+def _perturb(x: np.ndarray, level: float, seed: int) -> tuple[np.ndarray, float]:
+    """x plus i.i.d. uniform noise of amplitude level * max|x|, and the noise norm."""
     if level < 0.0:
         raise ValueError("noise level must be >= 0")
     if level == 0.0:
+        return x, 0.0
+    amp = level * float(np.max(np.abs(x)))
+    bump = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, x.shape)
+    return x + bump, float(np.linalg.norm(bump))
+
+
+def add_noise(series: TimeSeries, level: float, seed: int) -> TimeSeries:
+    """I.i.d. uniform perturbation of amplitude level * max|series|."""
+    if level == 0.0:
         return series
-    amp = level * float(np.max(np.abs(series.values)))
-    rng = np.random.default_rng(seed)
-    bump = amp * rng.uniform(-1.0, 1.0, series.values.shape[0])
-    return TimeSeries(series.grid, series.values + bump)
+    return TimeSeries(series.grid, _perturb(series.values, level, seed)[0])
 
 
 def _fmt(v) -> str:
@@ -221,15 +226,9 @@ def _run_invert_rho(cfg: dict, variant: str):
     if variant == "volterra":
         rep = inverse_t.solve_volterra(problem, mollify_width=width)
     else:
-        k_cfg = _num(s, "K", None, lo=0.0)
-        if k_cfg is None:
-            v = forward.observe_point(
-                forward.solve_homogeneous(g, alpha, grid), x0
-            )
-            k_cfg = float(np.max(np.abs(v.values)))
         rep = inverse_t.fixed_point_iterate(
             problem,
-            K=k_cfg,
+            K=_num(s, "K", None, lo=0.0),
             m_max=_int(s, "m_max", 50, lo=1),
             tol=_num(s, "tol", 1e-10, lo=0.0),
             mollify_width=width,
@@ -255,13 +254,7 @@ def _run_invert_g_final(cfg: dict):
     seed = _int(cfg, "seed", 0)
     s = _solver(cfg)
     u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
-    coeffs = u.modal_values[:, -1].copy()
-    noise_norm = 0.0
-    if level > 0.0:
-        rng = np.random.default_rng(seed)
-        bump = level * float(np.max(np.abs(coeffs))) * rng.uniform(-1.0, 1.0, coeffs.shape[0])
-        coeffs = coeffs + bump
-        noise_norm = float(np.linalg.norm(bump))
+    coeffs, noise_norm = _perturb(u.modal_values[:, -1].copy(), level, seed)
     final = SpectralField(domain, coeffs)
     delta = _num(s, "delta", 0.0, lo=0.0)
     mu = _num(s, "mu", None, lo=0.0)
@@ -308,12 +301,8 @@ def _run_invert_g_interior(cfg: dict):
     seed = _int(cfg, "seed", 0)
     s = _solver(cfg)
     u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
-    observed = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
-    if level > 0.0:
-        rng = np.random.default_rng(seed)
-        observed = observed + level * float(np.max(np.abs(observed))) * rng.uniform(
-            -1.0, 1.0, observed.shape
-        )
+    clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
+    observed, _ = _perturb(clean, level, seed)
     try:
         problem = inverse_x.XSourceInteriorProblem(
             rho,
@@ -396,14 +385,8 @@ def _run_sweep(cfg: dict):
             raise ConfigError("sweep.metric", f"inner run produced no metric {metric!r}")
         return float(meta[metric])
 
-    threads = max(1, int(os.environ.get("FRACSOURCE_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errs = list(pool.map(one, values))
-    else:
-        errs = [one(v) for v in values]
     vals = np.asarray(values, dtype=float)
-    errs_arr = np.asarray(errs)
+    errs_arr = np.asarray([one(v) for v in values])
     # slope of log(error) against log(parameter) between consecutive runs
     slope = np.full(vals.shape[0], math.nan)
     with np.errstate(divide="ignore", invalid="ignore"):

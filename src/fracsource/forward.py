@@ -17,13 +17,18 @@ is of order one, where sampling the kernel on the nodes would not be.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fracops import FractionalOrder, TimeGrid, TimeSeries, weakly_singular_convolve
+from .fracops import (
+    FractionalOrder,
+    TimeGrid,
+    TimeSeries,
+    product_rule_convolve,
+    weakly_singular_convolve,
+)
 from .mlf import ml_eval_array
 from .spectral import Domain1D, SpectralField
 
@@ -33,9 +38,9 @@ __all__ = [
     "solve_inhomogeneous",
     "separated_source",
     "duhamel_residual",
-    "solve_backward_adjoint",
     "observe_point",
     "modal_kernel_weights",
+    "summed_kernel_weights",
     "ml_on_nodes",
 ]
 
@@ -54,9 +59,6 @@ class EvolutionField:
         if m.shape != shape:
             raise ValueError(f"modal_values must have shape {shape}, got {m.shape}")
         object.__setattr__(self, "modal_values", m)
-
-    def reversed_in_time(self) -> "EvolutionField":
-        return EvolutionField(self.domain, self.grid, self.modal_values[:, ::-1].copy())
 
 
 def ml_on_nodes(alpha: float, beta: float, lam: float, t: np.ndarray) -> np.ndarray:
@@ -97,12 +99,23 @@ def modal_kernel_weights(
     return _kernel_weights_cached(float(lam), alpha.alpha, grid.total_time, grid.n_steps)
 
 
-def _modal_convolve(c: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.ndarray:
-    n = f.shape[0] - 1
-    out = np.zeros(n + 1)
-    out[1:] = np.convolve(c, f[1:])[:n]
-    out[1:] += np.convolve(d, f)[:n]
-    return out
+def summed_kernel_weights(
+    weights: np.ndarray, domain: Domain1D, alpha: FractionalOrder, grid: TimeGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product-rule weights sum_n w_n (c_n, d_n) over the modes with w_n != 0.
+
+    product_rule_convolve with them maps rho to sum_n w_n (K_n rho), where
+    K_n rho is mode n of the solution driven by phi_n rho; w_n = g_n phi_n(x0)
+    gives the trace u(x0, .) of the source g rho in one convolution.
+    """
+    lam = domain.eigenvalues()
+    c_tot = np.zeros(grid.n_steps)
+    d_tot = np.zeros(grid.n_steps)
+    for i in np.flatnonzero(weights):
+        c, d = modal_kernel_weights(lam[i], alpha, grid)
+        c_tot += weights[i] * c
+        d_tot += weights[i] * d
+    return c_tot, d_tot
 
 
 def solve_homogeneous(
@@ -136,7 +149,7 @@ def solve_inhomogeneous(
         if not np.any(row):
             continue
         c, d = modal_kernel_weights(lam[i], alpha, grid)
-        modal[i] = _modal_convolve(c, d, row)
+        modal[i] = product_rule_convolve(c, d, row)
     return EvolutionField(source.domain, grid, modal)
 
 
@@ -158,35 +171,19 @@ def duhamel_residual(
     from .fracops import rl_integral_forward
 
     u = solve_inhomogeneous(separated_source(g, rho), alpha, grid)
-    t = grid.nodes()
-    lam = g.domain.eigenvalues()
+    v = solve_homogeneous(g, alpha, grid)
     worst = 0.0
     scale = 0.0
-    for i in range(g.domain.n_modes):
-        if g.coeffs[i] == 0.0:
-            continue
+    for i in np.flatnonzero(g.coeffs):
         lhs = rl_integral_forward(
             TimeSeries(grid, u.modal_values[i]), 1.0 - alpha.alpha
         ).values
-        v = TimeSeries(grid, g.coeffs[i] * ml_on_nodes(alpha.alpha, 1.0, lam[i], t))
-        rhs = weakly_singular_convolve(1.0, v, rho).values
+        rhs = weakly_singular_convolve(1.0, TimeSeries(grid, v.modal_values[i]), rho).values
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         scale = max(scale, float(np.max(np.abs(lhs))))
     if scale == 0.0:
         return 0.0
     return worst / scale
-
-
-def solve_backward_adjoint(
-    rhs: EvolutionField, alpha: FractionalOrder, grid: TimeGrid
-) -> EvolutionField:
-    """Adjoint problem with terminal condition z(., T) = 0.
-
-    Under the substitution tau = T - t the unknown satisfies the usual
-    forward problem with the right-hand side reversed in time, so this is
-    exactly reverse -> solve_inhomogeneous -> reverse.
-    """
-    return solve_inhomogeneous(rhs.reversed_in_time(), alpha, grid).reversed_in_time()
 
 
 def observe_point(u: EvolutionField, x0: float) -> TimeSeries:

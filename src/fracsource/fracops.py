@@ -21,6 +21,7 @@ __all__ = [
     "caputo_l1",
     "rl_integral_forward",
     "rl_integral_backward",
+    "product_rule_convolve",
     "weakly_singular_convolve",
 ]
 
@@ -107,6 +108,19 @@ def _interval_moments(p: float, t: np.ndarray, tau: float):
     return m0 - m1 / tau, m1 / tau
 
 
+def product_rule_convolve(c: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """out[k] = sum_{j<k} (c_j f_{k-j} + d_j f_{k-j-1}), with out[0] = 0.
+
+    The product rule behind every convolution on the grid: c_j and d_j
+    weigh the two nodes of f that bound subinterval j of the kernel.
+    """
+    n = f.shape[0] - 1
+    out = np.zeros(n + 1)
+    out[1:] = np.convolve(c, f[1:])[:n]
+    out[1:] += np.convolve(d, f)[:n]
+    return out
+
+
 def weakly_singular_convolve(
     kernel_power: float, smooth_factor: TimeSeries, f: TimeSeries
 ) -> TimeSeries:
@@ -120,15 +134,9 @@ def weakly_singular_convolve(
         raise ValueError(f"kernel_power must lie in (0, 1], got {p}")
     if smooth_factor.grid != f.grid:
         raise ValueError("smooth_factor and f must share a grid")
-    n = f.grid.n_steps
-    t = f.grid.nodes()
-    c, d = _interval_moments(p, t, f.grid.tau)
+    c, d = _interval_moments(p, f.grid.nodes(), f.grid.tau)
     ks = smooth_factor.values
-    # out[k] = sum_{j<k} [c_j ks_j f_{k-j} + d_j ks_{j+1} f_{k-j-1}]
-    out = np.zeros(n + 1)
-    out[1:] = np.convolve(c * ks[:-1], f.values[1:])[:n]
-    out[1:] += np.convolve(d * ks[1:], f.values)[:n]
-    return TimeSeries(f.grid, out)
+    return TimeSeries(f.grid, product_rule_convolve(c * ks[:-1], d * ks[1:], f.values))
 
 
 def rl_integral_forward(f: TimeSeries, order: float) -> TimeSeries:

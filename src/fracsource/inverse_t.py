@@ -11,7 +11,9 @@ with the forward relaxation kernel.  The direct solver discretizes this
 equation (L1 derivative on the trace, exact kernel moments in the
 convolution) and runs forward substitution; the fixed-point solver
 repeatedly corrects rho by the fractional derivative of the trace
-mismatch, damped by a bound K on the homogeneous trace.
+mismatch, damped by a bound K on the homogeneous trace.  Both apply the
+trace map as one product-rule convolution whose weights sum the modes
+once, so no sweep solves the forward problem.
 """
 
 from __future__ import annotations
@@ -22,15 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NonZeroInitialTraceError, PointDegenerateError
-from .forward import (
-    ml_on_nodes,
-    modal_kernel_weights,
-    observe_point,
-    separated_source,
-    solve_homogeneous,
-    solve_inhomogeneous,
-)
-from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1
+from .forward import ml_on_nodes, observe_point, solve_homogeneous, summed_kernel_weights
+from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
 from .report import ReconstructionReport
 from .spectral import SpectralField, eval_at
 
@@ -128,27 +123,12 @@ def kernel_q(
     return QKernel(a, TimeSeries(grid, smooth))
 
 
-def _kernel_weights(
+def _trace_weights(
     g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Product-rule weights of rho -> int_0^t Q(x0, s) rho(t - s) ds.
-
-    Built mode by mode from the exact moments of the relaxation kernel,
-    so the map agrees exactly with the forward solver applied to
-    piecewise-linear rho.
-    """
-    lam = g.domain.eigenvalues()
-    phi = g.domain.eigenfunctions(x0)[:, 0]
-    c_tot = np.zeros(grid.n_steps)
-    d_tot = np.zeros(grid.n_steps)
-    for i in range(g.domain.n_modes):
-        w = lam[i] * g.coeffs[i] * phi[i]
-        if w == 0.0:
-            continue
-        c, d = modal_kernel_weights(lam[i], alpha, grid)
-        c_tot += w * c
-        d_tot += w * d
-    return c_tot, d_tot
+    """Product-rule weights of the trace map rho -> u(x0, .) for the source g rho."""
+    w = g.coeffs * g.domain.eigenfunctions(x0)[:, 0]
+    return summed_kernel_weights(w, g.domain, alpha, grid)
 
 
 def _extrapolate_node0(values: np.ndarray) -> None:
@@ -175,7 +155,11 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
     if problem.noise_level > 0.0:
         trace = mollify(trace, mollify_width)
     psi = caputo_l1(trace, problem.alpha).values
-    c, d = _kernel_weights(problem.g, problem.x0, problem.alpha, problem.grid)
+    # weights of rho -> int_0^t Q(x0, s) rho(t - s) ds, from the exact
+    # kernel moments, so the map agrees with the forward solver
+    dom = problem.g.domain
+    w = dom.eigenvalues() * problem.g.coeffs * dom.eigenfunctions(problem.x0)[:, 0]
+    c, d = summed_kernel_weights(w, dom, problem.alpha, problem.grid)
     n = problem.grid.n_steps
     rho = np.zeros(n + 1)
     for k in range(1, n + 1):
@@ -184,17 +168,7 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
             acc += c[1:k] @ rho[k - 1 : 0 : -1]
         rho[k] = acc / (gx0 - c[0])
     # discrete residual of the solved system (forward substitution is exact)
-    resid = float(
-        np.max(
-            np.abs(
-                gx0 * rho[1:]
-                - psi[1:]
-                - np.array(
-                    [c[:k] @ rho[k:0:-1] + d[:k] @ rho[k - 1 :: -1] for k in range(1, n + 1)]
-                )
-            )
-        )
-    )
+    resid = float(np.max(np.abs(gx0 * rho - psi - product_rule_convolve(c, d, rho))[1:]))
     _extrapolate_node0(rho)
     return ReconstructionReport(
         recovered=TimeSeries(problem.grid, rho),
@@ -206,7 +180,7 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
 
 def fixed_point_iterate(
     problem: TSourceProblem,
-    K: float,
+    K: float | None = None,
     m_max: int = 50,
     tol: float = 1e-10,
     mollify_width: int = 5,
@@ -214,10 +188,10 @@ def fixed_point_iterate(
 ) -> ReconstructionReport:
     """Damped fixed-point reconstruction of rho.
 
-    Each sweep re-solves the forward problem for the current iterate and
-    adds the fractional derivative of the trace mismatch, scaled by 1/K.
-    K must dominate the sup norm of the homogeneous trace v(x0, .), which
-    makes the map a contraction of Volterra type.
+    Each sweep convolves the current iterate into its trace and adds the
+    fractional derivative of the trace mismatch, scaled by 1/K.  K must
+    dominate the sup norm of the homogeneous trace v(x0, .), which makes
+    the map a contraction of Volterra type; it defaults to that bound.
     """
     gx0 = eval_at(problem.g, problem.x0)
     if abs(gx0) < EPS_POINT:
@@ -228,6 +202,8 @@ def fixed_point_iterate(
         solve_homogeneous(problem.g, problem.alpha, problem.grid), problem.x0
     )
     k_bound = float(np.max(np.abs(v.values)))
+    if K is None:
+        K = k_bound
     if not (K > 0.0) or K < k_bound * (1.0 - 1e-12):
         raise ValueError(
             f"K = {K} is below the homogeneous-trace bound {k_bound}"
@@ -235,6 +211,7 @@ def fixed_point_iterate(
     trace = problem.trace
     if problem.noise_level > 0.0:
         trace = mollify(trace, mollify_width)
+    c, d = _trace_weights(problem.g, problem.x0, problem.alpha, problem.grid)
     n = problem.grid.n_steps
     rho = np.zeros(n + 1)
     history = []
@@ -243,16 +220,11 @@ def fixed_point_iterate(
     iterations = 0
     for m in range(1, m_max + 1):
         iterations = m
-        u_m = solve_inhomogeneous(
-            separated_source(problem.g, TimeSeries(problem.grid, rho)),
-            problem.alpha,
-            problem.grid,
-        )
-        mismatch = trace.values - observe_point(u_m, problem.x0).values
+        mismatch = trace.values - product_rule_convolve(c, d, rho)
         update = caputo_l1(TimeSeries(problem.grid, mismatch), problem.alpha).values / K
         rho = rho + update
         # the update carries no information at t = 0; extrapolating there
-        # keeps the next forward solve consistent with rho(0) != 0 sources
+        # keeps the next trace consistent with rho(0) != 0 sources
         _extrapolate_node0(rho)
         step = float(np.linalg.norm(update[1:]) * math.sqrt(problem.grid.tau))
         history.append(step)
@@ -299,12 +271,14 @@ def lipschitz_certificate(
         raise ValueError("rho_family must be non-empty")
     if abs(eval_at(g, x0)) < EPS_POINT:
         raise PointDegenerateError(f"|g(x0)| below the usable threshold {EPS_POINT}")
+    c, d = _trace_weights(g, x0, alpha, grid)
     ratios = []
     for rho in family:
         if not np.any(rho.values):
             raise ValueError("family members must be nonzero")
-        u = solve_inhomogeneous(separated_source(g, rho), alpha, grid)
-        dtrace = caputo_l1(observe_point(u, x0), alpha)
+        if rho.grid != grid:
+            raise ValueError("family members must lie on the given grid")
+        dtrace = caputo_l1(TimeSeries(grid, product_rule_convolve(c, d, rho.values)), alpha)
         denom = float(np.max(np.abs(dtrace.values)))
         ratios.append(float(np.max(np.abs(rho.values))) / denom)
     return min(ratios), max(ratios)

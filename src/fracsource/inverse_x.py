@@ -4,13 +4,15 @@ Two data settings are covered.  From final-time data u(., T) each mode
 decouples: the coefficient g_n is multiplied by the scalar response
 B_n = int_0^T s^(alpha-1) E_alpha,alpha(-lambda_n s^alpha) rho(T-s) ds,
 so g is recovered by regularized division (Tikhonov weight mu, hard
-cutoff delta on |B_n|).  From interior data on omega x (0, T) the
+cutoff delta on |B_n|).  From interior data y on omega x (0, T) the
 damped iteration
 
-    g_{m+1} = K/(K+beta) g_m - 1/(K+beta) int_0^T rho(t) z(g_m)(., t) dt
+    g_{m+1} = K/(K+beta) g_m - 1/(K+beta) A^T W (A g_m - y)
 
-is run, where z solves the adjoint problem backward in time driven by
-the omega-localized data mismatch.
+is run, where A maps g to u(g) on the omega mesh points and A^T W is its
+exact transpose in the quadrature inner product of the data.  Mode n of
+u(g) is g_n times the response of mode n to the source phi_n rho, so A
+and the normal matrix A^T W A are assembled from one forward solve.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from .errors import (
     DivergenceError,
     NonPositiveParamsError,
 )
-from .forward import (
-    EvolutionField,
-    modal_kernel_weights,
-    separated_source,
-    solve_backward_adjoint,
-    solve_inhomogeneous,
-)
+from .forward import EvolutionField, modal_kernel_weights, separated_source, solve_inhomogeneous
 from .fracops import FractionalOrder, TimeGrid, TimeSeries
 from .report import ReconstructionReport
 from .spectral import Domain1D, SpectralField, simpson_weights
@@ -205,61 +201,54 @@ def choose_mu_discrepancy(
 
 
 class _InteriorOperator:
-    """Shared machinery of the interior-data iteration.
+    """The observation map A: g -> u(g) on the omega mesh points, built once.
 
-    Maps a coefficient vector g to q(g) = int_0^T rho z dt where z is the
-    adjoint solution driven by the omega-localized residual of u(g).
+    Row n of `response` is mode n of the solution driven by phi_n rho, so
+    A g = Phi^T (g R).  Data are compared in <a, b>_W = sum w_i a_ik b_ik t_k
+    (Simpson weights in x, trapezoid weights in t); `adjoint` is the exact
+    transpose of A in it and `normal` the N x N matrix of A^T W A.
     """
 
     def __init__(self, problem: XSourceInteriorProblem):
-        self.problem = problem
         dom = problem.domain
         xs = dom.mesh(problem.n_mesh)
-        self.mask = problem._omega_mask()
+        mask = problem._omega_mask()
         # sharp indicator: quadrature weights of the full mesh, zeroed off omega
         w = simpson_weights(problem.n_mesh, dom.length / (problem.n_mesh - 1))
-        self.w_omega = w[self.mask]
-        self.phi = dom.eigenfunctions(xs[self.mask])
+        self.w_omega = w[mask]
+        self.phi = dom.eigenfunctions(xs[mask])
         tau = problem.grid.tau
         self.t_weights = np.full(problem.grid.n_steps + 1, tau)
         self.t_weights[0] = self.t_weights[-1] = tau / 2.0
-
-    def data_on_omega(self, g: np.ndarray) -> np.ndarray:
-        """Linear map g -> u(g) sampled on the omega mesh points."""
-        u = solve_inhomogeneous(
-            separated_source(
-                SpectralField(self.problem.domain, g), self.problem.rho
-            ),
-            self.problem.alpha,
-            self.problem.grid,
+        ones = SpectralField(dom, np.ones(dom.n_modes))
+        self.response = solve_inhomogeneous(
+            separated_source(ones, problem.rho), problem.alpha, problem.grid
+        ).modal_values
+        self.normal = ((self.phi * self.w_omega) @ self.phi.T) * (
+            (self.response * self.t_weights) @ self.response.T
         )
-        return self.phi.T @ u.modal_values
 
-    def residual_on_omega(self, g: np.ndarray) -> np.ndarray:
-        return self.data_on_omega(g) - self.problem.observed
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """A g, as a (points, time) array."""
+        return self.phi.T @ (g[:, None] * self.response)
+
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
+        """A^T W r for a (points, time) array r."""
+        return (((self.phi * self.w_omega) @ r) * self.response) @ self.t_weights
 
     def residual_norm(self, resid: np.ndarray) -> float:
         return math.sqrt(float(self.w_omega @ (resid**2) @ self.t_weights))
 
-    def adjoint_integral(self, resid: np.ndarray) -> np.ndarray:
-        rhs = EvolutionField(
-            self.problem.domain,
-            self.problem.grid,
-            self.phi @ (self.w_omega[:, None] * resid),
-        )
-        z = solve_backward_adjoint(rhs, self.problem.alpha, self.problem.grid)
-        return z.modal_values @ (self.problem.rho.values * self.t_weights)
-
 
 def estimate_k(problem: XSourceInteriorProblem, iters: int = 20) -> float:
-    """Largest eigenvalue of the normal operator, by deterministic power iteration."""
+    """Largest eigenvalue of the normal matrix, by deterministic power iteration."""
     if iters < 5:
         raise ValueError(f"iters must be >= 5, got {iters}")
-    op = _InteriorOperator(problem)
+    normal = _InteriorOperator(problem).normal
     g = np.ones(problem.domain.n_modes) / math.sqrt(problem.domain.n_modes)
     eig = 0.0
     for _ in range(iters):
-        q = op.adjoint_integral(op.data_on_omega(g))
+        q = normal @ g
         eig = float(g @ q)
         norm = float(np.linalg.norm(q))
         if norm == 0.0:
@@ -271,10 +260,11 @@ def estimate_k(problem: XSourceInteriorProblem, iters: int = 20) -> float:
 def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionReport:
     """Damped adjoint-driven iteration for g from interior data.
 
-    Starts from g = 0; each sweep forward-solves the current iterate,
-    forms the omega-localized mismatch, backward-solves the adjoint and
-    applies the damped update.  The triangle-inequality bound on the
-    update norm is asserted at every iteration.
+    Starts from g = 0; each sweep forms the gradient q = M g - b of the
+    data misfit from the normal matrix M and b = A^T W y, and applies the
+    damped update.  The residual norm comes from the explicit residual
+    A g - y.  The triangle-inequality bound on the update norm is asserted
+    at every iteration.
     """
     # the rho(0) != 0 hypothesis backs identifiability of the iteration target
     if problem.rho.values[0] == 0.0:
@@ -284,6 +274,7 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
     if not (K > 0.0 and beta > 0.0):
         raise NonPositiveParamsError(f"K and beta must be positive, got K={K}, beta={beta}")
     op = _InteriorOperator(problem)
+    b = op.adjoint(problem.observed)
     g = np.zeros(problem.domain.n_modes)
     history = []
     step_norms = []
@@ -291,9 +282,8 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
     iterations = 0
     for m in range(1, problem.m_max + 1):
         iterations = m
-        resid = op.residual_on_omega(g)
-        r_norm = op.residual_norm(resid)
-        q = op.adjoint_integral(resid)
+        r_norm = op.residual_norm(op.apply(g) - problem.observed)
+        q = op.normal @ g - b
         g_next = (K / (K + beta)) * g - q / (K + beta)
         bound = (K / (K + beta)) * np.linalg.norm(g) + np.linalg.norm(q) / (K + beta)
         if np.linalg.norm(g_next) > bound * (1.0 + 1e-12) + 1e-300:

@@ -2,9 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -107,68 +104,6 @@ def test_sweep_slope_matches_scheme_order(tmp_path):
     slopes = [float(r.split(",")[idx]) for r in lines[-3:]]
     for s in slopes:
         assert abs(s - (2.0 - alpha)) < 0.2
-
-
-def test_sweep_threads_same_result(tmp_path):
-    cfg_dict = {
-        "mode": "sweep",
-        "sweep": {
-            "key": "n_steps",
-            "values": [64, 128, 256],
-            "metric": "rel_l2_error",
-            "inner": {"mode": "caputo-t2", "alpha": 0.4},
-        },
-    }
-    one = write_cfg(tmp_path, "s1.json", cfg_dict)
-    two = write_cfg(tmp_path, "s2.json", cfg_dict)
-    old = os.environ.get("FRACSOURCE_THREADS")
-    try:
-        os.environ["FRACSOURCE_THREADS"] = "1"
-        assert run(one) == 0
-        os.environ["FRACSOURCE_THREADS"] = "4"
-        assert run(two) == 0
-    finally:
-        if old is None:
-            os.environ.pop("FRACSOURCE_THREADS", None)
-        else:
-            os.environ["FRACSOURCE_THREADS"] = old
-    b1 = open(tmp_path / "s1.csv", "rb").read()
-    b2 = open(tmp_path / "s2.csv", "rb").read()
-    assert b1 == b2
-
-
-def test_sweep_threads_same_result_ml_kernels(tmp_path):
-    # the inner mode evaluates Mittag-Leffler kernels in every worker; each
-    # thread count runs in a fresh interpreter, so no cache is warm
-    import fracsource
-
-    cfg = write_cfg(
-        tmp_path,
-        "t.json",
-        {
-            "mode": "sweep",
-            "sweep": {
-                "key": "n_steps",
-                "values": [64, 128, 256, 512],
-                "metric": "rel_l2_error",
-                "inner": {"mode": "invert-rho-volterra", "alpha": 0.5, "N": 32},
-            },
-        },
-    )
-    src = os.path.dirname(os.path.dirname(fracsource.__file__))
-    out = {}
-    for threads in ("2", "1"):
-        env = dict(os.environ, FRACSOURCE_THREADS=threads, PYTHONPATH=src)
-        subprocess.run(
-            [sys.executable, "-m", "fracsource.cli", cfg, "--override", f'output="t{threads}.csv"'],
-            cwd=tmp_path,
-            env=env,
-            check=True,
-            capture_output=True,
-            timeout=600,
-        )
-        out[threads] = (tmp_path / f"t{threads}.csv").read_bytes()
-    assert out["1"] == out["2"]
 
 
 def test_exit_code_parse_error(tmp_path):

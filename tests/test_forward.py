@@ -12,11 +12,11 @@ from fracsource.forward import (
     modal_kernel_weights,
     observe_point,
     separated_source,
-    solve_backward_adjoint,
     solve_homogeneous,
     solve_inhomogeneous,
+    summed_kernel_weights,
 )
-from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries
+from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries, product_rule_convolve
 from fracsource.spectral import Domain1D, SpectralField, sobolev_norm
 
 DOM = Domain1D(1.0, 8)
@@ -125,26 +125,22 @@ def test_duhamel_residual_small_and_refining():
     assert 3.0 <= r[0] / r[1] <= 5.0
 
 
-def test_backward_adjoint_zero_and_constant():
-    grid = TimeGrid(1.0, 64)
-    a = FractionalOrder(0.6)
-    zero = EvolutionField(DOM, grid, np.zeros((8, 65)))
-    assert np.max(np.abs(solve_backward_adjoint(zero, a, grid).modal_values)) == 0.0
-    const = separated_source(mode(0), TimeSeries(grid, np.ones(65)))
-    z = solve_backward_adjoint(const, a, grid)
-    rev_t = grid.total_time - grid.nodes()
-    exact = (1.0 - ml_on_nodes(0.6, 1.0, LAM[0], rev_t)) / LAM[0]
-    assert np.max(np.abs(z.modal_values[0] - exact)) < 1e-12
-
-
-def test_backward_adjoint_reversal_identity():
-    grid = TimeGrid(1.0, 32)
-    a = FractionalOrder(0.45)
-    rng = np.random.default_rng(7)
-    rhs = EvolutionField(DOM, grid, rng.standard_normal((8, 33)))
-    z = solve_backward_adjoint(rhs, a, grid)
-    direct = solve_inhomogeneous(rhs.reversed_in_time(), a, grid)
-    assert np.array_equal(z.modal_values[:, ::-1], direct.modal_values)
+def test_summed_weights_give_the_point_trace():
+    # one convolution with sum_n g_n phi_n(x0) (c_n, d_n) is the trace of the
+    # full modal solve, on a g that loads every mode and one zero mode
+    grid = TimeGrid(1.0, 128)
+    a = FractionalOrder(0.55)
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal(8)
+    coeffs[5] = 0.0
+    g = SpectralField(DOM, coeffs)
+    t = grid.nodes()
+    rho = TimeSeries(grid, 1.0 + np.sin(3.0 * t) + 0.3 * t**2)
+    x0 = 0.37
+    c, d = summed_kernel_weights(g.coeffs * DOM.eigenfunctions(x0)[:, 0], DOM, a, grid)
+    trace = product_rule_convolve(c, d, rho.values)
+    ref = observe_point(solve_inhomogeneous(separated_source(g, rho), a, grid), x0).values
+    assert np.max(np.abs(trace - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_observe_point():

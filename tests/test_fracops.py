@@ -12,6 +12,7 @@ from fracsource.fracops import (
     TimeGrid,
     TimeSeries,
     caputo_l1,
+    product_rule_convolve,
     rl_integral_backward,
     rl_integral_forward,
     weakly_singular_convolve,
@@ -111,6 +112,13 @@ def test_convolve_validation():
         weakly_singular_convolve(1.5, f, f)
     with pytest.raises(ValueError):
         weakly_singular_convolve(0.5, f, make_series(np.ones_like, n=32))
+
+
+def test_product_rule_matches_loop_formula():
+    rng = np.random.default_rng(3)
+    c, d, f = rng.standard_normal(40), rng.standard_normal(40), rng.standard_normal(41)
+    loop = [0.0] + [c[:k] @ f[k:0:-1] + d[:k] @ f[k - 1 :: -1] for k in range(1, 41)]
+    assert np.max(np.abs(product_rule_convolve(c, d, f) - loop)) < 1e-13
 
 
 def test_convolve_trivial_and_power():

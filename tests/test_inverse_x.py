@@ -11,7 +11,7 @@ from fracsource.errors import (
     DivergenceError,
     NonPositiveParamsError,
 )
-from fracsource.forward import ml_on_nodes, separated_source, solve_inhomogeneous
+from fracsource.forward import ml_on_nodes, observe_point, separated_source, solve_inhomogeneous
 from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries
 from fracsource.inverse_x import (
     XSourceFinalProblem,
@@ -272,6 +272,59 @@ def test_thresholding_beta_tradeoff():
 
 # ---------------------------------------------------------------------------
 # K estimation
+
+
+def test_interior_adjoint_is_exact_transpose():
+    import fracsource.inverse_x as inverse_x
+
+    grid = TimeGrid(1.0, 64)
+    rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
+    p = interior_problem(make_g(DOM, "sine_bump"), rho, FractionalOrder(0.6))
+    op = inverse_x._InteriorOperator(p)
+    rng = np.random.default_rng(17)
+    g = rng.standard_normal(DOM.n_modes)
+    r = rng.standard_normal(p.observed.shape)
+    lhs = float(op.w_omega @ (op.apply(g) * r) @ op.t_weights)
+    rhs = float(g @ op.adjoint(r))
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+    m = op.normal
+    assert np.max(np.abs(m - m.T)) <= 1e-13 * np.max(np.abs(m))
+    assert np.allclose(m @ g, op.adjoint(op.apply(g)), rtol=1e-13, atol=0.0)
+
+
+def test_sweeps_solve_no_forward_problem(monkeypatch):
+    # each reconstruction assembles its map once: the number of forward
+    # solves does not grow with the number of sweeps
+    import fracsource.forward as forward
+    import fracsource.inverse_t as inverse_t
+    import fracsource.inverse_x as inverse_x
+
+    calls = []
+    original = forward.solve_inhomogeneous
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    for mod in (forward, inverse_t, inverse_x):
+        if hasattr(mod, "solve_inhomogeneous"):
+            monkeypatch.setattr(mod, "solve_inhomogeneous", counting)
+    grid = TimeGrid(1.0, 64)
+    a = FractionalOrder(0.5)
+    g = make_g(DOM, "sine_bump")
+    rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
+    trace = observe_point(solve_inhomogeneous(separated_source(g, rho), a, grid), 0.3)
+    t_problem = inverse_t.TSourceProblem(g, 0.3, a, grid, trace)
+    counts = []
+    for m_max in (2, 8):
+        x_problem = interior_problem(g, rho, a, m_max=m_max)
+        del calls[:]
+        inverse_t.fixed_point_iterate(t_problem, m_max=m_max, tol=0.0)
+        fixed_point = len(calls)
+        del calls[:]
+        iterative_thresholding(x_problem)
+        counts.append((fixed_point, len(calls)))
+    assert counts[0] == counts[1]
 
 
 def test_estimate_k_zero_operator():

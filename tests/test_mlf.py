@@ -197,3 +197,44 @@ def test_array_argument_validation():
                 ml_eval_array(a, 1.0, bad)
     with pytest.raises(ValueError):
         ml_eval_array(0.0, 1.0, [-1.0])
+
+
+def test_gamma_tables_shared_between_threads():
+    # beta > 3 takes the extended-precision series, whose Gamma tables every
+    # thread shares; a fresh interpreter fills them from four threads at once
+    import subprocess
+    import sys
+
+    import fracsource
+
+    zs = [-3.0 - 0.01 * k for k in range(8)]
+    code = f"""
+import json, sys, threading
+from fracsource.mlf import MLParams, ml_eval
+sys.setswitchinterval(1e-6)
+zs = {zs!r}
+out = [None] * len(zs)
+start = threading.Barrier(4)
+def work(i):
+    start.wait()
+    for k in range(i, len(zs), 4):
+        out[k] = ml_eval(MLParams(0.5, 10.0), zs[k])
+threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=120)
+assert not any(t.is_alive() for t in threads)
+print(json.dumps(out))
+"""
+    src = os.path.dirname(os.path.dirname(fracsource.__file__))
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    serial = [ml_eval(MLParams(0.5, 10.0), z) for z in zs]
+    assert json.loads(res.stdout) == serial
