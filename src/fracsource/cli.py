@@ -21,7 +21,7 @@ import numpy as np
 
 from . import forward, inverse_t, inverse_x
 from .errors import FracsourceError
-from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1
+from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
 from .mlf import MLConvergenceError, MLParams, ml_eval
 from .profiles import make_g, make_rho
 from .report import relative_l2
@@ -68,6 +68,8 @@ def add_noise(series: TimeSeries, level: float, seed: int) -> TimeSeries:
 
 
 def _fmt(v) -> str:
+    if isinstance(v, float):  # np.float64 included; the commonest cell comes first
+        return format(v, ".17g")
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, (int, np.integer)):
@@ -83,8 +85,9 @@ def write_result(path: str, metadata: dict, columns: dict) -> None:
         names = list(columns)
         arrays = [np.atleast_1d(np.asarray(columns[n])) for n in names]
         lines.append(",".join(names))
-        for i in range(arrays[0].shape[0]):
-            lines.append(",".join(_fmt(a[i]) for a in arrays))
+        # tolist() yields Python scalars, so no value is indexed as a numpy scalar
+        for row in zip(*(a.tolist() for a in arrays)):
+            lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -165,6 +168,13 @@ def _build_rho(cfg: dict, grid: TimeGrid) -> TimeSeries:
         raise ConfigError("rho", str(exc)) from exc
 
 
+def _interior_point(cfg: dict, domain: Domain1D) -> float:
+    x0 = _num(cfg, "x0", domain.length / 2.0)
+    if not 0.0 < x0 < domain.length:
+        raise ConfigError("x0", f"must lie strictly inside (0, {domain.length}), got {x0}")
+    return x0
+
+
 def _solver(cfg: dict) -> dict:
     s = _get(cfg, "solver", {})
     if not isinstance(s, dict):
@@ -205,7 +215,7 @@ def _synthesize(cfg: dict):
 
 def _run_forward(cfg: dict):
     domain, grid, alpha, g, rho = _synthesize(cfg)
-    x0 = _num(cfg, "x0", domain.length / 2.0, lo=0.0, hi=domain.length)
+    x0 = _interior_point(cfg, domain)
     u = forward.solve_inhomogeneous(forward.separated_source(g, rho), alpha, grid)
     trace = forward.observe_point(u, x0)
     l2 = np.linalg.norm(u.modal_values, axis=0)
@@ -215,24 +225,28 @@ def _run_forward(cfg: dict):
 
 def _run_invert_rho(cfg: dict, variant: str):
     domain, grid, alpha, g, rho_true = _synthesize(cfg)
-    x0 = _num(cfg, "x0", domain.length / 2.0, lo=0.0, hi=domain.length)
+    x0 = _interior_point(cfg, domain)
     level = _num(cfg, "noise_level", 0.0, lo=0.0)
     seed = _int(cfg, "seed", 0)
     s = _solver(cfg)
-    u = forward.solve_inhomogeneous(forward.separated_source(g, rho_true), alpha, grid)
-    trace = add_noise(forward.observe_point(u, x0), level, seed)
+    # only the trace is observed: one convolution, not a solve of every mode
+    c, d = forward.trace_weights(g, x0, alpha, grid)
+    clean = TimeSeries(grid, product_rule_convolve(c, d, rho_true.values))
+    trace = add_noise(clean, level, seed)
     problem = inverse_t.TSourceProblem(g, x0, alpha, grid, trace, noise_level=level)
     width = _int(s, "mollify_width", 5, lo=1)
     if variant == "volterra":
         rep = inverse_t.solve_volterra(problem, mollify_width=width)
     else:
-        rep = inverse_t.fixed_point_iterate(
-            problem,
-            K=_num(s, "K", None, lo=0.0),
-            m_max=_int(s, "m_max", 50, lo=1),
-            tol=_num(s, "tol", 1e-10, lo=0.0),
-            mollify_width=width,
-        )
+        K = _num(s, "K", None, lo=0.0)
+        m_max = _int(s, "m_max", 50, lo=1)
+        tol = _num(s, "tol", 1e-10, lo=0.0)
+        try:
+            rep = inverse_t.fixed_point_iterate(
+                problem, K=K, m_max=m_max, tol=tol, mollify_width=width
+            )
+        except ValueError as exc:  # K below the homogeneous-trace bound
+            raise ConfigError("solver.K", str(exc)) from exc
     err = relative_l2(rep.recovered.values, rho_true.values, skip_first=1)
     meta = {
         "mode": f"invert-rho-{variant}",
@@ -253,8 +267,9 @@ def _run_invert_g_final(cfg: dict):
     level = _num(cfg, "noise_level", 0.0, lo=0.0)
     seed = _int(cfg, "seed", 0)
     s = _solver(cfg)
-    u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
-    coeffs, noise_norm = _perturb(u.modal_values[:, -1].copy(), level, seed)
+    # u(., T) has coefficients g_n B_n; the rest of the field is never observed
+    b = inverse_x.modal_responses(rho, alpha, grid, domain)
+    coeffs, noise_norm = _perturb(g_true.coeffs * b, level, seed)
     final = SpectralField(domain, coeffs)
     delta = _num(s, "delta", 0.0, lo=0.0)
     mu = _num(s, "mu", None, lo=0.0)

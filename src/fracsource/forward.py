@@ -41,6 +41,7 @@ __all__ = [
     "observe_point",
     "modal_kernel_weights",
     "summed_kernel_weights",
+    "trace_weights",
     "ml_on_nodes",
 ]
 
@@ -116,6 +117,14 @@ def summed_kernel_weights(
         c_tot += weights[i] * c
         d_tot += weights[i] * d
     return c_tot, d_tot
+
+
+def trace_weights(
+    g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product-rule weights of the trace map rho -> u(x0, .) for the source g rho."""
+    w = g.coeffs * g.domain.eigenfunctions(x0)[:, 0]
+    return summed_kernel_weights(w, g.domain, alpha, grid)
 
 
 def solve_homogeneous(

@@ -13,7 +13,9 @@ convolution) and runs forward substitution; the fixed-point solver
 repeatedly corrects rho by the fractional derivative of the trace
 mismatch, damped by a bound K on the homogeneous trace.  Both apply the
 trace map as one product-rule convolution whose weights sum the modes
-once, so no sweep solves the forward problem.
+once, so no sweep solves the forward problem; the fixed-point sweep folds
+the L1 derivative into that convolution, and the bound K comes from the
+Volterra weights without a homogeneous solve.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NonZeroInitialTraceError, PointDegenerateError
-from .forward import ml_on_nodes, observe_point, solve_homogeneous, summed_kernel_weights
+from .forward import ml_on_nodes, summed_kernel_weights, trace_weights
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
 from .report import ReconstructionReport
 from .spectral import SpectralField, eval_at
@@ -123,12 +125,31 @@ def kernel_q(
     return QKernel(a, TimeSeries(grid, smooth))
 
 
-def _trace_weights(
+def _volterra_weights(
     g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Product-rule weights of the trace map rho -> u(x0, .) for the source g rho."""
-    w = g.coeffs * g.domain.eigenfunctions(x0)[:, 0]
-    return summed_kernel_weights(w, g.domain, alpha, grid)
+    """Product-rule weights of rho -> int_0^t Q(x0, s) rho(t - s) ds.
+
+    They come from the exact kernel moments, so the map agrees with the
+    forward solver.
+    """
+    dom = g.domain
+    w = dom.eigenvalues() * g.coeffs * dom.eigenfunctions(x0)[:, 0]
+    return summed_kernel_weights(w, dom, alpha, grid)
+
+
+def _homogeneous_trace(
+    g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid
+) -> np.ndarray:
+    """v(x0, t_k) for the initial datum g and no source, from the Volterra weights.
+
+    E_{a,1}(z) = 1 + z E_{a,a+1}(z), and the weights c_j + d_j of mode n
+    telescope to t^a E_{a,a+1}(-lambda_n t^a), so v(x0, .) is g(x0) less
+    the running sum of the Volterra weights: no Mittag-Leffler evaluation
+    beyond the cached kernel weights.
+    """
+    c, d = _volterra_weights(g, x0, alpha, grid)
+    return eval_at(g, x0) - np.concatenate(([0.0], np.cumsum(c + d)))
 
 
 def _extrapolate_node0(values: np.ndarray) -> None:
@@ -155,11 +176,7 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
     if problem.noise_level > 0.0:
         trace = mollify(trace, mollify_width)
     psi = caputo_l1(trace, problem.alpha).values
-    # weights of rho -> int_0^t Q(x0, s) rho(t - s) ds, from the exact
-    # kernel moments, so the map agrees with the forward solver
-    dom = problem.g.domain
-    w = dom.eigenvalues() * problem.g.coeffs * dom.eigenfunctions(problem.x0)[:, 0]
-    c, d = summed_kernel_weights(w, dom, problem.alpha, problem.grid)
+    c, d = _volterra_weights(problem.g, problem.x0, problem.alpha, problem.grid)
     n = problem.grid.n_steps
     rho = np.zeros(n + 1)
     for k in range(1, n + 1):
@@ -188,20 +205,18 @@ def fixed_point_iterate(
 ) -> ReconstructionReport:
     """Damped fixed-point reconstruction of rho.
 
-    Each sweep convolves the current iterate into its trace and adds the
-    fractional derivative of the trace mismatch, scaled by 1/K.  K must
-    dominate the sup norm of the homogeneous trace v(x0, .), which makes
-    the map a contraction of Volterra type; it defaults to that bound.
+    Each sweep adds the fractional derivative of the trace mismatch, scaled
+    by 1/K.  K must dominate the sup norm of the homogeneous trace v(x0, .),
+    which makes the map a contraction of Volterra type; it defaults to that
+    bound.  The derivative of the trace of rho is formed by one convolution.
     """
     gx0 = eval_at(problem.g, problem.x0)
     if abs(gx0) < EPS_POINT:
         raise PointDegenerateError(
             f"|g(x0)| = {abs(gx0)} is below the usable threshold {EPS_POINT}"
         )
-    v = observe_point(
-        solve_homogeneous(problem.g, problem.alpha, problem.grid), problem.x0
-    )
-    k_bound = float(np.max(np.abs(v.values)))
+    grid, alpha = problem.grid, problem.alpha
+    k_bound = float(np.max(np.abs(_homogeneous_trace(problem.g, problem.x0, alpha, grid))))
     if K is None:
         K = k_bound
     if not (K > 0.0) or K < k_bound * (1.0 - 1e-12):
@@ -211,8 +226,20 @@ def fixed_point_iterate(
     trace = problem.trace
     if problem.noise_level > 0.0:
         trace = mollify(trace, mollify_width)
-    c, d = _trace_weights(problem.g, problem.x0, problem.alpha, problem.grid)
-    n = problem.grid.n_steps
+    c, d = trace_weights(problem.g, problem.x0, alpha, grid)
+
+    def derivative_of_trace(f: np.ndarray) -> np.ndarray:
+        return caputo_l1(TimeSeries(grid, product_rule_convolve(c, d, f)), alpha).values
+
+    # rho -> L1 derivative of its trace is lower-triangular Toeplitz except
+    # in column 0, which both operators weigh differently: a convolution with
+    # the response to a unit impulse at t_1, plus rho_0 times the response
+    # to one at t_0
+    n = grid.n_steps
+    impulse = np.eye(2, n + 1)
+    response0 = derivative_of_trace(impulse[0])
+    response1 = derivative_of_trace(impulse[1])[1:]
+    target = caputo_l1(trace, alpha).values
     rho = np.zeros(n + 1)
     history = []
     error_history = []
@@ -220,13 +247,14 @@ def fixed_point_iterate(
     iterations = 0
     for m in range(1, m_max + 1):
         iterations = m
-        mismatch = trace.values - product_rule_convolve(c, d, rho)
-        update = caputo_l1(TimeSeries(problem.grid, mismatch), problem.alpha).values / K
+        fitted = rho[0] * response0
+        fitted[1:] += np.convolve(response1, rho[1:])[:n]
+        update = (target - fitted) / K
         rho = rho + update
         # the update carries no information at t = 0; extrapolating there
         # keeps the next trace consistent with rho(0) != 0 sources
         _extrapolate_node0(rho)
-        step = float(np.linalg.norm(update[1:]) * math.sqrt(problem.grid.tau))
+        step = float(np.linalg.norm(update[1:]) * math.sqrt(grid.tau))
         history.append(step)
         if truth is not None:
             num = float(np.linalg.norm(rho[1:] - truth.values[1:]))
@@ -271,7 +299,7 @@ def lipschitz_certificate(
         raise ValueError("rho_family must be non-empty")
     if abs(eval_at(g, x0)) < EPS_POINT:
         raise PointDegenerateError(f"|g(x0)| below the usable threshold {EPS_POINT}")
-    c, d = _trace_weights(g, x0, alpha, grid)
+    c, d = trace_weights(g, x0, alpha, grid)
     ratios = []
     for rho in family:
         if not np.any(rho.values):

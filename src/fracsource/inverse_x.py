@@ -121,15 +121,20 @@ def modal_response(
     return float(c @ rho.values[n:0:-1] + d @ rho.values[n - 1 :: -1])
 
 
+def modal_responses(
+    rho: TimeSeries, alpha: FractionalOrder, grid: TimeGrid, domain: Domain1D
+) -> np.ndarray:
+    """All B_n: final-data coefficient n of the source g rho is g_n B_n."""
+    return np.array([modal_response(lam, rho, alpha, grid) for lam in domain.eigenvalues()])
+
+
 def _modal_responses(problem: XSourceFinalProblem) -> tuple[np.ndarray, np.ndarray]:
     """All B_n and the mask of modes the cutoff retains; mu plays no part."""
     quarter = problem.rho.values[-(problem.grid.n_steps // 4 + 1) :]
     if float(np.max(np.abs(quarter))) == 0.0:
         raise DegenerateRhoError("rho vanishes on the last quarter of the grid")
     dom = problem.final_data.domain
-    b = np.array(
-        [modal_response(l, problem.rho, problem.alpha, problem.grid) for l in dom.eigenvalues()]
-    )
+    b = modal_responses(problem.rho, problem.alpha, problem.grid, dom)
     keep = np.abs(b) >= problem.cutoff
     if not np.any(keep):
         raise AllModesCutError(
@@ -207,6 +212,10 @@ class _InteriorOperator:
     A g = Phi^T (g R).  Data are compared in <a, b>_W = sum w_i a_ik b_ik t_k
     (Simpson weights in x, trapezoid weights in t); `adjoint` is the exact
     transpose of A in it and `normal` the N x N matrix of A^T W A.
+
+    With the QR factors sqrt(w) Phi^T = Q_x S_x and sqrt(w_t) R^T = Q_t S_t,
+    W^(1/2) A g W_t^(1/2) = Q_x S_x diag(g) S_t^T Q_t^T, so residual norms
+    are taken in the reduced coordinates of `reduce`.
     """
 
     def __init__(self, problem: XSourceInteriorProblem):
@@ -227,6 +236,11 @@ class _InteriorOperator:
         self.normal = ((self.phi * self.w_omega) @ self.phi.T) * (
             (self.response * self.t_weights) @ self.response.T
         )
+        self._sqrt_w = np.sqrt(self.w_omega)
+        self._sqrt_wt = np.sqrt(self.t_weights)
+        self._q_x, self._s_x = np.linalg.qr((self.phi * self._sqrt_w).T)
+        self._q_t, s_t = np.linalg.qr((self.response * self._sqrt_wt).T)
+        self._s_t_transposed = np.ascontiguousarray(s_t.T)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """A g, as a (points, time) array."""
@@ -236,16 +250,27 @@ class _InteriorOperator:
         """A^T W r for a (points, time) array r."""
         return (((self.phi * self.w_omega) @ r) * self.response) @ self.t_weights
 
-    def residual_norm(self, resid: np.ndarray) -> float:
-        return math.sqrt(float(self.w_omega @ (resid**2) @ self.t_weights))
+    def reduce(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """Coordinates Y_c of data y in the range of A, and ||y - P y||_W^2.
+
+        P y = Q_x Y_c Q_t^T is the orthogonal projection onto that range;
+        the second term is the norm of an explicit difference, so nothing
+        cancels.
+        """
+        y_w = self._sqrt_w[:, None] * y * self._sqrt_wt
+        y_c = self._q_x.T @ y_w @ self._q_t
+        outside = y_w - self._q_x @ y_c @ self._q_t.T
+        return y_c, float(np.vdot(outside, outside))
+
+    def residual_norm(self, g: np.ndarray, y_c: np.ndarray, outside_sq: float) -> float:
+        """||A g - y||_W from the reduction (y_c, outside_sq) of y."""
+        diff = (self._s_x * g) @ self._s_t_transposed - y_c
+        return math.sqrt(float(np.vdot(diff, diff)) + outside_sq)
 
 
-def estimate_k(problem: XSourceInteriorProblem, iters: int = 20) -> float:
-    """Largest eigenvalue of the normal matrix, by deterministic power iteration."""
-    if iters < 5:
-        raise ValueError(f"iters must be >= 5, got {iters}")
-    normal = _InteriorOperator(problem).normal
-    g = np.ones(problem.domain.n_modes) / math.sqrt(problem.domain.n_modes)
+def _largest_eigenvalue(normal: np.ndarray, iters: int) -> float:
+    """Largest eigenvalue of a symmetric positive semidefinite matrix, by power iteration."""
+    g = np.ones(normal.shape[0]) / math.sqrt(normal.shape[0])
     eig = 0.0
     for _ in range(iters):
         q = normal @ g
@@ -257,24 +282,33 @@ def estimate_k(problem: XSourceInteriorProblem, iters: int = 20) -> float:
     return eig
 
 
+def estimate_k(problem: XSourceInteriorProblem, iters: int = 20) -> float:
+    """Largest eigenvalue of the normal matrix, by deterministic power iteration."""
+    if iters < 5:
+        raise ValueError(f"iters must be >= 5, got {iters}")
+    return _largest_eigenvalue(_InteriorOperator(problem).normal, iters)
+
+
 def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionReport:
     """Damped adjoint-driven iteration for g from interior data.
 
     Starts from g = 0; each sweep forms the gradient q = M g - b of the
     data misfit from the normal matrix M and b = A^T W y, and applies the
-    damped update.  The residual norm comes from the explicit residual
-    A g - y.  The triangle-inequality bound on the update norm is asserted
-    at every iteration.
+    damped update.  The residual norm ||A g - y||_W is taken in the reduced
+    coordinates of the operator, one N x N product per sweep.  The
+    triangle-inequality bound on the update norm is asserted at every
+    iteration.
     """
     # the rho(0) != 0 hypothesis backs identifiability of the iteration target
     if problem.rho.values[0] == 0.0:
         raise DegenerateRhoError("rho(0) must be nonzero")
-    K = problem.K if problem.K is not None else 1.1 * estimate_k(problem)
+    op = _InteriorOperator(problem)
+    K = problem.K if problem.K is not None else 1.1 * _largest_eigenvalue(op.normal, 20)
     beta = problem.beta
     if not (K > 0.0 and beta > 0.0):
         raise NonPositiveParamsError(f"K and beta must be positive, got K={K}, beta={beta}")
-    op = _InteriorOperator(problem)
     b = op.adjoint(problem.observed)
+    y_c, outside_sq = op.reduce(problem.observed)
     g = np.zeros(problem.domain.n_modes)
     history = []
     step_norms = []
@@ -282,7 +316,7 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
     iterations = 0
     for m in range(1, problem.m_max + 1):
         iterations = m
-        r_norm = op.residual_norm(op.apply(g) - problem.observed)
+        r_norm = op.residual_norm(g, y_c, outside_sq)
         q = op.normal @ g - b
         g_next = (K / (K + beta)) * g - q / (K + beta)
         bound = (K / (K + beta)) * np.linalg.norm(g) + np.linalg.norm(q) / (K + beta)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsource.cli import add_noise, main, run
+from fracsource.cli import _fmt, add_noise, main, run, write_result
 from fracsource.fracops import TimeGrid, TimeSeries
 
 
@@ -139,6 +139,34 @@ def test_exit_code_solver_error(tmp_path):
     assert run(cfg) == 4
 
 
+@pytest.mark.parametrize("mode", ["forward", "invert-rho-volterra", "invert-rho-fixedpoint"])
+@pytest.mark.parametrize("x0", [0.0, 1.0])
+def test_exit_code_x0_on_the_boundary(tmp_path, capsys, mode, x0):
+    cfg = write_cfg(
+        tmp_path, "b.json", {"mode": mode, "alpha": 0.5, "N": 8, "n_steps": 32, "x0": x0}
+    )
+    assert run(cfg) == 3
+    assert "config key 'x0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [0, 1e-6])
+def test_exit_code_fixed_point_k_below_bound(tmp_path, capsys, k):
+    cfg = write_cfg(
+        tmp_path,
+        "k.json",
+        {
+            "mode": "invert-rho-fixedpoint",
+            "alpha": 0.5,
+            "N": 16,
+            "n_steps": 64,
+            "x0": 0.3,
+            "solver": {"K": k},
+        },
+    )
+    assert run(cfg) == 3
+    assert "config key 'solver.K'" in capsys.readouterr().err
+
+
 def test_exit_code_non_finite_metadata(tmp_path, monkeypatch, capsys):
     import fracsource.cli as cli
 
@@ -228,3 +256,22 @@ def test_add_noise_properties():
     assert np.max(np.abs(n1 - base.values)) <= amp
     with pytest.raises(ValueError):
         add_noise(base, -0.1, 0)
+
+
+def test_write_result_float_columns_match_per_value_format(tmp_path):
+    # columns are formatted from Python scalars; the bytes must be those of
+    # formatting every numpy value with _fmt
+    cols = {
+        "a": np.array([0.0, -0.0, 3.0, -2.0, 1e300, 5e-324, math.nan, math.inf, -math.inf]),
+        "b": np.array([0.1, 1.0 / 3.0, -1e-17, 2.0**60, 123456789.0, -7.0, 0.5, 1e16, -0.25]),
+    }
+    meta = {"mode": "x", "err": 0.1}
+    path = str(tmp_path / "w.csv")
+    write_result(path, meta, cols)
+    lines = [f"# {k}={_fmt(v)}" for k, v in meta.items()] + ["a,b"]
+    lines += [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(cols["a"], cols["b"])]
+    assert open(path, "rb").read() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert "-0," in open(path, encoding="utf-8").read()
+    # an integer column keeps its integer text
+    write_result(path, {}, {"n": np.arange(3), "v": np.array([1.0, -0.0, math.nan])})
+    assert open(path, encoding="utf-8").read() == "n,v\n0,1\n1,-0\n2,nan\n"

@@ -10,9 +10,17 @@ from fracsource.forward import (
     ml_on_nodes,
     observe_point,
     separated_source,
+    solve_homogeneous,
     solve_inhomogeneous,
+    trace_weights,
 )
-from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1
+from fracsource.fracops import (
+    FractionalOrder,
+    TimeGrid,
+    TimeSeries,
+    caputo_l1,
+    product_rule_convolve,
+)
 from fracsource.inverse_t import (
     TSourceProblem,
     count_sign_changes,
@@ -231,6 +239,54 @@ def test_fixed_point_doubled_k_slower():
     r2 = fixed_point_iterate(p, K=2.0 * k_bound, m_max=400, tol=tol)
     assert r2.iterations > r1.iterations
     assert 1.4 < r2.iterations / r1.iterations < 2.8
+
+
+@pytest.mark.parametrize("n_modes,n_steps", [(32, 128), (64, 2048)])
+@pytest.mark.parametrize("a", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize(
+    "profile,params,x0",
+    [("sine_bump", {}, 0.4), ("offset_bump", {"center_frac": 0.7, "width_frac": 0.3}, 0.3)],
+)
+def test_k_bound_from_volterra_weights(n_modes, n_steps, a, profile, params, x0):
+    # the offset bump puts x0 outside the support, so the sup of the
+    # homogeneous trace lies after t = 0 instead of at g(x0), and the
+    # running sum of the weights has to cancel down to a small trace
+    import fracsource.inverse_t as inverse_t
+
+    dom = Domain1D(1.0, n_modes)
+    grid = TimeGrid(1.0, n_steps)
+    alpha = FractionalOrder(a)
+    g = make_g(dom, profile, **params)
+    ref = observe_point(solve_homogeneous(g, alpha, grid), x0).values
+    v = inverse_t._homogeneous_trace(g, x0, alpha, grid)
+    assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
+    rho = make_rho(grid, "affine")
+    p = TSourceProblem(g, x0, alpha, grid, synth_trace(g, rho, alpha, x0))
+    k_bound = fixed_point_iterate(p, m_max=1).diagnostics["k_bound"]
+    assert k_bound == pytest.approx(float(np.max(np.abs(ref))), rel=1e-13, abs=0.0)
+    # a K taken from the homogeneous solve, as callers compute it, is accepted
+    rep = fixed_point_iterate(p, K=float(np.max(np.abs(ref))), m_max=1)
+    assert rep.diagnostics["K"] == float(np.max(np.abs(ref)))
+
+
+def test_fixed_point_sweep_matches_three_convolution_loop():
+    # reference: each sweep convolves rho into its trace, takes the mismatch
+    # and differentiates it, as the sweep was written before it was folded
+    # into one convolution
+    grid = TimeGrid(1.0, 96)
+    a = FractionalOrder(0.6)
+    rho = make_rho(grid, "sine")
+    g = make_g(DOM, "sine_bump")
+    p = fp_problem(rho, a=0.6, x0=0.35)
+    rep = fixed_point_iterate(p, m_max=30, tol=0.0)
+    K = rep.diagnostics["K"]
+    c, d = trace_weights(g, 0.35, a, grid)
+    ref = np.zeros(grid.n_steps + 1)
+    for _ in range(30):
+        mismatch = p.trace.values - product_rule_convolve(c, d, ref)
+        ref = ref + caputo_l1(TimeSeries(grid, mismatch), a).values / K
+        ref[0] = 3.0 * ref[1] - 3.0 * ref[2] + ref[3]
+    assert np.max(np.abs(rep.recovered.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

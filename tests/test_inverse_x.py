@@ -20,6 +20,7 @@ from fracsource.inverse_x import (
     estimate_k,
     iterative_thresholding,
     modal_response,
+    modal_responses,
     observe_interior,
     reconstruct_final,
 )
@@ -59,6 +60,7 @@ def test_modal_response_zero_rho_and_decay():
     assert modal_response(LAM[0], zero, a, grid) == 0.0
     rho = make_rho(grid, "constant")
     bs = [modal_response(lam, rho, a, grid) for lam in LAM]
+    assert np.array_equal(modal_responses(rho, a, grid, DOM), np.array(bs))
     assert all(b > 0.0 for b in bs)
     assert all(b2 < b1 for b1, b2 in zip(bs, bs[1:]))
 
@@ -293,8 +295,9 @@ def test_interior_adjoint_is_exact_transpose():
 
 
 def test_sweeps_solve_no_forward_problem(monkeypatch):
-    # each reconstruction assembles its map once: the number of forward
-    # solves does not grow with the number of sweeps
+    # each reconstruction assembles its map once, whatever the number of
+    # sweeps: the fixed-point solve needs no forward solve, the interior
+    # solve one (its operator, also when K is estimated)
     import fracsource.forward as forward
     import fracsource.inverse_t as inverse_t
     import fracsource.inverse_x as inverse_x
@@ -324,7 +327,74 @@ def test_sweeps_solve_no_forward_problem(monkeypatch):
         del calls[:]
         iterative_thresholding(x_problem)
         counts.append((fixed_point, len(calls)))
-    assert counts[0] == counts[1]
+    assert counts == [(0, 1), (0, 1)]
+
+
+def test_warm_solves_evaluate_no_mittag_leffler(monkeypatch):
+    # once the kernel weights are cached, neither iteration evaluates E_{a,b}:
+    # the fixed-point bound comes from the Volterra weights, not a
+    # homogeneous solve
+    import fracsource.forward as forward
+    import fracsource.inverse_t as inverse_t
+
+    grid = TimeGrid(1.0, 64)
+    a = FractionalOrder(0.7)
+    g = make_g(DOM, "sine_bump")
+    rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
+    trace = observe_point(solve_inhomogeneous(separated_source(g, rho), a, grid), 0.3)
+    t_problem = inverse_t.TSourceProblem(g, 0.3, a, grid, trace)
+    x_problem = interior_problem(g, rho, a, m_max=5)
+    inverse_t.fixed_point_iterate(t_problem, m_max=5)
+    iterative_thresholding(x_problem)
+    calls = []
+    original = forward.ml_eval_array
+
+    def counting(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(forward, "ml_eval_array", counting)
+    inverse_t.fixed_point_iterate(t_problem, m_max=5)
+    iterative_thresholding(x_problem)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "n_modes,omega,n_mesh,n_steps",
+    [
+        (8, (0.1, 0.35), 129, 64),  # more points than modes, more nodes than modes
+        (8, (0.3, 0.36), 65, 64),  # 4 mesh points in omega for 8 modes
+        (24, (0.2, 0.7), 65, 8),  # n_steps + 1 < N
+    ],
+)
+def test_reduced_residual_matches_explicit(n_modes, omega, n_mesh, n_steps):
+    import fracsource.inverse_x as inverse_x
+
+    dom = Domain1D(1.0, n_modes)
+    grid = TimeGrid(1.0, n_steps)
+    rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
+    g_true = make_g(dom, "offset_bump", center_frac=0.6, width_frac=0.5)
+    p = interior_problem(g_true, rho, FractionalOrder(0.6), omega=omega, n_mesh=n_mesh)
+    op = inverse_x._InteriorOperator(p)
+    rng = np.random.default_rng(23)
+    noisy = p.observed + 1e-3 * rng.standard_normal(p.observed.shape)
+    def explicit(g, y):
+        resid = op.apply(g) - y
+        return math.sqrt(float(op.w_omega @ (resid**2) @ op.t_weights))
+
+    for y in (p.observed, noisy):
+        y_c, outside_sq = op.reduce(y)
+        for g in (np.zeros(n_modes), rng.standard_normal(n_modes)):
+            reduced = op.residual_norm(g, y_c, outside_sq)
+            assert reduced == pytest.approx(explicit(g, y), rel=1e-12, abs=0.0)
+    y_c, outside_sq = op.reduce(noisy)
+    reduced = op.residual_norm(g_true.coeffs, y_c, outside_sq)
+    assert reduced == pytest.approx(explicit(g_true.coeffs, noisy), rel=1e-12, abs=0.0)
+    # the exact fit leaves only round-off, in either form
+    scale = explicit(np.zeros(n_modes), p.observed)
+    y_c, outside_sq = op.reduce(p.observed)
+    assert op.residual_norm(g_true.coeffs, y_c, outside_sq) <= 1e-14 * scale
+    assert explicit(g_true.coeffs, p.observed) <= 1e-14 * scale
 
 
 def test_estimate_k_zero_operator():
