@@ -29,18 +29,6 @@ from .spectral import Domain1D, SpectralField, eval_on_mesh
 
 __all__ = ["main", "run", "add_noise"]
 
-MODES = (
-    "forward",
-    "invert-rho-volterra",
-    "invert-rho-fixedpoint",
-    "invert-g-final",
-    "invert-g-interior",
-    "ml-eval",
-    "sweep",
-    "caputo-t2",
-)
-
-
 class ConfigError(ValueError):
     """Invalid configuration value; carries the offending key."""
 
@@ -188,19 +176,25 @@ def _solver(cfg: dict) -> dict:
 
 def _run_ml_eval(cfg: dict):
     ml = _get(cfg, "ml", {})
+    if not isinstance(ml, dict):
+        raise ConfigError("ml", "expected an object")
     a = _num(ml, "alpha", None, required=True)
     b = _num(ml, "beta", None, required=True)
     zs = ml.get("z", [0.0])
     if isinstance(zs, (int, float)):
         zs = [zs]
     try:
+        zs = [float(z) for z in zs]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("ml.z", f"expected a list of numbers, got {zs!r}") from exc
+    try:
         p = MLParams(a, b)
-        vals = [ml_eval(p, float(z)) for z in zs]
+        vals = [ml_eval(p, z) for z in zs]
     except ValueError as exc:
         raise ConfigError("ml", str(exc)) from exc
     return (
         {"mode": "ml-eval", "alpha": a, "beta": b},
-        {"z": np.asarray(zs, dtype=float), "value": np.asarray(vals)},
+        {"z": np.asarray(zs), "value": np.asarray(vals)},
     )
 
 
@@ -262,6 +256,13 @@ def _run_invert_rho(cfg: dict, variant: str):
     return meta, cols
 
 
+def _g_columns(recovered: SpectralField, g_true: SpectralField) -> dict:
+    """Recovered and true g on a mesh of at least 4N + 1 and 257 points."""
+    domain = g_true.domain
+    xs = domain.mesh(max(4 * domain.n_modes + 1, 257))
+    return {"x": xs, "g_rec": eval_on_mesh(recovered, xs), "g_true": eval_on_mesh(g_true, xs)}
+
+
 def _run_invert_g_final(cfg: dict):
     domain, grid, alpha, g_true, rho = _synthesize(cfg)
     level = _num(cfg, "noise_level", 0.0, lo=0.0)
@@ -293,13 +294,7 @@ def _run_invert_g_final(cfg: dict):
         "discrepancy": rep.residual_history[-1],
         "rel_l2_error": err,
     }
-    xs = domain.mesh(max(4 * domain.n_modes + 1, 257))
-    cols = {
-        "x": xs,
-        "g_rec": eval_on_mesh(rep.recovered, xs),
-        "g_true": eval_on_mesh(g_true, xs),
-    }
-    return meta, cols
+    return meta, _g_columns(rep.recovered, g_true)
 
 
 def _run_invert_g_interior(cfg: dict):
@@ -349,13 +344,7 @@ def _run_invert_g_interior(cfg: dict):
         "final_data_residual": rep.residual_history[-1],
         "rel_l2_error": err,
     }
-    xs = domain.mesh(max(4 * domain.n_modes + 1, 257))
-    cols = {
-        "x": xs,
-        "g_rec": eval_on_mesh(rep.recovered, xs),
-        "g_true": eval_on_mesh(g_true, xs),
-    }
-    return meta, cols
+    return meta, _g_columns(rep.recovered, g_true)
 
 
 def _run_caputo_t2(cfg: dict):
@@ -388,6 +377,10 @@ def _run_sweep(cfg: dict):
         raise ConfigError("sweep.key", "expected a string")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values", "expected a non-empty list")
+    try:
+        vals = np.asarray([float(v) for v in values])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("sweep.values", f"expected numbers, got {values!r}") from exc
     if not isinstance(inner, dict):
         raise ConfigError("sweep.inner", "expected an inner config object")
 
@@ -398,9 +391,11 @@ def _run_sweep(cfg: dict):
         meta, _ = dispatch(sub)
         if metric not in meta:
             raise ConfigError("sweep.metric", f"inner run produced no metric {metric!r}")
-        return float(meta[metric])
+        try:
+            return float(meta[metric])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("sweep.metric", f"metric {metric!r} is not a number") from exc
 
-    vals = np.asarray(values, dtype=float)
     errs_arr = np.asarray([one(v) for v in values])
     # slope of log(error) against log(parameter) between consecutive runs
     slope = np.full(vals.shape[0], math.nan)
@@ -426,25 +421,23 @@ def _non_finite(meta: dict, cols: dict) -> str | None:
     return None
 
 
+MODES = {
+    "forward": _run_forward,
+    "invert-rho-volterra": lambda cfg: _run_invert_rho(cfg, "volterra"),
+    "invert-rho-fixedpoint": lambda cfg: _run_invert_rho(cfg, "fixedpoint"),
+    "invert-g-final": _run_invert_g_final,
+    "invert-g-interior": _run_invert_g_interior,
+    "ml-eval": _run_ml_eval,
+    "sweep": _run_sweep,
+    "caputo-t2": _run_caputo_t2,
+}
+
+
 def dispatch(cfg: dict):
     mode = _get(cfg, "mode", None, required=True)
-    if mode not in MODES:
-        raise ConfigError("mode", f"unknown mode {mode!r}; options: {MODES}")
-    if mode == "ml-eval":
-        return _run_ml_eval(cfg)
-    if mode == "forward":
-        return _run_forward(cfg)
-    if mode == "invert-rho-volterra":
-        return _run_invert_rho(cfg, "volterra")
-    if mode == "invert-rho-fixedpoint":
-        return _run_invert_rho(cfg, "fixedpoint")
-    if mode == "invert-g-final":
-        return _run_invert_g_final(cfg)
-    if mode == "invert-g-interior":
-        return _run_invert_g_interior(cfg)
-    if mode == "caputo-t2":
-        return _run_caputo_t2(cfg)
-    return _run_sweep(cfg)
+    if not isinstance(mode, str) or mode not in MODES:
+        raise ConfigError("mode", f"unknown mode {mode!r}; options: {tuple(MODES)}")
+    return MODES[mode](cfg)
 
 
 def _apply_override(cfg: dict, item: str) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NonZeroInitialTraceError, PointDegenerateError
-from .forward import ml_on_nodes, summed_kernel_weights, trace_weights
+from .forward import summed_kernel_weights, trace_weights
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
 from .report import ReconstructionReport
 from .spectral import SpectralField, eval_at
@@ -35,8 +35,6 @@ __all__ = [
     "EPS_POINT",
     "TSourceProblem",
     "AdmissibleDiagnostics",
-    "QKernel",
-    "kernel_q",
     "solve_volterra",
     "fixed_point_iterate",
     "lipschitz_certificate",
@@ -82,18 +80,6 @@ class AdmissibleDiagnostics:
     c1_bound: float
 
 
-@dataclass(frozen=True, eq=False)
-class QKernel:
-    """Volterra kernel with the singular power kept symbolic.
-
-    The kernel value at s > 0 is s^(power - 1) * smooth(s); `smooth` holds
-    the bounded factor sampled on the grid nodes.
-    """
-
-    power: float
-    smooth: TimeSeries
-
-
 def mollify(f: TimeSeries, width: int) -> TimeSeries:
     """Centered moving average with window shrinking near the ends."""
     if width <= 1:
@@ -106,23 +92,6 @@ def mollify(f: TimeSeries, width: int) -> TimeSeries:
     lo = np.maximum(0, i - half)
     hi = np.minimum(n, i + half + 1)
     return TimeSeries(f.grid, (csum[hi] - csum[lo]) / (hi - lo))
-
-
-def kernel_q(
-    g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid
-) -> QKernel:
-    """Smooth factor of Q(x0, .): sum_n lambda_n E_a,a(-lambda_n t^a) g_n phi_n(x0)."""
-    lam = g.domain.eigenvalues()
-    phi = g.domain.eigenfunctions(x0)[:, 0]
-    t = grid.nodes()
-    a = alpha.alpha
-    smooth = np.zeros(grid.n_steps + 1)
-    for i in range(g.domain.n_modes):
-        w = lam[i] * g.coeffs[i] * phi[i]
-        if w == 0.0:
-            continue
-        smooth += w * ml_on_nodes(a, a, lam[i], t)
-    return QKernel(a, TimeSeries(grid, smooth))
 
 
 def _volterra_weights(

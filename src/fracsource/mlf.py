@@ -2,7 +2,7 @@
 
 E_{a,b}(z) = sum_k z^k / Gamma(a*k + b).  `ml_eval_array` evaluates it on
 whole arrays; `ml_eval` is its one-element form.  With the cancellation
-scale x = |z|^(1/a), the regimes for 0 < a < 1 are
+scale x = |z|^(1/a), the regimes for 0 < a < 1 and b <= 3 are
 
 * z = 0: 1/Gamma(b); 0 < z <= 1: the double-precision power series,
 * x < 35: the inverse Laplace transform of s^(a-b)/(s^a - z) by the
@@ -15,11 +15,12 @@ scale x = |z|^(1/a), the regimes for 0 < a < 1 are
   sorted blocks of arguments; points whose truncation error misses the
   target fall back to the contour.
 
-For 1 <= a < 2 or b > 3 (reached only from the `ml-eval` mode) values are
-computed one at a time: the power series while x <= 4, the asymptotic expansion
-(plus the saddle-point exponential term) where it meets the target, and
-otherwise the power series in extended precision (stdlib ``decimal``, with
-a Spouge gamma evaluated in the same precision).
+For 1 <= a < 2 or b > 3 (reached only from the `ml-eval` mode) each value
+comes from the first of: the compensated power series, where its largest
+term is at most ten times the sum; the asymptotic expansion, plus the
+residues at the poles s = x e^(+-i pi/a) for a >= 1, where it meets the
+target; for b > 3 the recurrence E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z;
+the parabolic contour with mu, h and the node count set for the argument.
 
 Only real z <= 1 is supported; the diffusion solvers feed in z <= 0.
 """
@@ -27,9 +28,7 @@ Only real z <= 1 is supported; the diffusion solvers feed in z <= 0.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -44,9 +43,10 @@ __all__ = [
 
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 10_000
-# cancellation scale x = |z|^(1/alpha); largest term of the series ~ e^x
-_DOUBLE_SERIES_MAX_X = 4.0
-_DECIMAL_SERIES_MAX_X = 700.0
+# the scalar path takes the series while its largest term is at most this
+# multiple of the sum; at 1e3 the recurrence and the contour lose to it
+# (rel. error 1.7e-11 against 9e-13 on 1800 points, x < 40)
+_SERIES_MAX_CANCEL = 10.0
 # below this x the omitted exponentially small part of the asymptotic
 # expansion for alpha < 1 (~ exp(-0.9 x)) is not negligible
 _ASYMPTOTIC_MIN_X = 35.0
@@ -54,17 +54,23 @@ _ASYMPTOTIC_REL_TOL = 1e-13
 _ASYMPTOTIC_MAX_TERMS = 399
 # parabolic contour s(u) = mu (1 + iu)^2 sampled at u = 0, h, ..., (n-1) h;
 # with mu fixed, e^s s^(-beta) cancels too much beyond beta = 3 (rel. error
-# 7e-13 at beta = 3.5 against 7e-14 at 3)
+# 7e-13 at beta = 3.5 against 7e-14 at 3).  h = 0.15 with the singularities
+# 1 off the real u-axis makes the discretisation error e^(-2 pi/h) ~ 6e-19;
+# 32 nodes reach u where e^s has fallen by as much.
 _CONTOUR_MAX_BETA = 3.0
 _CONTOUR_MU = 2.0
 _CONTOUR_H = 0.15
 _CONTOUR_NODES = 32
+# least distance, in u, of the poles from the contour for 1 < alpha < 2
+_POLE_MARGIN = 0.5
+# the contour rule squares s^alpha - z, which must not overflow
+_CONTOUR_MAX_ETA = 1e150
 # arguments per block: the (block, nodes) float temporaries stay at 512 KiB
 _BLOCK = 2048
 
 
 class MLConvergenceError(ArithmeticError):
-    """Series failed to converge within the term cap."""
+    """No evaluation regime reaches the accuracy target."""
 
 
 @dataclass(frozen=True)
@@ -97,143 +103,33 @@ def _rgamma(x: float) -> float:
     return math.exp(log_mag) * s / math.pi
 
 
-def _series_double(alpha: float, beta: float, z: float) -> float:
-    """Defining power series with compensated summation."""
+def _series_double(alpha: float, beta: float, z: float) -> tuple[float, float]:
+    """Defining power series with compensated summation.
+
+    Returns (sum, largest |term|).  The largest term is infinite, and the
+    sum meaningless, once a term is out of double range: z^k overflows or
+    Gamma(alpha*k + beta) does, so that the term would drop out unsummed.
+    """
     total = _rgamma(beta)
+    biggest = abs(total)
     comp = 0.0
     term = 1.0
     for k in range(1, _SERIES_MAX_TERMS):
         term *= z
-        t = term * _rgamma(alpha * k + beta)
+        r = _rgamma(alpha * k + beta)
+        t = term * r
+        if r == 0.0 or not math.isfinite(t):
+            return total, math.inf
+        biggest = max(biggest, abs(t))
         y = t - comp
         s = total + y
         comp = (s - total) - y
         total = s
         if abs(t) < _SERIES_EPS * abs(total) and k > 2:
-            return total
+            return total, biggest
     raise MLConvergenceError(
         f"series for E_({alpha},{beta})({z}) did not converge in "
         f"{_SERIES_MAX_TERMS} terms"
-    )
-
-
-# ---------------------------------------------------------------------------
-# extended-precision series (decimal + Spouge gamma)
-
-
-def _pi_decimal() -> Decimal:
-    """pi at the current decimal context precision (Machin-like series)."""
-    with localcontext() as ctx:
-        ctx.prec += 4
-        three = Decimal(3)
-        lasts, t, s, n, na, d, da = Decimal(0), three, Decimal(3), 1, 0, 0, 24
-        while s != lasts:
-            lasts = s
-            n, na = n + na, na + 8
-            d, da = d + da, da + 32
-            t = (t * n) / d
-            s += t
-    return +s
-
-
-@lru_cache(maxsize=None)
-def _spouge_coeffs(a: int, prec: int) -> tuple[Decimal, ...]:
-    with localcontext() as ctx:
-        ctx.prec = prec + 10
-        half = Decimal(1) / 2
-        c0 = (2 * _pi_decimal()).sqrt()
-        coeffs = [c0]
-        fact = Decimal(1)
-        for k in range(1, a):
-            if k > 1:
-                fact *= k - 1
-            ak = Decimal(a - k)
-            c = ak ** (Decimal(k) - half) * ak.exp() / fact
-            if k % 2 == 0:
-                c = -c
-            coeffs.append(c)
-    return tuple(coeffs)
-
-
-def _spouge_core(x: Decimal, a: int, prec: int) -> Decimal:
-    """Spouge approximation of Gamma(x), accurate for x in [1, 2)."""
-    coeffs = _spouge_coeffs(a, prec)
-    with localcontext() as ctx:
-        ctx.prec = prec + 10
-        half = Decimal(1) / 2
-        zz = x - 1
-        acc = coeffs[0]
-        for k in range(1, a):
-            acc += coeffs[k] / (zz + k)
-        base = zz + a
-        return base ** (zz + half) * (-base).exp() * acc
-
-
-def _gamma_decimal(x: Decimal, a: int, prec: int) -> Decimal:
-    """Gamma(x) for x > 0 in decimal arithmetic.
-
-    The coefficient sum of the Spouge formula cancels badly away from the
-    base interval, so the argument is reduced to [1, 2) and climbed back
-    up with the recurrence Gamma(x + 1) = x Gamma(x).
-    """
-    with localcontext() as ctx:
-        ctx.prec = prec + 10
-        if x < 1:
-            return _gamma_decimal(x + 1, a, prec) / x
-        m = int(x) - 1
-        y = x - m
-        fac = Decimal(1)
-        for j in range(m):
-            fac *= y + j
-        return _spouge_core(y, a, prec) * fac
-
-
-_gamma_tables: dict[tuple[float, float, int], list[Decimal]] = {}
-_gamma_tables_lock = threading.Lock()
-
-
-def _gamma_table(alpha: float, beta: float, prec: int, n: int) -> list[Decimal]:
-    """Incrementally extended cache of Gamma(alpha*k + beta) at `prec` digits.
-
-    The table is shared between threads, so it is extended under a lock;
-    entries already present never change.
-    """
-    with _gamma_tables_lock:
-        tab = _gamma_tables.setdefault((alpha, beta, prec), [])
-        if len(tab) <= n:
-            a = int(prec / 0.79) + 3
-            da, db = Decimal(alpha), Decimal(beta)
-            with localcontext() as ctx:
-                # the argument alpha*k + beta must carry full working precision;
-                # the default context would truncate it to 28 digits
-                ctx.prec = prec + 10
-                while len(tab) <= n:
-                    tab.append(_gamma_decimal(da * len(tab) + db, a, prec))
-    return tab
-
-
-def _series_decimal(alpha: float, beta: float, z: float, x_scale: float) -> float:
-    prec = 30 + int(0.52 * x_scale)
-    with localcontext() as ctx:
-        ctx.prec = prec + 10
-        dz = Decimal(z)
-        total = Decimal(0)
-        zpow = Decimal(1)
-        max_term = Decimal(0)
-        stop = Decimal(10) ** -(prec - 5)
-        for k in range(_SERIES_MAX_TERMS):
-            tab = _gamma_table(alpha, beta, prec, k)
-            t = zpow / tab[k]
-            total += t
-            at = abs(t)
-            if at > max_term:
-                max_term = at
-            if k > 2 and at < stop * max_term:
-                return float(total)
-            zpow *= dz
-    raise MLConvergenceError(
-        f"extended-precision series for E_({alpha},{beta})({z}) did not "
-        f"converge in {_SERIES_MAX_TERMS} terms"
     )
 
 
@@ -330,25 +226,34 @@ def _asymptotic_array(
     return val, err
 
 
+def _pole_terms(alpha: float, beta: float, x: float, weight: float) -> float:
+    """(weight/alpha) Re(e^p p^(1-beta)) at p = x e^(i pi/alpha).
+
+    With weight 2 this is the sum of the residues of e^s s^(alpha-beta) /
+    (s^alpha - z) at its two poles p and conj(p), where s^alpha = z = -x^alpha.
+    """
+    ang = math.pi / alpha
+    return (
+        (weight / alpha)
+        * x ** (1.0 - beta)
+        * math.exp(x * math.cos(ang))
+        * math.cos(x * math.sin(ang) + (1.0 - beta) * ang)
+    )
+
+
 def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, float]:
     """The expansion at one z < 0: (value, absolute error estimate).
 
-    For alpha >= 1 the exponentially damped saddle-point term is added
-    explicitly, since near alpha = 2 it decays too slowly to ignore.
+    For alpha >= 1 the exponentially damped pole terms are added explicitly,
+    since near alpha = 2 they decay too slowly to ignore; at alpha = 1 the
+    two poles are one.
     """
     eta = -z
     val, err = _asymptotic_array(alpha, beta, np.array([eta]))
     total = float(val[0])
     if alpha >= 1.0:
-        c = eta ** (1.0 / alpha)
-        ang = math.pi / alpha
-        root_weight = 1.0 if alpha == 1.0 else 2.0
-        total += (
-            (root_weight / alpha)
-            * c ** (1.0 - beta)
-            * math.exp(c * math.cos(ang))
-            * math.cos(c * math.sin(ang) + (1.0 - beta) * ang)
-        )
+        weight = 1.0 if alpha == 1.0 else 2.0
+        total += _pole_terms(alpha, beta, eta ** (1.0 / alpha), weight)
     return total, float(err[0])
 
 
@@ -357,33 +262,58 @@ def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=256)
-def _contour(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
+def _contour(alpha: float, beta: float, mu: float, h: float, nodes: int) -> tuple[np.ndarray, ...]:
     """Nodes s^alpha and trapezoid weights of the contour integral.
 
     E(z) = (1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds along
     s(u) = mu (1 + iu)^2; the integrand at -u is minus the conjugate of the
     one at u, so E(z) = (h/pi) Im sum' w_k / (s_k^alpha - z) over u_k >= 0
     with w_k = e^s s^(alpha-beta) s'(u) at u_k and the u = 0 term halved.
-    Returned as real and imaginary parts (Re s^alpha, Im s^alpha, Re w, Im w).
+    Poles of the integrand outside the parabola are left out.  Returned as
+    real and imaginary parts (Re s^alpha, Im s^alpha, Re w, Im w).
     """
-    u = _CONTOUR_H * np.arange(_CONTOUR_NODES)
-    s = _CONTOUR_MU * (1.0 + 1j * u) ** 2
-    ds = 2j * _CONTOUR_MU * (1.0 + 1j * u)
-    w = (_CONTOUR_H / math.pi) * np.exp(s) * s ** (alpha - beta) * ds
+    u = h * np.arange(nodes)
+    s = mu * (1.0 + 1j * u) ** 2
+    ds = 2j * mu * (1.0 + 1j * u)
+    w = (h / math.pi) * np.exp(s) * s ** (alpha - beta) * ds
     w[0] *= 0.5
     sa = s**alpha
     return tuple(_readonly(a.copy()) for a in (sa.real, sa.imag, w.real, w.imag))
 
 
-def _contour_eval(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) for 0 < alpha < 1 and z <= 0 by the contour rule."""
-    ar, ai, wr, wi = _contour(alpha, beta)
+def _contour_eval(contour: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
+    """The rule of one `_contour` at every z <= 0."""
+    ar, ai, wr, wi = contour
     out = np.empty(z.shape)
     for lo in range(0, z.size, _BLOCK):
         # Im(w / (s^alpha - z)) in real arithmetic
         dr = ar - z[lo : lo + _BLOCK, None]
         out[lo : lo + _BLOCK] = ((wi * dr - wr * ai) / (dr * dr + ai * ai)).sum(axis=1)
     return out
+
+
+def _contour_point(alpha: float, beta: float, z: float) -> float:
+    """The contour rule at one z < 0, with mu, h and the nodes set for it.
+
+    On s = mu (1 + iu)^2 the branch point s = 0 lies at Im u = 1 and, for
+    1 < alpha < 2, the poles p = x e^(+-i pi/alpha), x = (-z)^(1/alpha), at
+    Im u = 1 - sqrt(x/mu) cos(pi/(2 alpha)).  The fixed mu stays while the
+    poles lie 0.5 or more inside; otherwise mu drops until they lie 0.5 or
+    more outside, and their residues are added.  h scales with the distance
+    of the nearest singularity, so the error stays that of the fixed rule.
+    """
+    mu, pole = _CONTOUR_MU, 0.0
+    if alpha > 1.0:
+        x = (-z) ** (1.0 / alpha)
+        r = x * math.cos(math.pi / (2.0 * alpha)) ** 2
+        pole = math.sqrt(r / mu)
+        if pole > 1.0 - _POLE_MARGIN:
+            mu = min(mu, r / (1.0 + _POLE_MARGIN) ** 2)
+            pole = math.sqrt(r / mu)
+    h = _CONTOUR_H * min(1.0, abs(1.0 - pole))
+    nodes = math.ceil(math.sqrt(1.0 + 2.0 * math.pi / (_CONTOUR_H * mu)) / h)
+    val = float(_contour_eval(_contour(alpha, beta, mu, h, nodes), np.array([z]))[0])
+    return val + _pole_terms(alpha, beta, x, 2.0) if pole > 1.0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -396,34 +326,23 @@ def _eval(alpha: float, beta: float, z: float) -> float:
         return _rgamma(beta)
     if alpha == 1.0 and beta == 1.0:
         return math.exp(z)
-    if z > 0.0:
-        return _series_double(alpha, beta, z)
+    val, biggest = _series_double(alpha, beta, z)
+    if z > 0.0 or biggest <= _SERIES_MAX_CANCEL * abs(val):
+        return val
 
     eta = -z
-    try:
-        x_scale = eta ** (1.0 / alpha)
-    except OverflowError:
-        x_scale = math.inf
-    if x_scale <= _DOUBLE_SERIES_MAX_X:
-        return _series_double(alpha, beta, z)
-
     val, err = _asymptotic(alpha, beta, z)
     scale = max(abs(val), abs(_rgamma(beta)) / (1.0 + eta))
-    if err <= _ASYMPTOTIC_REL_TOL * scale and (alpha >= 1.0 or x_scale >= _ASYMPTOTIC_MIN_X):
+    if err <= _ASYMPTOTIC_REL_TOL * scale and (alpha >= 1.0 or eta >= _ASYMPTOTIC_MIN_X**alpha):
         return val
-    if x_scale <= _DECIMAL_SERIES_MAX_X:
-        return _series_decimal(alpha, beta, z, x_scale)
-    if err > 1e-8 * scale:
+    if beta > _CONTOUR_MAX_BETA:
+        return (_eval(alpha, beta - alpha, z) - _rgamma(beta - alpha)) / z
+    if eta > _CONTOUR_MAX_ETA:
         raise MLConvergenceError(
             f"no evaluation regime reaches the accuracy target for "
             f"E_({alpha},{beta})({z})"
         )
-    return val
-
-
-@lru_cache(maxsize=1 << 18)
-def _eval_cached(alpha: float, beta: float, z: float) -> float:
-    return _eval(alpha, beta, z)
+    return _contour_point(alpha, beta, z)
 
 
 def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
@@ -440,12 +359,12 @@ def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
         raise ValueError(f"only z <= 1 is supported, got {float(np.max(z))}")
     flat = z.ravel()
     if alpha >= 1.0 or beta > _CONTOUR_MAX_BETA:
-        vals = [_eval_cached(alpha, beta, float(v)) for v in flat]
+        vals = [_eval(alpha, beta, float(v)) for v in flat]
         return np.array(vals, dtype=float).reshape(z.shape)
     out = np.empty(flat.shape)
     out[flat == 0.0] = _rgamma(beta)
     for i in np.flatnonzero(flat > 0.0):
-        out[i] = _series_double(alpha, beta, float(flat[i]))
+        out[i] = _series_double(alpha, beta, float(flat[i]))[0]
     neg = np.flatnonzero(flat < 0.0)
     eta = -flat[neg]
     far = eta >= _ASYMPTOTIC_MIN_X**alpha
@@ -454,7 +373,8 @@ def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
     ok = err <= _ASYMPTOTIC_REL_TOL * scale
     out[neg[far][ok]] = val[ok]
     near = np.concatenate((neg[~far], neg[far][~ok]))
-    out[near] = _contour_eval(alpha, beta, flat[near])
+    fixed = _contour(alpha, beta, _CONTOUR_MU, _CONTOUR_H, _CONTOUR_NODES)
+    out[near] = _contour_eval(fixed, flat[near])
     return out.reshape(z.shape)
 
 

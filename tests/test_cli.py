@@ -149,6 +149,29 @@ def test_exit_code_x0_on_the_boundary(tmp_path, capsys, mode, x0):
     assert "config key 'x0'" in capsys.readouterr().err
 
 
+def sweep_cfg(values, metric="rel_l2_error"):
+    inner = {"mode": "caputo-t2", "alpha": 0.5}
+    spec = {"key": "n_steps", "values": values, "metric": metric, "inner": inner}
+    return {"mode": "sweep", "sweep": spec}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"mode": "ml-eval", "ml": 5}, "ml"),
+        ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [None]}}, "ml.z"),
+        ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [[1, 2]]}}, "ml.z"),
+        (sweep_cfg(["a", "b"]), "sweep.values"),
+        (sweep_cfg([16, 32], metric="mode"), "sweep.metric"),
+        ({"mode": ["forward"]}, "mode"),
+    ],
+    ids=["ml-number", "z-null", "z-list", "sweep-strings", "metric-mode", "mode-list"],
+)
+def test_exit_code_malformed_config_value(tmp_path, capsys, cfg, key):
+    assert run(write_cfg(tmp_path, "m.json", cfg)) == 3
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("k", [0, 1e-6])
 def test_exit_code_fixed_point_k_below_bound(tmp_path, capsys, k):
     cfg = write_cfg(

@@ -7,7 +7,7 @@ import pytest
 
 from fracsource.errors import NonZeroInitialTraceError, PointDegenerateError
 from fracsource.forward import (
-    ml_on_nodes,
+    modal_kernel_weights,
     observe_point,
     separated_source,
     solve_homogeneous,
@@ -23,9 +23,9 @@ from fracsource.fracops import (
 )
 from fracsource.inverse_t import (
     TSourceProblem,
+    _volterra_weights,
     count_sign_changes,
     fixed_point_iterate,
-    kernel_q,
     lipschitz_certificate,
     mollify,
     solve_volterra,
@@ -53,34 +53,36 @@ def mode(i, amp=1.0):
 # kernel
 
 
-def test_kernel_q_single_mode():
+def test_volterra_weights_single_mode():
     grid = TimeGrid(1.0, 32)
     a = FractionalOrder(0.5)
     x0 = 0.3
-    q = kernel_q(mode(0), x0, a, grid)
-    phi1 = DOM.eigenfunctions(x0)[0, 0]
-    exact = LAM[0] * phi1 * ml_on_nodes(0.5, 0.5, LAM[0], grid.nodes())
-    assert q.power == 0.5
-    assert np.max(np.abs(q.smooth.values - exact)) < 1e-12
+    c, d = _volterra_weights(mode(0), x0, a, grid)
+    w = LAM[0] * DOM.eigenfunctions(x0)[0, 0]
+    c1, d1 = modal_kernel_weights(LAM[0], a, grid)
+    np.testing.assert_allclose(c, w * c1, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(d, w * d1, rtol=1e-15, atol=0.0)
 
 
-def test_kernel_q_zero():
+def test_volterra_weights_zero():
     grid = TimeGrid(1.0, 16)
-    q = kernel_q(SpectralField(DOM, np.zeros(8)), 0.4, FractionalOrder(0.5), grid)
-    assert np.max(np.abs(q.smooth.values)) == 0.0
+    c, d = _volterra_weights(SpectralField(DOM, np.zeros(8)), 0.4, FractionalOrder(0.5), grid)
+    assert np.max(np.abs(c)) == 0.0 and np.max(np.abs(d)) == 0.0
 
 
-def test_kernel_q_smooth_factor_bounded_near_zero():
-    # |Q(x0, t)| t^(1-alpha) equals |smooth factor|, which must stay bounded
-    # as the grid refines toward t = 0 for band-limited g
+def test_volterra_weights_first_interval_bounded():
+    # Q(x0, s) = s^(alpha-1) times a factor bounded near s = 0 for
+    # band-limited g, so the first-interval weight c_0 + d_0 (the integral
+    # of Q over (0, tau)) is that factor times tau^alpha/alpha to first order
     a = FractionalOrder(0.5)
-    peaks = []
+    ratios = []
     for n in (1024, 4096):
-        q = kernel_q(make_g(DOM, "sine_bump"), 0.3, a, TimeGrid(1.0, n))
-        peaks.append(float(np.max(np.abs(q.smooth.values))))
-    # the discrete sup approaches a finite continuum value instead of
-    # blowing up as the grid probes smaller t
-    assert peaks[1] < 1.15 * peaks[0]
+        grid = TimeGrid(1.0, n)
+        c, d = _volterra_weights(make_g(DOM, "sine_bump"), 0.3, a, grid)
+        ratios.append(float(c[0] + d[0]) / (grid.tau**a.alpha / a.alpha))
+    # the ratio stays bounded instead of blowing up as the grid probes
+    # smaller t (it reaches its limit only once lambda_N tau^alpha << 1)
+    assert abs(ratios[1]) < 1.15 * abs(ratios[0])
 
 
 # ---------------------------------------------------------------------------

@@ -108,17 +108,18 @@ def test_decay_constant_input_validation():
 
 
 def test_evaluation_regimes_agree_on_overlap():
-    # the extended-precision series and the asymptotic expansion are
-    # independent routes; both are valid on a window of moderate scale
-    from fracsource.mlf import _asymptotic, _series_decimal
+    # the contour rule and the asymptotic expansion are independent routes;
+    # both are valid on a window of moderate scale
+    from fracsource import mlf
 
     for a, b in [(0.6, 1.0), (0.8, 0.8), (0.5, 1.5)]:
         for x in [40.0, 60.0, 90.0, 120.0]:
             z = -(x**a)
-            series = _series_decimal(a, b, z, x)
-            asym, err = _asymptotic(a, b, z)
-            assert err <= 1e-9 * abs(series)
-            assert asym == pytest.approx(series, rel=1e-9)
+            fixed = mlf._contour(a, b, mlf._CONTOUR_MU, mlf._CONTOUR_H, mlf._CONTOUR_NODES)
+            contour = float(mlf._contour_eval(fixed, np.array([z]))[0])
+            asym, err = mlf._asymptotic(a, b, z)
+            assert err <= 1e-9 * abs(contour)
+            assert asym == pytest.approx(contour, rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,6 +180,27 @@ def test_array_evaluator_against_mpmath():
                 assert v == pytest.approx(ref, rel=tol, abs=1e-300), (a, b, e)
 
 
+def test_scalar_path_against_mpmath():
+    # seeded points in both bands of x = |z|^(1/alpha) for the orders the
+    # array path leaves to the scalar one: 1 <= alpha < 2 (the poles of the
+    # contour integrand near alpha = 1 and alpha = 2) and beta > 3
+    ml_reference = pytest.importorskip("ml_reference")
+    rng = np.random.default_rng(2026)
+    cases = [(a, b) for a in (1.0, 1.05, 1.4, 1.9, 1.95) for b in (0.5, 1.0, 2.5)]
+    cases += [(a, b) for a in (0.1, 0.5, 0.9, 1.4) for b in (3.5, 10.0, 30.0)]
+    for a, b in cases:
+        for x in (rng.uniform(4.0, 35.0), rng.uniform(35.0, 300.0)):
+            e = x**a
+            tol = 1e-10 if e <= 100.0 else 1e-8
+            # at a = 0.1 the reference series takes seconds per point beyond
+            # x = 35; the integral representation is as independent and fast
+            if a < 0.5 and x > 35.0:
+                ref = float(ml_reference.ml_integral(a, b, -e))
+            else:
+                ref = ml_reference.ml_reference(a, b, -e)
+            assert ml_eval(MLParams(a, b), -e) == pytest.approx(ref, rel=tol, abs=1e-300), (a, b, e)
+
+
 def test_scalar_is_one_element_array_call():
     for a in ARRAY_ALPHAS + (1.0, 1.4):
         for b in (a, 1.0, a + 2.0):
@@ -200,8 +222,9 @@ def test_array_argument_validation():
 
 
 def test_gamma_tables_shared_between_threads():
-    # beta > 3 takes the extended-precision series, whose Gamma tables every
-    # thread shares; a fresh interpreter fills them from four threads at once
+    # beta > 3 takes the scalar path (series, beta recurrence, contour); a
+    # fresh interpreter evaluates it from four threads at once and must
+    # agree with the serial values
     import subprocess
     import sys
 
