@@ -164,10 +164,18 @@ def _interior_point(cfg: dict, domain: Domain1D) -> float:
 
 
 def _solver(cfg: dict) -> dict:
+    """The `solver` object, keyed by dotted path so errors name 'solver.K'."""
     s = _get(cfg, "solver", {})
     if not isinstance(s, dict):
         raise ConfigError("solver", "expected an object")
-    return s
+    return {f"solver.{k}": v for k, v in s.items()}
+
+
+def _positive(cfg: dict, key: str, default):
+    v = _num(cfg, key, default)
+    if v is not None and v <= 0.0:
+        raise ConfigError(key, f"must be > 0, got {v}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +236,13 @@ def _run_invert_rho(cfg: dict, variant: str):
     clean = TimeSeries(grid, product_rule_convolve(c, d, rho_true.values))
     trace = add_noise(clean, level, seed)
     problem = inverse_t.TSourceProblem(g, x0, alpha, grid, trace, noise_level=level)
-    width = _int(s, "mollify_width", 5, lo=1)
+    width = _int(s, "solver.mollify_width", 5, lo=1)
     if variant == "volterra":
         rep = inverse_t.solve_volterra(problem, mollify_width=width)
     else:
-        K = _num(s, "K", None, lo=0.0)
-        m_max = _int(s, "m_max", 50, lo=1)
-        tol = _num(s, "tol", 1e-10, lo=0.0)
+        K = _num(s, "solver.K", None, lo=0.0)
+        m_max = _int(s, "solver.m_max", 50, lo=1)
+        tol = _num(s, "solver.tol", 1e-10, lo=0.0)
         try:
             rep = inverse_t.fixed_point_iterate(
                 problem, K=K, m_max=m_max, tol=tol, mollify_width=width
@@ -272,8 +280,8 @@ def _run_invert_g_final(cfg: dict):
     b = inverse_x.modal_responses(rho, alpha, grid, domain)
     coeffs, noise_norm = _perturb(g_true.coeffs * b, level, seed)
     final = SpectralField(domain, coeffs)
-    delta = _num(s, "delta", 0.0, lo=0.0)
-    mu = _num(s, "mu", None, lo=0.0)
+    delta = _num(s, "solver.delta", 0.0, lo=0.0)
+    mu = _num(s, "solver.mu", None, lo=0.0)
     if mu is None:
         mu = (
             inverse_x.choose_mu_discrepancy(rho, alpha, grid, final, delta, noise_norm)
@@ -310,22 +318,18 @@ def _run_invert_g_interior(cfg: dict):
     level = _num(cfg, "noise_level", 0.0, lo=0.0)
     seed = _int(cfg, "seed", 0)
     s = _solver(cfg)
+    settings = {
+        "K": _positive(s, "solver.K", None),
+        "beta": _positive(s, "solver.beta", 1e-10),
+        "m_max": _int(s, "solver.m_max", 200, lo=1),
+        "tol": _num(s, "solver.tol", 0.0, lo=0.0),
+    }
     u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
     clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
     observed, _ = _perturb(clean, level, seed)
     try:
         problem = inverse_x.XSourceInteriorProblem(
-            rho,
-            alpha,
-            grid,
-            domain,
-            (omega[0], omega[1]),
-            observed,
-            n_mesh,
-            K=_num(s, "K", None, lo=0.0),
-            beta=_num(s, "beta", 1e-10, lo=0.0),
-            m_max=_int(s, "m_max", 200, lo=1),
-            tol=_num(s, "tol", 0.0, lo=0.0),
+            rho, alpha, grid, domain, (omega[0], omega[1]), observed, n_mesh, **settings
         )
     except ValueError as exc:
         raise ConfigError("omega", str(exc)) from exc

@@ -13,12 +13,20 @@ is run, where A maps g to u(g) on the omega mesh points and A^T W is its
 exact transpose in the quadrature inner product of the data.  Mode n of
 u(g) is g_n times the response of mode n to the source phi_n rho, so A
 and the normal matrix A^T W A are assembled from one forward solve.
+The iteration is linear and the SVD U S V^T of A in reduced coordinates
+diagonalises it: from g = 0, m sweeps leave
+(1 - r_i^m) s_i y_i / (s_i^2 + beta) in singular direction i, with y_i
+the data's coordinate along U's column i and r_i = (K - s_i^2)/(K + beta),
+so every sweep is array arithmetic.  The operator and its SVD are built
+once per set-up (rho, alpha, grid, domain, omega, mesh) and reused by
+re-solves with new data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -96,6 +104,8 @@ class XSourceInteriorProblem:
                 f"observed must have shape ({n_pts}, {self.grid.n_steps + 1}), got {obs.shape}"
             )
         object.__setattr__(self, "observed", obs)
+        if self.m_max < 1:
+            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
 
     def _omega_mask(self) -> np.ndarray:
         xs = self.domain.mesh(self.n_mesh)
@@ -215,7 +225,11 @@ class _InteriorOperator:
 
     With the QR factors sqrt(w) Phi^T = Q_x S_x and sqrt(w_t) R^T = Q_t S_t,
     W^(1/2) A g W_t^(1/2) = Q_x S_x diag(g) S_t^T Q_t^T, so residual norms
-    are taken in the reduced coordinates of `reduce`.
+    are taken in the reduced coordinates of `reduce`.  The reduced
+    operator g -> vec(S_x diag(g) S_t^T) has the thin SVD
+    `u` diag(`sigma`) `vt`; it has at most N columns, and fewer rows when
+    omega holds few mesh points or the grid few nodes.  Every array is
+    read-only, since one operator serves every solve of its set-up.
     """
 
     def __init__(self, problem: XSourceInteriorProblem):
@@ -241,6 +255,17 @@ class _InteriorOperator:
         self._q_x, self._s_x = np.linalg.qr((self.phi * self._sqrt_w).T)
         self._q_t, s_t = np.linalg.qr((self.response * self._sqrt_wt).T)
         self._s_t_transposed = np.ascontiguousarray(s_t.T)
+        reduced = np.einsum("ij,jk->ikj", self._s_x, self._s_t_transposed)
+        self.u, self.sigma, self.vt = np.linalg.svd(
+            reduced.reshape(-1, dom.n_modes), full_matrices=False
+        )
+        for a in vars(self).values():
+            a.flags.writeable = False
+
+    @cached_property
+    def default_k(self) -> float:
+        """K of a run that sets none: 1.1 times the power-iteration eigenvalue of `normal`."""
+        return 1.1 * _largest_eigenvalue(self.normal, 20)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """A g, as a (points, time) array."""
@@ -286,59 +311,126 @@ def estimate_k(problem: XSourceInteriorProblem, iters: int = 20) -> float:
     """Largest eigenvalue of the normal matrix, by deterministic power iteration."""
     if iters < 5:
         raise ValueError(f"iters must be >= 5, got {iters}")
-    return _largest_eigenvalue(_InteriorOperator(problem).normal, iters)
+    return _largest_eigenvalue(_operator(problem).normal, iters)
+
+
+@dataclass(frozen=True)
+class _SetUp:
+    """A problem compared by what its operator depends on.
+
+    That is rho (by its bytes), alpha, grid, domain, omega and the mesh;
+    data, K, beta, m_max and tol play no part.
+    """
+
+    key: tuple
+    problem: XSourceInteriorProblem = field(compare=False)
+
+
+@lru_cache(maxsize=1)
+def _operator_cached(set_up: _SetUp) -> _InteriorOperator:
+    return _InteriorOperator(set_up.problem)
+
+
+def _operator(problem: XSourceInteriorProblem) -> _InteriorOperator:
+    """The operator of the problem's set-up, built once while the set-up repeats."""
+    p = problem
+    key = (p.rho.values.tobytes(), p.alpha, p.grid, p.domain, tuple(p.omega), p.n_mesh)
+    return _operator_cached(_SetUp(key, problem))
+
+
+# sweeps per block of the closed-form iteration: (N, block) temporaries
+_SWEEP_BLOCK = 256
 
 
 def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionReport:
     """Damped adjoint-driven iteration for g from interior data.
 
-    Starts from g = 0; each sweep forms the gradient q = M g - b of the
-    data misfit from the normal matrix M and b = A^T W y, and applies the
-    damped update.  The residual norm ||A g - y||_W is taken in the reduced
-    coordinates of the operator, one N x N product per sweep.  The
-    triangle-inequality bound on the update norm is asserted at every
-    iteration.
+    Starts from g = 0; sweep m applies the damped update
+    g_m = (K g_(m-1) - (M g_(m-1) - b))/(K + beta) with the normal matrix M
+    and b = A^T W y.  In the singular basis of the reduced operator the
+    sweeps are closed-form, g_m = (1 - r^m) s y/(s^2 + beta), and are taken
+    in blocks of `_SWEEP_BLOCK`.  residual_history[m-1] = ||A g_(m-1) - y||_W
+    is summed as an explicit difference in a fixed order, so it cannot
+    rise through cancellation.  At every sweep the triangle-inequality
+    bound on the update norm is asserted, three consecutive residual rises
+    (or a non-finite value) raise DivergenceError, and a step of at most
+    `tol` ends the run.  The diagnostics add the singular values and the
+    filter factors (1 - r^m) s^2/(s^2 + beta) of the run.
     """
     # the rho(0) != 0 hypothesis backs identifiability of the iteration target
     if problem.rho.values[0] == 0.0:
         raise DegenerateRhoError("rho(0) must be nonzero")
-    op = _InteriorOperator(problem)
-    K = problem.K if problem.K is not None else 1.1 * _largest_eigenvalue(op.normal, 20)
+    op = _operator(problem)
+    K = problem.K if problem.K is not None else op.default_k
     beta = problem.beta
     if not (K > 0.0 and beta > 0.0):
         raise NonPositiveParamsError(f"K and beta must be positive, got K={K}, beta={beta}")
-    b = op.adjoint(problem.observed)
     y_c, outside_sq = op.reduce(problem.observed)
-    g = np.zeros(problem.domain.n_modes)
-    history = []
-    step_norms = []
-    grew = 0
-    iterations = 0
-    for m in range(1, problem.m_max + 1):
-        iterations = m
-        r_norm = op.residual_norm(g, y_c, outside_sq)
-        q = op.normal @ g - b
-        g_next = (K / (K + beta)) * g - q / (K + beta)
-        bound = (K / (K + beta)) * np.linalg.norm(g) + np.linalg.norm(q) / (K + beta)
-        if np.linalg.norm(g_next) > bound * (1.0 + 1e-12) + 1e-300:
+    y_c = y_c.ravel()
+    sigma = op.sigma[:, None]
+    y_s = op.u.T @ y_c
+    left = y_c - op.u @ y_s
+    rest_sq = float(left @ left) + outside_sq  # the part no iterate reaches
+    y_s = y_s[:, None]
+    limit = sigma * y_s / (sigma**2 + beta)
+    ratio = (K - sigma**2) / (K + beta)
+    log_ratio = np.log1p(-(sigma**2 + beta) / (K + beta)) if np.all(ratio > 0.0) else None
+
+    def filled(m: np.ndarray) -> np.ndarray:
+        """1 - r^m, one column per sweep count."""
+        if log_ratio is not None:
+            return -np.expm1(log_ratio * m)
+        return 1.0 - ratio**m
+
+    history: list[float] = []
+    for first in range(1, problem.m_max + 1, _SWEEP_BLOCK):
+        # iterates g_(first-1) .. g_last as columns, sweeps first .. last
+        m = np.arange(first - 1, min(first - 1 + _SWEEP_BLOCK, problem.m_max) + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = filled(m) * limit
+            resid = np.sqrt(((sigma * g - y_s) ** 2).sum(axis=0)[:-1] + rest_sq)
+            size = np.sqrt((g * g).sum(axis=0))
+            grad = np.sqrt(((sigma**2 * g[:, :-1] - sigma * y_s) ** 2).sum(axis=0))
+            steps = np.sqrt(((g[:, 1:] - g[:, :-1]) ** 2).sum(axis=0))
+            bound = (K / (K + beta)) * size[:-1] + grad / (K + beta)
+            broke = (size[1:] > bound * (1.0 + 1e-12) + 1e-300) & np.isfinite(size[1:])
+        n = resid.size
+        # three rises in a row, counted across the block boundary
+        ext = np.concatenate((([math.inf] * 3 + history[-3:])[-3:], resid))
+        rising = ext[1:] > ext[:-1]
+        grown = rising[2:] & rising[1:-1] & rising[:-2]
+        diverged = _first(grown | ~np.isfinite(resid) | ~np.isfinite(size[1:]), n)
+        broke = _first(broke, n)
+        done = _first(steps <= problem.tol, n) if problem.tol > 0.0 else n
+        # within a sweep: the bound check, then the divergence check, then tol
+        if broke < n and broke <= min(diverged, done):
             raise AssertionError("damped-update norm bound violated")
-        if history and r_norm > history[-1]:
-            grew += 1
-            if grew >= 3:
-                raise DivergenceError(
-                    "data residual grew for 3 consecutive iterations; K is too small"
-                )
-        else:
-            grew = 0
-        history.append(r_norm)
-        step = float(np.linalg.norm(g_next - g))
-        step_norms.append(step)
-        g = g_next
-        if problem.tol > 0.0 and step <= problem.tol:
+        if diverged < n and diverged <= done:
+            raise DivergenceError(
+                "data residual grew for 3 consecutive iterations or overflowed; K is too small"
+            )
+        stop = min(done, n - 1)
+        history.extend(resid[: stop + 1].tolist())
+        if done < n:
             break
+    iterations = int(m[stop + 1])
+    filters = filled(np.array([iterations]))[:, 0] * op.sigma**2 / (op.sigma**2 + beta)
+    filters.flags.writeable = False
     return ReconstructionReport(
-        recovered=SpectralField(problem.domain, g),
+        recovered=SpectralField(problem.domain, op.vt.T @ g[:, stop + 1]),
         residual_history=history,
         iterations=iterations,
-        diagnostics={"K": K, "beta": beta, "final_step": step_norms[-1]},
+        diagnostics={
+            "K": K,
+            "beta": beta,
+            "final_step": float(steps[stop]),
+            "singular_values": op.sigma,
+            "filter_factors": filters,
+        },
     )
+
+
+def _first(flags: np.ndarray, none: int) -> int:
+    """Index of the first set flag, or `none`."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else none

@@ -13,7 +13,8 @@ scale x = |z|^(1/a), the regimes for 0 < a < 1 and b <= 3 are
 * x >= 35: the algebraic asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k)
   at envelope-based optimal truncation, summed by Horner's rule over
   sorted blocks of arguments; points whose truncation error misses the
-  target fall back to the contour.
+  target fall back to the contour, or raise MLConvergenceError beyond
+  -z = 1e150, where the contour would overflow.
 
 For 1 <= a < 2 or b > 3 (reached only from the `ml-eval` mode) each value
 comes from the first of: the compensated power series, where its largest
@@ -52,6 +53,8 @@ _SERIES_MAX_CANCEL = 10.0
 _ASYMPTOTIC_MIN_X = 35.0
 _ASYMPTOTIC_REL_TOL = 1e-13
 _ASYMPTOTIC_MAX_TERMS = 399
+# the truncation scan stops at terms below 1e-25 times the leading one
+_LOG_FLOOR = math.log(1e-25)
 # parabolic contour s(u) = mu (1 + iu)^2 sampled at u = 0, h, ..., (n-1) h;
 # with mu fixed, e^s s^(-beta) cancels too much beyond beta = 3 (rel. error
 # 7e-13 at beta = 3.5 against 7e-14 at 3).  h = 0.15 with the singularities
@@ -173,9 +176,8 @@ def _asymptotic_coeffs(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarra
     return _readonly(np.array(c)), _readonly(np.array(log_env))
 
 
-def _envelope(log_env, k, log_eta):
-    """exp(log_env - k log_eta), infinite once the exponent reaches 700."""
-    e = log_env - k * log_eta
+def _envelope(e):
+    """exp(e) for e = log_env - k log_eta, infinite once e reaches 700."""
     return np.where(e < 700.0, np.exp(np.minimum(e, 700.0)), math.inf)
 
 
@@ -184,14 +186,16 @@ def _truncation(log_env: np.ndarray, log_eta: float) -> tuple[int, int]:
 
     Returns (index of the last kept term, index of the term whose envelope
     estimates the error), both 0-based.  The envelope is scanned until it
-    rises tenfold above its running minimum or falls below 1e-25, and the
-    terms up to its first global minimum are kept: the reflection formula
-    makes |Gamma(beta - alpha*k)| oscillate, so the first local increase is
-    not the optimum.  The error term is the next envelope scanned, or the
-    minimum itself when the scan ended there.
+    rises tenfold above its running minimum or falls below 1e-25 times the
+    leading term's, and the terms up to its first global minimum are kept:
+    the reflection formula makes |Gamma(beta - alpha*k)| oscillate, so the
+    first local increase is not the optimum.  The error term is the next
+    envelope scanned, or the minimum itself when the scan ended there.
     """
-    env = _envelope(log_env, np.arange(1, log_env.size + 1), log_eta)
-    stops = np.flatnonzero((env > 10.0 * np.minimum.accumulate(env)) | (env < 1e-25))
+    e = log_env - np.arange(1, log_env.size + 1) * log_eta
+    env = _envelope(e)
+    # the floor is compared in logarithms: near eta = 1e300 envelopes underflow
+    stops = np.flatnonzero((env > 10.0 * np.minimum.accumulate(env)) | (e < e[0] + _LOG_FLOOR))
     n = int(stops[0]) + 1 if stops.size else env.size
     best = int(np.argmin(env[:n]))
     return best, best + 1 if best + 1 < n else best
@@ -222,7 +226,7 @@ def _asymptotic_array(
         for j in range(best - 1, -1, -1):
             p = p * w + c[j]
         val[idx] = p * w
-        err[idx] = _envelope(log_env[last], last + 1, log_e)
+        err[idx] = _envelope(log_env[last] - (last + 1) * log_e)
     return val, err
 
 
@@ -368,9 +372,15 @@ def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
     neg = np.flatnonzero(flat < 0.0)
     eta = -flat[neg]
     far = eta >= _ASYMPTOTIC_MIN_X**alpha
-    val, err = _asymptotic_array(alpha, beta, eta[far])
-    scale = np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 + eta[far]))
+    eta_far = eta[far]
+    val, err = _asymptotic_array(alpha, beta, eta_far)
+    scale = np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 + eta_far))
     ok = err <= _ASYMPTOTIC_REL_TOL * scale
+    if not ok.all() and eta_far[~ok].max() > _CONTOUR_MAX_ETA:
+        raise MLConvergenceError(
+            f"no evaluation regime reaches the accuracy target for E_({alpha},{beta})(z) "
+            f"at z = {-float(eta_far[~ok].max())}"
+        )
     out[neg[far][ok]] = val[ok]
     near = np.concatenate((neg[~far], neg[far][~ok]))
     fixed = _contour(alpha, beta, _CONTOUR_MU, _CONTOUR_H, _CONTOUR_NODES)

@@ -42,8 +42,9 @@ class ReconstructionReport:
     iterations: number of iterations actually performed.
     rel_l2_error: relative L2 error against ground truth when the caller
         supplied one, else None.
-    diagnostics: free-form scalar diagnostics (regularization parameters,
-        retained mode counts, bound constants).
+    diagnostics: free-form diagnostics (regularization parameters,
+        retained mode counts, bound constants; read-only arrays such as the
+        interior solve's singular values and filter factors).
     """
 
     recovered: Union[TimeSeries, SpectralField]

@@ -155,6 +155,11 @@ def sweep_cfg(values, metric="rel_l2_error"):
     return {"mode": "sweep", "sweep": spec}
 
 
+def interior_cfg(**solver):
+    return {"mode": "invert-g-interior", "alpha": 0.5, "N": 8, "n_steps": 16,
+            "omega": [0.1, 0.35], "solver": solver}
+
+
 @pytest.mark.parametrize(
     "cfg, key",
     [
@@ -164,8 +169,15 @@ def sweep_cfg(values, metric="rel_l2_error"):
         (sweep_cfg(["a", "b"]), "sweep.values"),
         (sweep_cfg([16, 32], metric="mode"), "sweep.metric"),
         ({"mode": ["forward"]}, "mode"),
+        (interior_cfg(m_max=0), "solver.m_max"),
+        (interior_cfg(K=0), "solver.K"),
+        (interior_cfg(beta=0), "solver.beta"),
+        (interior_cfg(tol=-1.0), "solver.tol"),
     ],
-    ids=["ml-number", "z-null", "z-list", "sweep-strings", "metric-mode", "mode-list"],
+    ids=[
+        "ml-number", "z-null", "z-list", "sweep-strings", "metric-mode", "mode-list",
+        "interior-m_max", "interior-K", "interior-beta", "interior-tol",
+    ],
 )
 def test_exit_code_malformed_config_value(tmp_path, capsys, cfg, key):
     assert run(write_cfg(tmp_path, "m.json", cfg)) == 3

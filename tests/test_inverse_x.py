@@ -272,6 +272,139 @@ def test_thresholding_beta_tradeoff():
     assert hi.residual_history[-1] > lo.residual_history[-1]
 
 
+def recursion(p, K):
+    """The damped iteration sweep by sweep: (g, residual history, sweeps)."""
+    import fracsource.inverse_x as inverse_x
+
+    op = inverse_x._InteriorOperator(p)
+    y = p.observed
+    b = op.adjoint(y)
+    g = np.zeros(p.domain.n_modes)
+    history = []
+    for m in range(1, p.m_max + 1):
+        resid = op.apply(g) - y
+        history.append(math.sqrt(float(op.w_omega @ (resid**2) @ op.t_weights)))
+        g_next = (K * g - (op.normal @ g - b)) / (K + p.beta)
+        step = float(np.linalg.norm(g_next - g))
+        g = g_next
+        if p.tol > 0.0 and step <= p.tol:
+            break
+    return g, history, m
+
+
+def noisy_interior_problem(**kw):
+    grid = TimeGrid(1.0, 64)
+    rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
+    g = make_g(DOM, "offset_bump", center_frac=0.6, width_frac=0.5)
+    p = interior_problem(g, rho, FractionalOrder(0.6))
+    noise = 1e-3 * np.random.default_rng(29).standard_normal(p.observed.shape)
+    return XSourceInteriorProblem(
+        rho, p.alpha, grid, DOM, p.omega, p.observed + noise, p.n_mesh, **kw
+    )
+
+
+@pytest.mark.parametrize("m_max", [1, 7, 200, 257])  # 257 crosses a block boundary
+def test_closed_form_matches_recursion(m_max):
+    p = noisy_interior_problem(beta=1e-8, m_max=m_max)
+    rep = iterative_thresholding(p)
+    assert rep.diagnostics["K"] == 1.1 * estimate_k(p)
+    g, history, sweeps = recursion(p, rep.diagnostics["K"])
+    assert rep.iterations == sweeps == m_max
+    assert np.linalg.norm(rep.recovered.coeffs - g) <= 1e-12 * np.linalg.norm(g)
+    assert len(rep.residual_history) == m_max
+    assert np.allclose(rep.residual_history, history, rtol=1e-12, atol=0.0)
+    assert all(b <= a for a, b in zip(rep.residual_history, rep.residual_history[1:]))
+
+
+@pytest.mark.parametrize(
+    "n_modes,omega,n_mesh,n_steps",
+    [
+        (8, (0.3, 0.36), 65, 64),  # 4 mesh points in omega for 8 modes
+        (24, (0.2, 0.7), 65, 8),  # n_steps + 1 < N
+        (24, (0.3, 0.32), 65, 8),  # 1 point x 9 nodes: fewer reduced rows than modes
+    ],
+)
+def test_closed_form_matches_recursion_on_small_set_ups(n_modes, omega, n_mesh, n_steps):
+    dom = Domain1D(1.0, n_modes)
+    grid = TimeGrid(1.0, n_steps)
+    rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
+    g_true = make_g(dom, "offset_bump", center_frac=0.6, width_frac=0.5)
+    p = interior_problem(g_true, rho, FractionalOrder(0.6), omega=omega, n_mesh=n_mesh,
+                         beta=1e-8, m_max=300)
+    rep = iterative_thresholding(p)
+    assert rep.diagnostics["singular_values"].size <= n_modes
+    g, history, _ = recursion(p, rep.diagnostics["K"])
+    assert np.linalg.norm(rep.recovered.coeffs - g) <= 1e-12 * np.linalg.norm(g)
+    assert np.allclose(rep.residual_history, history, rtol=1e-12, atol=0.0)
+
+
+def test_closed_form_tol_stops_at_the_same_sweep():
+    p = noisy_interior_problem(beta=1e-8, m_max=2000, tol=1e-4)
+    rep = iterative_thresholding(p)
+    g, history, sweeps = recursion(p, rep.diagnostics["K"])
+    assert 256 < sweeps < 2000
+    assert rep.iterations == sweeps
+    assert rep.diagnostics["final_step"] <= 1e-4
+    assert np.linalg.norm(rep.recovered.coeffs - g) <= 1e-12 * np.linalg.norm(g)
+    assert np.allclose(rep.residual_history, history, rtol=1e-12, atol=0.0)
+
+
+def test_divergence_raises_without_warnings():
+    import warnings
+
+    p = noisy_interior_problem(K=1e-12, beta=1e-15, m_max=10**5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            iterative_thresholding(p)
+
+
+def test_spectrum_diagnostics():
+    p = noisy_interior_problem(beta=1e-8, m_max=50)
+    d = iterative_thresholding(p).diagnostics
+    sigma, filters = d["singular_values"], d["filter_factors"]
+    assert sigma.shape == filters.shape == (DOM.n_modes,)
+    assert not sigma.flags.writeable and not filters.flags.writeable
+    assert np.all(np.diff(sigma) <= 0.0) and sigma[-1] >= 0.0
+    assert np.all((filters >= 0.0) & (filters < 1.0))
+    r = (d["K"] - sigma**2) / (d["K"] + d["beta"])
+    expect = (1.0 - r**50) * sigma**2 / (sigma**2 + d["beta"])
+    # 1 - r^50 cancels where r is near 1; the solver forms it by expm1
+    assert np.allclose(filters, expect, rtol=1e-6, atol=0.0)
+
+
+def test_operator_built_once_per_set_up(monkeypatch):
+    import fracsource.inverse_x as inverse_x
+
+    calls = []
+    original = inverse_x.solve_inhomogeneous
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(inverse_x, "solve_inhomogeneous", counting)
+    inverse_x._operator_cached.cache_clear()
+    p = noisy_interior_problem(beta=1e-8, m_max=20)
+    iterative_thresholding(p)
+    assert len(calls) == 1
+    # new data, K, beta, m_max and tol reuse the operator, as does estimate_k
+    again = XSourceInteriorProblem(
+        p.rho, p.alpha, p.grid, DOM, p.omega, 2.0 * p.observed, p.n_mesh,
+        K=1.0, beta=1e-6, m_max=5, tol=1e-9,
+    )
+    iterative_thresholding(again)
+    estimate_k(again)
+    assert len(calls) == 1
+    # a changed rho builds a new one
+    rho = TimeSeries(p.grid, p.rho.values * 1.5)
+    changed = XSourceInteriorProblem(
+        rho, p.alpha, p.grid, DOM, p.omega, p.observed, p.n_mesh, beta=1e-8, m_max=5
+    )
+    iterative_thresholding(changed)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # K estimation
 
@@ -296,8 +429,9 @@ def test_interior_adjoint_is_exact_transpose():
 
 def test_sweeps_solve_no_forward_problem(monkeypatch):
     # each reconstruction assembles its map once, whatever the number of
-    # sweeps: the fixed-point solve needs no forward solve, the interior
-    # solve one (its operator, also when K is estimated)
+    # sweeps: the fixed-point solve needs no forward solve, a cold interior
+    # solve one (its operator, also when K is estimated) and a repeat of
+    # its set-up none
     import fracsource.forward as forward
     import fracsource.inverse_t as inverse_t
     import fracsource.inverse_x as inverse_x
@@ -325,9 +459,13 @@ def test_sweeps_solve_no_forward_problem(monkeypatch):
         inverse_t.fixed_point_iterate(t_problem, m_max=m_max, tol=0.0)
         fixed_point = len(calls)
         del calls[:]
+        inverse_x._operator_cached.cache_clear()
         iterative_thresholding(x_problem)
         counts.append((fixed_point, len(calls)))
     assert counts == [(0, 1), (0, 1)]
+    del calls[:]
+    iterative_thresholding(x_problem)
+    assert calls == []
 
 
 def test_warm_solves_evaluate_no_mittag_leffler(monkeypatch):

@@ -261,3 +261,27 @@ print(json.dumps(out))
     )
     serial = [ml_eval(MLParams(0.5, 10.0), z) for z in zs]
     assert json.loads(res.stdout) == serial
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 1.0), (0.1, 1.1), (0.3, 2.5), (0.9, 1.9), (0.7, 3.0)])
+def test_array_path_far_arguments(a, b):
+    # at eta = -z >= 1e120 one term of the expansion is exact to round-off;
+    # the truncation floor follows the leading term, so no value reaches
+    # the contour and nothing overflows
+    import warnings
+
+    etas = np.array([1e120, 1e160, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = ml_eval_array(a, b, -etas)
+    ref = 1.0 / (math.gamma(b - a) * etas)
+    assert np.all(np.abs(vals - ref) <= 1e-13 * np.abs(ref))
+
+
+def test_array_path_refuses_contour_beyond_its_range(monkeypatch):
+    import fracsource.mlf as mlf
+
+    monkeypatch.setattr(mlf, "_ASYMPTOTIC_REL_TOL", -1.0)  # the expansion accepts nothing
+    assert np.isfinite(ml_eval_array(0.5, 1.0, [-1e6, -1e149])).all()
+    with pytest.raises(MLConvergenceError):
+        ml_eval_array(0.5, 1.0, [-1e6, -1e160])
