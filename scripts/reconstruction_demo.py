@@ -17,9 +17,9 @@ Usage: python3 scripts/reconstruction_demo.py
 
 import numpy as np
 
-from fracsource.cli import add_noise
+from fracsource.cli import perturb
 from fracsource.forward import observe_point, separated_source, solve_inhomogeneous
-from fracsource.fracops import FractionalOrder, TimeGrid
+from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries
 from fracsource.inverse_t import TSourceProblem, fixed_point_iterate, solve_volterra
 from fracsource.inverse_x import (
     XSourceFinalProblem,
@@ -45,7 +45,7 @@ def temporal_demo():
     u = solve_inhomogeneous(separated_source(g, rho_true), ALPHA, GRID)
     clean = observe_point(u, 0.3)
     for label, level, seed in [("clean", 0.0, 0), ("1% noise", 0.01, 7)]:
-        trace = add_noise(clean, level, seed)
+        trace = TimeSeries(GRID, perturb(clean.values, level, seed)[0])
         problem = TSourceProblem(g, 0.3, ALPHA, GRID, trace, noise_level=level)
         volt = solve_volterra(problem, mollify_width=5)
         fp = fixed_point_iterate(problem, m_max=50, mollify_width=5)

@@ -12,6 +12,7 @@ error, 4 solver error (including any non-finite result).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from .profiles import make_g, make_rho
 from .report import relative_l2
 from .spectral import Domain1D, SpectralField, eval_on_mesh
 
-__all__ = ["main", "run", "add_noise"]
+__all__ = ["main", "run", "perturb"]
 
 class ConfigError(ValueError):
     """Invalid configuration value; carries the offending key."""
@@ -37,7 +38,7 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def _perturb(x: np.ndarray, level: float, seed: int) -> tuple[np.ndarray, float]:
+def perturb(x: np.ndarray, level: float, seed: int) -> tuple[np.ndarray, float]:
     """x plus i.i.d. uniform noise of amplitude level * max|x|, and the noise norm."""
     if level < 0.0:
         raise ValueError("noise level must be >= 0")
@@ -46,13 +47,6 @@ def _perturb(x: np.ndarray, level: float, seed: int) -> tuple[np.ndarray, float]
     amp = level * float(np.max(np.abs(x)))
     bump = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, x.shape)
     return x + bump, float(np.linalg.norm(bump))
-
-
-def add_noise(series: TimeSeries, level: float, seed: int) -> TimeSeries:
-    """I.i.d. uniform perturbation of amplitude level * max|series|."""
-    if level == 0.0:
-        return series
-    return TimeSeries(series.grid, _perturb(series.values, level, seed)[0])
 
 
 def _fmt(v) -> str:
@@ -233,8 +227,8 @@ def _run_invert_rho(cfg: dict, variant: str):
     s = _solver(cfg)
     # only the trace is observed: one convolution, not a solve of every mode
     c, d = forward.trace_weights(g, x0, alpha, grid)
-    clean = TimeSeries(grid, product_rule_convolve(c, d, rho_true.values))
-    trace = add_noise(clean, level, seed)
+    clean = product_rule_convolve(c, d, rho_true.values)
+    trace = TimeSeries(grid, perturb(clean, level, seed)[0])
     problem = inverse_t.TSourceProblem(g, x0, alpha, grid, trace, noise_level=level)
     width = _int(s, "solver.mollify_width", 5, lo=1)
     if variant == "volterra":
@@ -278,7 +272,7 @@ def _run_invert_g_final(cfg: dict):
     s = _solver(cfg)
     # u(., T) has coefficients g_n B_n; the rest of the field is never observed
     b = inverse_x.modal_responses(rho, alpha, grid, domain)
-    coeffs, noise_norm = _perturb(g_true.coeffs * b, level, seed)
+    coeffs, noise_norm = perturb(g_true.coeffs * b, level, seed)
     final = SpectralField(domain, coeffs)
     delta = _num(s, "solver.delta", 0.0, lo=0.0)
     mu = _num(s, "solver.mu", None, lo=0.0)
@@ -326,7 +320,7 @@ def _run_invert_g_interior(cfg: dict):
     }
     u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
     clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
-    observed, _ = _perturb(clean, level, seed)
+    observed, _ = perturb(clean, level, seed)
     try:
         problem = inverse_x.XSourceInteriorProblem(
             rho, alpha, grid, domain, (omega[0], omega[1]), observed, n_mesh, **settings
@@ -389,8 +383,8 @@ def _run_sweep(cfg: dict):
         raise ConfigError("sweep.inner", "expected an inner config object")
 
     def one(v):
-        sub = dict(inner)
-        sub[key] = v
+        sub = copy.deepcopy(inner)
+        _set_path(sub, key, v)
         sub.pop("output", None)
         meta, _ = dispatch(sub)
         if metric not in meta:
@@ -444,6 +438,17 @@ def dispatch(cfg: dict):
     return MODES[mode](cfg)
 
 
+def _set_path(cfg: dict, key: str, value) -> None:
+    """Set cfg[a][b][c] = value for the dotted key 'a.b.c', making objects as needed."""
+    *path, last = key.split(".")
+    node = cfg
+    for part in path:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(key, "path crosses a non-object value")
+    node[last] = value
+
+
 def _apply_override(cfg: dict, item: str) -> None:
     if "=" not in item:
         raise ConfigError("--override", f"expected key=value, got {item!r}")
@@ -452,13 +457,7 @@ def _apply_override(cfg: dict, item: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(key, "override path crosses a non-object value")
-    node[parts[-1]] = value
+    _set_path(cfg, key, value)
 
 
 def run(config_path: str, overrides=()) -> int:

@@ -13,6 +13,8 @@ integrated in closed form over each subinterval via the antiderivatives
 so only the source is interpolated.  The scheme is exact for sources
 that are linear in time and stays accurate even when lambda tau^alpha
 is of order one, where sampling the kernel on the nodes would not be.
+The weights of all modes form one (N, n) table per (domain, alpha, grid),
+which every solver indexes (one mode) or contracts (a sum over modes).
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "duhamel_residual",
     "observe_point",
     "modal_kernel_weights",
-    "summed_kernel_weights",
     "trace_weights",
     "ml_on_nodes",
 ]
@@ -67,64 +68,49 @@ def ml_on_nodes(alpha: float, beta: float, lam: float, t: np.ndarray) -> np.ndar
     return ml_eval_array(alpha, beta, -lam * np.asarray(t, dtype=float) ** alpha)
 
 
-@lru_cache(maxsize=4096)
-def _kernel_weights_cached(
-    lam: float, alpha: float, total_time: float, n_steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    t = np.linspace(0.0, total_time, n_steps + 1)
-    tau = total_time / n_steps
-    # antiderivative of the kernel and its own antiderivative at the nodes
-    k0 = t**alpha * ml_on_nodes(alpha, alpha + 1.0, lam, t)
-    k2 = t ** (alpha + 1.0) * ml_on_nodes(alpha, alpha + 2.0, lam, t)
-    m0 = np.diff(k0)
-    m1 = tau * k0[1:] - np.diff(k2)
-    c = m0 - m1 / tau
-    d = m1 / tau
+@lru_cache(maxsize=8)
+def _kernel_table(domain: Domain1D, alpha: float, grid: TimeGrid) -> tuple[np.ndarray, ...]:
+    t = grid.nodes()
+    tau = grid.tau
+    c = np.empty((domain.n_modes, grid.n_steps))
+    d = np.empty_like(c)
+    for i, lam in enumerate(domain.eigenvalues()):
+        # antiderivative of the kernel and its own antiderivative at the nodes
+        k0 = t**alpha * ml_on_nodes(alpha, alpha + 1.0, lam, t)
+        k2 = t ** (alpha + 1.0) * ml_on_nodes(alpha, alpha + 2.0, lam, t)
+        d[i] = (tau * k0[1:] - np.diff(k2)) / tau
+        c[i] = np.diff(k0) - d[i]
     c.flags.writeable = False
     d.flags.writeable = False
     return c, d
 
 
 def modal_kernel_weights(
-    lam: float, alpha: FractionalOrder, grid: TimeGrid
+    domain: Domain1D, alpha: FractionalOrder, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weight pairs (c, d) of the product rule with exact kernel moments.
+    """Product-rule weights (C, D) of every mode, as read-only (N, n) tables.
 
-    For piecewise-linear nodal data f,
-    int_0^{t_k} s^(a-1) E_{a,a}(-lam s^a) f(t_k - s) ds
-        = sum_{j<k} (c_j f_{k-j} + d_j f_{k-j-1})
-    holds exactly whenever f is globally linear.
+    Row n holds the weights of mode n with exact kernel moments: for
+    piecewise-linear nodal data f,
+    int_0^{t_k} s^(a-1) E_{a,a}(-lambda_n s^a) f(t_k - s) ds
+        = sum_{j<k} (C_nj f_{k-j} + D_nj f_{k-j-1})
+    holds exactly whenever f is globally linear.  (w @ C, w @ D) are the
+    weights of the mode sum sum_n w_n K_n.
     """
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    return _kernel_weights_cached(float(lam), alpha.alpha, grid.total_time, grid.n_steps)
-
-
-def summed_kernel_weights(
-    weights: np.ndarray, domain: Domain1D, alpha: FractionalOrder, grid: TimeGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product-rule weights sum_n w_n (c_n, d_n) over the modes with w_n != 0.
-
-    product_rule_convolve with them maps rho to sum_n w_n (K_n rho), where
-    K_n rho is mode n of the solution driven by phi_n rho; w_n = g_n phi_n(x0)
-    gives the trace u(x0, .) of the source g rho in one convolution.
-    """
-    lam = domain.eigenvalues()
-    c_tot = np.zeros(grid.n_steps)
-    d_tot = np.zeros(grid.n_steps)
-    for i in np.flatnonzero(weights):
-        c, d = modal_kernel_weights(lam[i], alpha, grid)
-        c_tot += weights[i] * c
-        d_tot += weights[i] * d
-    return c_tot, d_tot
+    return _kernel_table(domain, alpha.alpha, grid)
 
 
 def trace_weights(
     g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Product-rule weights of the trace map rho -> u(x0, .) for the source g rho."""
+    """Product-rule weights of the trace map rho -> u(x0, .) for the source g rho.
+
+    product_rule_convolve with them maps rho to sum_n g_n phi_n(x0) (K_n rho),
+    where K_n rho is mode n of the solution driven by phi_n rho.
+    """
     w = g.coeffs * g.domain.eigenfunctions(x0)[:, 0]
-    return summed_kernel_weights(w, g.domain, alpha, grid)
+    c, d = modal_kernel_weights(g.domain, alpha, grid)
+    return w @ c, w @ d
 
 
 def solve_homogeneous(
@@ -152,13 +138,9 @@ def solve_inhomogeneous(
     if source.grid != grid:
         raise ValueError("source grid does not match the requested output grid")
     modal = np.zeros_like(source.modal_values)
-    lam = source.domain.eigenvalues()
-    for i in range(source.domain.n_modes):
-        row = source.modal_values[i]
-        if not np.any(row):
-            continue
-        c, d = modal_kernel_weights(lam[i], alpha, grid)
-        modal[i] = product_rule_convolve(c, d, row)
+    c, d = modal_kernel_weights(source.domain, alpha, grid)
+    for i in np.flatnonzero(np.any(source.modal_values, axis=1)):
+        modal[i] = product_rule_convolve(c[i], d[i], source.modal_values[i])
     return EvolutionField(source.domain, grid, modal)
 
 

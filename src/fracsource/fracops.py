@@ -1,8 +1,8 @@
 """Discrete fractional calculus on a uniform time grid.
 
-Provides the L1 scheme for the Caputo derivative, forward and backward
-Riemann-Liouville integrals, and a product-trapezoidal quadrature for
-weakly singular convolutions.  The singular weight s^(p-1) is always
+Provides the L1 scheme for the Caputo derivative, the Riemann-Liouville
+integral from 0, and a product-trapezoidal quadrature for weakly
+singular convolutions.  The singular weight s^(p-1) is always
 integrated in closed form against piecewise-linear data, which makes
 every operator second-order accurate on smooth inputs.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "TimeSeries",
     "caputo_l1",
     "rl_integral_forward",
-    "rl_integral_backward",
     "product_rule_convolve",
     "weakly_singular_convolve",
 ]
@@ -72,9 +71,6 @@ class TimeSeries:
                 f"values must have length {self.grid.n_steps + 1}, got shape {v.shape}"
             )
         object.__setattr__(self, "values", v)
-
-    def reversed(self) -> "TimeSeries":
-        return TimeSeries(self.grid, self.values[::-1].copy())
 
 
 def caputo_l1(f: TimeSeries, alpha: FractionalOrder) -> TimeSeries:
@@ -144,8 +140,3 @@ def rl_integral_forward(f: TimeSeries, order: float) -> TimeSeries:
     ones = TimeSeries(f.grid, np.ones(f.grid.n_steps + 1))
     out = weakly_singular_convolve(order, ones, f)
     return TimeSeries(f.grid, out.values / math.gamma(order))
-
-
-def rl_integral_backward(f: TimeSeries, order: float) -> TimeSeries:
-    """Riemann-Liouville integral from T, as time reversal of the forward one."""
-    return rl_integral_forward(f.reversed(), order).reversed()

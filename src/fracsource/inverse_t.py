@@ -12,10 +12,11 @@ equation (L1 derivative on the trace, exact kernel moments in the
 convolution) and runs forward substitution; the fixed-point solver
 repeatedly corrects rho by the fractional derivative of the trace
 mismatch, damped by a bound K on the homogeneous trace.  Both apply the
-trace map as one product-rule convolution whose weights sum the modes
-once, so no sweep solves the forward problem; the fixed-point sweep folds
-the L1 derivative into that convolution, and the bound K comes from the
-Volterra weights without a homogeneous solve.
+trace map as one product-rule convolution whose weights contract the
+forward kernel-weight table over the modes once, so no sweep solves the
+forward problem; the fixed-point sweep folds the L1 derivative into that
+convolution, and the bound K comes from the Volterra weights without a
+homogeneous solve.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, NonZeroInitialTraceError, PointDegenerateError
-from .forward import summed_kernel_weights, trace_weights
+from .forward import trace_weights
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
 from .report import ReconstructionReport
 from .spectral import SpectralField, eval_at
@@ -99,12 +100,11 @@ def _volterra_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product-rule weights of rho -> int_0^t Q(x0, s) rho(t - s) ds.
 
-    They come from the exact kernel moments, so the map agrees with the
-    forward solver.
+    Q(x0, .) is the trace kernel of the source -Lap g, so the map is the
+    forward solver's trace map for that source.
     """
-    dom = g.domain
-    w = dom.eigenvalues() * g.coeffs * dom.eigenfunctions(x0)[:, 0]
-    return summed_kernel_weights(w, dom, alpha, grid)
+    lap_g = SpectralField(g.domain, g.domain.eigenvalues() * g.coeffs)
+    return trace_weights(lap_g, x0, alpha, grid)
 
 
 def _homogeneous_trace(

@@ -3,8 +3,9 @@
 Two data settings are covered.  From final-time data u(., T) each mode
 decouples: the coefficient g_n is multiplied by the scalar response
 B_n = int_0^T s^(alpha-1) E_alpha,alpha(-lambda_n s^alpha) rho(T-s) ds,
-so g is recovered by regularized division (Tikhonov weight mu, hard
-cutoff delta on |B_n|).  From interior data y on omega x (0, T) the
+all of which come from one product of the forward kernel-weight table
+with rho, so g is recovered by regularized division (Tikhonov weight mu,
+hard cutoff delta on |B_n|).  From interior data y on omega x (0, T) the
 damped iteration
 
     g_{m+1} = K/(K+beta) g_m - 1/(K+beta) A^T W (A g_m - y)
@@ -44,7 +45,7 @@ from .spectral import Domain1D, SpectralField, simpson_weights
 __all__ = [
     "XSourceFinalProblem",
     "XSourceInteriorProblem",
-    "modal_response",
+    "modal_responses",
     "reconstruct_final",
     "choose_mu_discrepancy",
     "iterative_thresholding",
@@ -99,6 +100,8 @@ class XSourceInteriorProblem:
             raise ValueError("rho grid does not match the problem grid")
         obs = np.asarray(self.observed, dtype=float)
         n_pts = int(np.count_nonzero(self._omega_mask()))
+        if n_pts == 0:
+            raise ValueError(f"omega {self.omega} holds no point of the {self.n_mesh}-point mesh")
         if obs.shape != (n_pts, self.grid.n_steps + 1):
             raise ValueError(
                 f"observed must have shape ({n_pts}, {self.grid.n_steps + 1}), got {obs.shape}"
@@ -122,20 +125,13 @@ def observe_interior(
     return phi.T @ u.modal_values
 
 
-def modal_response(
-    lam: float, rho: TimeSeries, alpha: FractionalOrder, grid: TimeGrid
-) -> float:
-    """Scalar multiplier B_n taking g-coefficient n to final-data coefficient n."""
-    c, d = modal_kernel_weights(lam, alpha, grid)
-    n = grid.n_steps
-    return float(c @ rho.values[n:0:-1] + d @ rho.values[n - 1 :: -1])
-
-
 def modal_responses(
     rho: TimeSeries, alpha: FractionalOrder, grid: TimeGrid, domain: Domain1D
 ) -> np.ndarray:
     """All B_n: final-data coefficient n of the source g rho is g_n B_n."""
-    return np.array([modal_response(lam, rho, alpha, grid) for lam in domain.eigenvalues()])
+    c, d = modal_kernel_weights(domain, alpha, grid)
+    n = grid.n_steps
+    return c @ rho.values[n:0:-1] + d @ rho.values[n - 1 :: -1]
 
 
 def _modal_responses(problem: XSourceFinalProblem) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fracsource.cli import _fmt, add_noise, main, run, write_result
-from fracsource.fracops import TimeGrid, TimeSeries
+from fracsource.cli import _fmt, main, perturb, run, write_result
+from fracsource.fracops import TimeGrid
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -279,18 +279,62 @@ def test_output_override_and_newlines(tmp_path):
 
 
 def test_add_noise_properties():
-    grid = TimeGrid(1.0, 64)
-    base = TimeSeries(grid, np.sin(grid.nodes()))
-    assert add_noise(base, 0.0, 1) is base
-    n1 = add_noise(base, 0.01, 42).values
-    n2 = add_noise(base, 0.01, 42).values
+    base = np.sin(TimeGrid(1.0, 64).nodes())
+    same, zero_norm = perturb(base, 0.0, 1)
+    assert same is base and zero_norm == 0.0
+    n1, norm1 = perturb(base, 0.01, 42)
+    n2, _ = perturb(base, 0.01, 42)
     assert np.array_equal(n1, n2)
-    n3 = add_noise(base, 0.01, 43).values
+    n3, _ = perturb(base, 0.01, 43)
     assert not np.array_equal(n1, n3)
-    amp = 0.01 * float(np.max(np.abs(base.values)))
-    assert np.max(np.abs(n1 - base.values)) <= amp
+    amp = 0.01 * float(np.max(np.abs(base)))
+    assert np.max(np.abs(n1 - base)) <= amp
+    assert norm1 == pytest.approx(float(np.linalg.norm(n1 - base)), rel=1e-12)
     with pytest.raises(ValueError):
-        add_noise(base, -0.1, 0)
+        perturb(base, -0.1, 0)
+
+
+def g_final_cfg(**extra):
+    return dict({"mode": "invert-g-final", "alpha": 0.5, "N": 16, "n_steps": 64}, **extra)
+
+
+def test_sweep_sets_dotted_keys(tmp_path):
+    # each row is the run with that solver.mu, not the default run repeated
+    mus = [1e-8, 1e-4, 0.1]
+    cfg = {"mode": "sweep", "sweep": {"key": "solver.mu", "values": mus, "inner": g_final_cfg()}}
+    assert run(write_cfg(tmp_path, "s.json", cfg)) == 0
+    lines = open(tmp_path / "s.csv", encoding="utf-8").read().splitlines()
+    assert lines[3] == "solver.mu,rel_l2_error,slope"
+    swept = [float(line.split(",")[1]) for line in lines[4:]]
+    alone = []
+    for i, mu in enumerate(mus):
+        assert run(write_cfg(tmp_path, f"a{i}.json", g_final_cfg(solver={"mu": mu}))) == 0
+        alone.append(float(read_meta(str(tmp_path / f"a{i}.csv"))["rel_l2_error"]))
+    assert swept == alone
+    assert len(set(swept)) == 3
+
+
+def test_sweep_leaves_its_inner_config_alone():
+    import copy
+
+    import fracsource.cli as cli
+
+    inner = g_final_cfg(rho={"profile": "affine"}, solver={"delta": 0.0})
+    cfg = {"mode": "sweep", "sweep": {"key": "rho.params.slope", "values": [0.5, 2.0],
+                                      "inner": inner}}
+    before = copy.deepcopy(cfg)
+    _, cols = cli.dispatch(cfg)
+    assert cfg == before
+    assert cols["rel_l2_error"].shape == (2,)
+
+
+@pytest.mark.parametrize("solver", [{}, {"K": 1}], ids=["default-K", "K-set"])
+def test_exit_code_omega_without_mesh_points(tmp_path, capsys, solver):
+    cfg = {"mode": "invert-g-interior", "alpha": 0.5, "N": 16, "n_steps": 64,
+           "omega": [0.501, 0.502], "solver": solver}
+    assert run(write_cfg(tmp_path, "w.json", cfg)) == 3
+    assert "config key 'omega'" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_write_result_float_columns_match_per_value_format(tmp_path):

@@ -14,7 +14,7 @@ from fracsource.forward import (
     separated_source,
     solve_homogeneous,
     solve_inhomogeneous,
-    summed_kernel_weights,
+    trace_weights,
 )
 from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries, product_rule_convolve
 from fracsource.spectral import Domain1D, SpectralField, sobolev_norm
@@ -95,9 +95,35 @@ def test_inhomogeneous_classical_limit():
     assert np.max(np.abs(u.modal_values[0] - exact)) < 2e-3
 
 
-def test_kernel_weights_validation():
-    with pytest.raises(ValueError):
-        modal_kernel_weights(-1.0, FractionalOrder(0.5), TimeGrid(1.0, 4))
+def per_mode_weights(lam, alpha, grid):
+    """The product-rule weight pair of one eigenvalue, computed on its own."""
+    t = np.linspace(0.0, grid.total_time, grid.n_steps + 1)
+    tau = grid.total_time / grid.n_steps
+    k0 = t**alpha * ml_on_nodes(alpha, alpha + 1.0, lam, t)
+    k2 = t ** (alpha + 1.0) * ml_on_nodes(alpha, alpha + 2.0, lam, t)
+    m0 = np.diff(k0)
+    m1 = tau * k0[1:] - np.diff(k2)
+    return m0 - m1 / tau, m1 / tau
+
+
+@pytest.mark.parametrize(
+    "dom,alpha,grid",
+    [
+        (DOM, 0.5, TimeGrid(1.0, 64)),
+        (Domain1D(2.5, 5), 0.15, TimeGrid(0.3, 17)),
+        (Domain1D(1.0, 33), 0.93, TimeGrid(2.0, 256)),
+    ],
+)
+def test_kernel_table_rows_are_the_per_mode_weights(dom, alpha, grid):
+    c, d = modal_kernel_weights(dom, FractionalOrder(alpha), grid)
+    assert c.shape == d.shape == (dom.n_modes, grid.n_steps)
+    for i, lam in enumerate(dom.eigenvalues()):
+        ci, di = per_mode_weights(lam, alpha, grid)
+        assert np.array_equal(c[i], ci) and np.array_equal(d[i], di)
+    assert not c.flags.writeable and not d.flags.writeable
+    # one table per set-up: a repeat fetch returns the same arrays
+    again = modal_kernel_weights(dom, FractionalOrder(alpha), grid)
+    assert again[0] is c and again[1] is d
 
 
 def test_duhamel_zero_rho():
@@ -137,7 +163,7 @@ def test_summed_weights_give_the_point_trace():
     t = grid.nodes()
     rho = TimeSeries(grid, 1.0 + np.sin(3.0 * t) + 0.3 * t**2)
     x0 = 0.37
-    c, d = summed_kernel_weights(g.coeffs * DOM.eigenfunctions(x0)[:, 0], DOM, a, grid)
+    c, d = trace_weights(g, x0, a, grid)
     trace = product_rule_convolve(c, d, rho.values)
     ref = observe_point(solve_inhomogeneous(separated_source(g, rho), a, grid), x0).values
     assert np.max(np.abs(trace - ref)) <= 1e-13 * np.max(np.abs(ref))

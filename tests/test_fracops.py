@@ -13,7 +13,6 @@ from fracsource.fracops import (
     TimeSeries,
     caputo_l1,
     product_rule_convolve,
-    rl_integral_backward,
     rl_integral_forward,
     weakly_singular_convolve,
 )
@@ -90,20 +89,6 @@ def test_rl_forward_order_one_is_trapezoid():
     tau = f.grid.tau
     trap = np.concatenate(([0.0], np.cumsum((v[1:] + v[:-1]) * tau / 2.0)))
     assert np.max(np.abs(out.values - trap)) < 1e-14
-
-
-def test_rl_backward_closed_form_and_reversal():
-    grid = TimeGrid(2.0, 128)
-    ones = TimeSeries(grid, np.ones(129))
-    t = grid.nodes()
-    for a in (0.4, 1.0):
-        out = rl_integral_backward(ones, a)
-        exact = (grid.total_time - t) ** a / math.gamma(a + 1.0)
-        assert rel_err(out.values[::-1], exact[::-1]) < 1e-12
-    f = TimeSeries(grid, np.sin(t) + t**2)
-    back = rl_integral_backward(f, 0.6)
-    manual = rl_integral_forward(f.reversed(), 0.6).reversed()
-    assert np.array_equal(back.values, manual.values)
 
 
 def test_convolve_validation():

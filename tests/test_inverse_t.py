@@ -59,9 +59,9 @@ def test_volterra_weights_single_mode():
     x0 = 0.3
     c, d = _volterra_weights(mode(0), x0, a, grid)
     w = LAM[0] * DOM.eigenfunctions(x0)[0, 0]
-    c1, d1 = modal_kernel_weights(LAM[0], a, grid)
-    np.testing.assert_allclose(c, w * c1, rtol=1e-15, atol=0.0)
-    np.testing.assert_allclose(d, w * d1, rtol=1e-15, atol=0.0)
+    c1, d1 = modal_kernel_weights(DOM, a, grid)
+    np.testing.assert_allclose(c, w * c1[0], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(d, w * d1[0], rtol=1e-15, atol=0.0)
 
 
 def test_volterra_weights_zero():

@@ -19,7 +19,6 @@ from fracsource.inverse_x import (
     choose_mu_discrepancy,
     estimate_k,
     iterative_thresholding,
-    modal_response,
     modal_responses,
     observe_interior,
     reconstruct_final,
@@ -45,8 +44,8 @@ def test_modal_response_constant_rho_identity():
     grid = TimeGrid(1.0, 256)
     a = FractionalOrder(0.5)
     rho = make_rho(grid, "constant")
-    for lam in LAM[:4]:
-        b = modal_response(lam, rho, a, grid)
+    bs = modal_responses(rho, a, grid, DOM)
+    for lam, b in zip(LAM[:4], bs):
         exact = (1.0 - ml_on_nodes(0.5, 1.0, lam, np.array([1.0]))[0]) / lam
         assert b == pytest.approx(exact, rel=1e-12)
         alt = ml_on_nodes(0.5, 1.5, lam, np.array([1.0]))[0]
@@ -57,10 +56,13 @@ def test_modal_response_zero_rho_and_decay():
     grid = TimeGrid(1.0, 64)
     a = FractionalOrder(0.5)
     zero = TimeSeries(grid, np.zeros(65))
-    assert modal_response(LAM[0], zero, a, grid) == 0.0
+    assert np.all(modal_responses(zero, a, grid, DOM) == 0.0)
     rho = make_rho(grid, "constant")
-    bs = [modal_response(lam, rho, a, grid) for lam in LAM]
-    assert np.array_equal(modal_responses(rho, a, grid, DOM), np.array(bs))
+    bs = modal_responses(rho, a, grid, DOM)
+    # B_n is the final coefficient of mode n driven by phi_n rho
+    ones = SpectralField(DOM, np.ones(DOM.n_modes))
+    final = solve_inhomogeneous(separated_source(ones, rho), a, grid).modal_values[:, -1]
+    np.testing.assert_allclose(bs, final, rtol=1e-12, atol=0.0)
     assert all(b > 0.0 for b in bs)
     assert all(b2 < b1 for b1, b2 in zip(bs, bs[1:]))
 
@@ -147,7 +149,8 @@ def test_choose_mu_builds_responses_once(monkeypatch):
     monkeypatch.setattr(inverse_x, "modal_kernel_weights", counting)
     grid, a, rho, data, noise_norm = noisy_final_case()
     choose_mu_discrepancy(rho, a, grid, data, 0.0, noise_norm)
-    assert len(calls) == DOM.n_modes
+    # one fetch of the whole table, not one per mode
+    assert calls == [DOM]
 
 
 def test_choose_mu_equals_per_step_reconstruction():
@@ -213,6 +216,22 @@ def test_interior_problem_validation():
         interior_problem(g, rho, a, omega=(0.0, 0.5))
     with pytest.raises(ValueError):
         XSourceInteriorProblem(rho, a, grid, DOM, (0.1, 0.35), np.zeros((3, 3)), 65)
+
+
+@pytest.mark.parametrize("k", [None, 1.0])
+def test_interior_problem_rejects_omega_without_mesh_points(k):
+    # (0.501, 0.502) falls between the points 0.5 and 0.50390625 of a
+    # 257-point mesh; the data then have no rows and g = 0 would "fit" them
+    grid = TimeGrid(1.0, 16)
+    rho = make_rho(grid, "constant")
+    a = FractionalOrder(0.5)
+    with pytest.raises(ValueError, match="no point"):
+        XSourceInteriorProblem(
+            rho, a, grid, DOM, (0.501, 0.502), np.zeros((0, 17)), 257, K=k
+        )
+    # the neighbouring interval holding one mesh point is still a problem
+    p = interior_problem(make_g(DOM, "sine_bump"), rho, a, omega=(0.499, 0.501), n_mesh=257)
+    assert p.observed.shape == (1, 17)
 
 
 def test_thresholding_zero_fixed_point():
