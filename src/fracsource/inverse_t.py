@@ -9,14 +9,14 @@ whose kernel Q(x0, s) = s^(alpha-1) sum_n lambda_n E_alpha,alpha
 (-lambda_n s^alpha) (g, phi_n) phi_n(x0) shares its singular structure
 with the forward relaxation kernel.  The direct solver discretizes this
 equation (L1 derivative on the trace, exact kernel moments in the
-convolution) and runs forward substitution; the fixed-point solver
-repeatedly corrects rho by the fractional derivative of the trace
-mismatch, damped by a bound K on the homogeneous trace.  Both apply the
-trace map as one product-rule convolution whose weights contract the
-forward kernel-weight table over the modes once, so no sweep solves the
-forward problem; the fixed-point sweep folds the L1 derivative into that
-convolution, and the bound K comes from the Volterra weights without a
-homogeneous solve.
+convolution) and convolves the data with the discrete resolvent of that
+lower-triangular Toeplitz system; the fixed-point solver repeatedly
+corrects rho by the fractional derivative of the trace mismatch, damped
+by a bound K on the homogeneous trace.  Both apply the trace map as one
+product-rule convolution whose weights contract the forward kernel-weight
+table over the modes once, so no sweep solves the forward problem; the
+fixed-point sweep folds the L1 derivative into that convolution, and the
+bound K comes from the Volterra weights without a homogeneous solve.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .spectral import SpectralField, eval_at
 __all__ = [
     "EPS_POINT",
     "TSourceProblem",
-    "AdmissibleDiagnostics",
     "solve_volterra",
     "fixed_point_iterate",
     "lipschitz_certificate",
@@ -71,14 +70,6 @@ class TSourceProblem:
             raise NonZeroInitialTraceError(
                 f"trace(0) = {self.trace.values[0]} violates zero initial data"
             )
-
-
-@dataclass(frozen=True)
-class AdmissibleDiagnostics:
-    """Sign-change count and C1-bound surrogate of a temporal factor."""
-
-    sign_changes: int
-    c1_bound: float
 
 
 def mollify(f: TimeSeries, width: int) -> TimeSeries:
@@ -129,31 +120,40 @@ def _extrapolate_node0(values: np.ndarray) -> None:
         values[0] = values[1]
 
 
+def _series_reciprocal(t: np.ndarray) -> np.ndarray:
+    """The power series 1/t(z) to order len(t), by Newton doubling r <- r (2 - t r).
+
+    With r exact to order m, the error t r - 1 starts at order m, and r
+    times it corrects orders m..2m-1 (cut at len(t) in the last step).
+    """
+    r = np.array([1.0 / t[0]])
+    while r.shape[0] < t.shape[0]:
+        m = r.shape[0]
+        k = min(m, t.shape[0] - m)
+        err = np.convolve(t[: m + k], r)[m : m + k]
+        r = np.concatenate((r, -np.convolve(r[:k], err)[:k]))
+    return r
+
+
 def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> ReconstructionReport:
-    """Direct reconstruction of rho by forward substitution.
+    """Direct reconstruction of rho by the discrete resolvent.
 
     The trace is differentiated with the L1 scheme (premollified when the
-    problem declares a positive noise level) and the convolution term is
-    moved to the left-hand side node by node.
+    problem declares a positive noise level).  With the convolution term on
+    the left, the system for rho at t_1..t_n is lower-triangular Toeplitz:
+    its inverse convolves with the reciprocal series of its first column.
     """
     gx0 = eval_at(problem.g, problem.x0)
     if abs(gx0) < EPS_POINT:
         raise PointDegenerateError(
             f"|g(x0)| = {abs(gx0)} is below the usable threshold {EPS_POINT}"
         )
-    trace = problem.trace
-    if problem.noise_level > 0.0:
-        trace = mollify(trace, mollify_width)
+    trace = mollify(problem.trace, mollify_width if problem.noise_level > 0.0 else 1)
     psi = caputo_l1(trace, problem.alpha).values
     c, d = _volterra_weights(problem.g, problem.x0, problem.alpha, problem.grid)
-    n = problem.grid.n_steps
-    rho = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        acc = psi[k] + d[: k] @ rho[k - 1 :: -1]
-        if k > 1:
-            acc += c[1:k] @ rho[k - 1 : 0 : -1]
-        rho[k] = acc / (gx0 - c[0])
-    # discrete residual of the solved system (forward substitution is exact)
+    r = _series_reciprocal(np.concatenate(([gx0], -d[:-1])) - c)
+    rho = np.concatenate(([0.0], np.convolve(r, psi[1:])[: r.shape[0]]))
+    # discrete residual of the original system: it checks the resolvent solve
     resid = float(np.max(np.abs(gx0 * rho - psi - product_rule_convolve(c, d, rho))[1:]))
     _extrapolate_node0(rho)
     return ReconstructionReport(
@@ -192,9 +192,7 @@ def fixed_point_iterate(
         raise ValueError(
             f"K = {K} is below the homogeneous-trace bound {k_bound}"
         )
-    trace = problem.trace
-    if problem.noise_level > 0.0:
-        trace = mollify(trace, mollify_width)
+    trace = mollify(problem.trace, mollify_width if problem.noise_level > 0.0 else 1)
     c, d = trace_weights(problem.g, problem.x0, alpha, grid)
 
     def derivative_of_trace(f: np.ndarray) -> np.ndarray:
@@ -281,10 +279,9 @@ def lipschitz_certificate(
     return min(ratios), max(ratios)
 
 
-def count_sign_changes(rho: TimeSeries, zero_tol: float = 0.0) -> AdmissibleDiagnostics:
-    """Strict sign alternations among samples above the zero threshold."""
+def count_sign_changes(rho: TimeSeries, zero_tol: float = 0.0) -> tuple[int, float]:
+    """Strict sign alternations above the zero threshold, and the C1 bound max |rho|, |rho'|."""
     v = rho.values[np.abs(rho.values) > zero_tol]
     changes = int(np.sum(np.sign(v[1:]) != np.sign(v[:-1]))) if v.size > 1 else 0
     slope = np.diff(rho.values) / rho.grid.tau
-    bound = float(max(np.max(np.abs(rho.values)), np.max(np.abs(slope))))
-    return AdmissibleDiagnostics(sign_changes=changes, c1_bound=bound)
+    return changes, float(max(np.max(np.abs(rho.values)), np.max(np.abs(slope))))

@@ -188,14 +188,17 @@ def choose_mu_discrepancy(
 
     The discrepancy grows monotonically with mu, so a log-scale bisection
     finds the weight at which the reconstruction stops fitting the noise.
-    The modal responses do not depend on mu and are built once.
+    b, b u_T and b^2 do not depend on mu and are formed once.
     """
     if noise_norm <= 0.0:
         return 1e-10
     b, keep = _modal_responses(XSourceFinalProblem(rho, alpha, grid, final_data, cutoff))
+    u = final_data.coeffs
+    bu, b2 = b * u, b**2
 
-    def disc(mu: float) -> float:
-        return _tikhonov_fit(b, keep, final_data.coeffs, mu)[1]
+    def disc(mu: float) -> float:  # _tikhonov_fit's arithmetic, bit for bit
+        r = np.where(keep, bu / (b2 + mu) * b, 0.0) - u
+        return math.sqrt(float(r @ r))
 
     if disc(lo) >= noise_norm:
         return lo
