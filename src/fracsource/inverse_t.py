@@ -148,7 +148,9 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
         raise PointDegenerateError(
             f"|g(x0)| = {abs(gx0)} is below the usable threshold {EPS_POINT}"
         )
-    trace = mollify(problem.trace, mollify_width if problem.noise_level > 0.0 else 1)
+    trace = problem.trace
+    if problem.noise_level > 0.0:
+        trace = mollify(trace, mollify_width)
     psi = caputo_l1(trace, problem.alpha).values
     c, d = _volterra_weights(problem.g, problem.x0, problem.alpha, problem.grid)
     r = _series_reciprocal(np.concatenate(([gx0], -d[:-1])) - c)
@@ -192,7 +194,9 @@ def fixed_point_iterate(
         raise ValueError(
             f"K = {K} is below the homogeneous-trace bound {k_bound}"
         )
-    trace = mollify(problem.trace, mollify_width if problem.noise_level > 0.0 else 1)
+    trace = problem.trace
+    if problem.noise_level > 0.0:
+        trace = mollify(trace, mollify_width)
     c, d = trace_weights(problem.g, problem.x0, alpha, grid)
 
     def derivative_of_trace(f: np.ndarray) -> np.ndarray:

@@ -150,18 +150,19 @@ def _modal_responses(problem: XSourceFinalProblem) -> tuple[np.ndarray, np.ndarr
 
 
 def _tikhonov_fit(
-    b: np.ndarray, keep: np.ndarray, u_t: np.ndarray, mu: float
+    b: np.ndarray, bu: np.ndarray, b2: np.ndarray, keep: np.ndarray, u_t: np.ndarray, mu: float
 ) -> tuple[np.ndarray, float]:
-    """Regularized coefficients and the discrepancy ||g B - u_T|| they leave."""
-    g = np.zeros(u_t.shape[0])
-    g[keep] = b[keep] * u_t[keep] / (b[keep] ** 2 + mu)
-    return g, float(np.linalg.norm(g * b - u_t))
+    """Regularized coefficients and their discrepancy ||g B - u_T||; bu = B u_T, b2 = B^2."""
+    g = np.divide(bu, b2 + mu, out=np.zeros(u_t.shape[0]), where=keep)
+    r = g * b - u_t
+    return g, math.sqrt(float(r @ r))
 
 
 def reconstruct_final(problem: XSourceFinalProblem) -> ReconstructionReport:
     """Regularized mode-by-mode division of final data by the modal response."""
     b, keep = _modal_responses(problem)
-    g, discrepancy = _tikhonov_fit(b, keep, problem.final_data.coeffs, problem.tikhonov)
+    u = problem.final_data.coeffs
+    g, discrepancy = _tikhonov_fit(b, b * u, b**2, keep, u, problem.tikhonov)
     return ReconstructionReport(
         recovered=SpectralField(problem.final_data.domain, g),
         residual_history=[discrepancy],
@@ -196,9 +197,8 @@ def choose_mu_discrepancy(
     u = final_data.coeffs
     bu, b2 = b * u, b**2
 
-    def disc(mu: float) -> float:  # _tikhonov_fit's arithmetic, bit for bit
-        r = np.where(keep, bu / (b2 + mu) * b, 0.0) - u
-        return math.sqrt(float(r @ r))
+    def disc(mu: float) -> float:
+        return _tikhonov_fit(b, bu, b2, keep, u, mu)[1]
 
     if disc(lo) >= noise_norm:
         return lo

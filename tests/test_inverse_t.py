@@ -145,12 +145,12 @@ def test_volterra_linearity():
     assert np.max(np.abs(rec - (2.0 * rec1 - 0.5 * rec2))) < 1e-10
 
 
-def volterra_case(n_steps, a, noisy):
-    """Sine-rho trace of the sine bump at x0 = 0.3, clean or with 1% noise."""
+def volterra_case(n_steps, a, noisy, x0=0.3):
+    """Sine-rho trace of the sine bump at x0, clean or with 1% noise."""
     grid = TimeGrid(1.0, n_steps)
     alpha = FractionalOrder(a)
     g = make_g(DOM, "sine_bump")
-    trace = synth_trace(g, make_rho(grid, "sine"), alpha, 0.3)
+    trace = synth_trace(g, make_rho(grid, "sine"), alpha, x0)
     level = 0.0
     if noisy:
         level = 1e-2
@@ -158,7 +158,7 @@ def volterra_case(n_steps, a, noisy):
         values = trace.values + np.random.default_rng(n_steps).uniform(-amp, amp, n_steps + 1)
         values[0] = 0.0
         trace = TimeSeries(grid, values)
-    return TSourceProblem(g, 0.3, alpha, grid, trace, noise_level=level)
+    return TSourceProblem(g, x0, alpha, grid, trace, noise_level=level)
 
 
 def system_column(problem):
@@ -186,12 +186,14 @@ def forward_substitution(problem, psi):
 VOLTERRA_SIZES = (2, 3, 100, 257, 2048)
 
 
+# the sine bump is pi^3 x^3 near x = 0: |g(x0)| is 1e-4 at 0.0148 and 1e-6 at 0.0032
+@pytest.mark.parametrize("x0", (0.3, 0.0148, 0.0032))
 @pytest.mark.parametrize("noisy", (False, True))
 @pytest.mark.parametrize("a", (0.1, 0.5, 0.9))
 @pytest.mark.parametrize("n_steps", VOLTERRA_SIZES)
-def test_volterra_resolvent_matches_substitution(n_steps, a, noisy):
+def test_volterra_resolvent_matches_substitution(n_steps, a, noisy, x0):
     # a 3-node window keeps the 3-node noisy trace of n_steps = 2 non-constant
-    problem = volterra_case(n_steps, a, noisy)
+    problem = volterra_case(n_steps, a, noisy, x0)
     trace = mollify(problem.trace, 3) if noisy else problem.trace
     psi = caputo_l1(trace, problem.alpha).values
     expected = forward_substitution(problem, psi)

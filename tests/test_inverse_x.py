@@ -153,71 +153,43 @@ def test_choose_mu_builds_responses_once(monkeypatch):
     assert calls == [DOM]
 
 
-def test_choose_mu_equals_per_step_reconstruction():
-    # the bisection as it ran when every step rebuilt B through reconstruct_final
+def bisection_cases():
+    """The noisy case above, then seeded 1% noise on 64 modes, uncut and with half of B cut."""
     grid, a, rho, data, noise_norm = noisy_final_case()
-
-    def disc(mu):
-        problem = XSourceFinalProblem(rho, a, grid, data, 0.0, mu)
-        return reconstruct_final(problem).residual_history[-1]
-
-    lo, hi = math.log(1e-16), math.log(1e6)
-    assert disc(1e-16) < noise_norm < disc(1e6)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if disc(math.exp(mid)) < noise_norm:
-            lo = mid
-        else:
-            hi = mid
-    assert choose_mu_discrepancy(rho, a, grid, data, 0.0, noise_norm) == math.exp(0.5 * (lo + hi))
-
-
-def fit_bisection(rho, a, grid, data, cutoff, noise_norm):
-    """The discrepancy bisection with every step forming the full Tikhonov fit."""
-    b = modal_responses(rho, a, grid, data.domain)
-    keep = np.abs(b) >= cutoff
-    u = data.coeffs
-
-    def disc(mu):
-        g = np.zeros(u.shape[0])
-        g[keep] = b[keep] * u[keep] / (b[keep] ** 2 + mu)
-        return float(np.linalg.norm(g * b - u))
-
-    lo, hi = 1e-16, 1e6
-    if disc(lo) >= noise_norm:
-        return lo
-    if disc(hi) <= noise_norm:
-        return hi
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    for _ in range(80):
-        mid = 0.5 * (log_lo + log_hi)
-        if disc(math.exp(mid)) < noise_norm:
-            log_lo = mid
-        else:
-            log_hi = mid
-    return math.exp(0.5 * (log_lo + log_hi))
-
-
-@pytest.mark.parametrize("seed", range(1, 21))
-@pytest.mark.parametrize("cut_modes", (False, True))
-def test_choose_mu_is_bit_identical_to_the_fit_bisection(seed, cut_modes):
+    cases = [(grid, a, rho, data, 0.0, noise_norm)]
     dom = Domain1D(1.0, 64)
     grid = TimeGrid(1.0, 128)
-    a = FractionalOrder(0.6)
-    rho = make_rho(grid, "constant", value=1.0 + 0.01 * seed)
-    clean = final_data_of(make_g(dom, "hat"), rho, a)
-    rng = np.random.default_rng(seed)
-    noise = 0.01 * np.max(np.abs(clean.coeffs)) * rng.uniform(-1.0, 1.0, dom.n_modes)
-    data = SpectralField(dom, clean.coeffs + noise)
-    cutoff = 0.0
-    if cut_modes:
+    for seed in range(1, 21):
+        rho = make_rho(grid, "constant", value=1.0 + 0.01 * seed)
+        clean = final_data_of(make_g(dom, "hat"), rho, a)
+        noise = 0.01 * np.max(np.abs(clean.coeffs)) * np.random.default_rng(seed).uniform(-1, 1, 64)
+        data = SpectralField(dom, clean.coeffs + noise)
         b = np.abs(modal_responses(rho, a, grid, dom))
         cutoff = float(np.median(b))
         assert 0 < np.count_nonzero(b >= cutoff) < dom.n_modes
-    noise_norm = float(np.linalg.norm(noise))
-    expected = fit_bisection(rho, a, grid, data, cutoff, noise_norm)
-    assert 1e-16 < expected < 1e6
-    assert choose_mu_discrepancy(rho, a, grid, data, cutoff, noise_norm) == expected
+        for cut in (0.0, cutoff):
+            cases.append((grid, a, rho, data, cut, float(np.linalg.norm(noise))))
+    return cases
+
+
+def test_choose_mu_equals_per_step_reconstruction():
+    # the bisection as it ran when every step rebuilt B through reconstruct_final
+    for grid, a, rho, data, cutoff, noise_norm in bisection_cases():
+
+        def disc(mu):
+            problem = XSourceFinalProblem(rho, a, grid, data, cutoff, mu)
+            return reconstruct_final(problem).residual_history[-1]
+
+        lo, hi = math.log(1e-16), math.log(1e6)
+        assert disc(1e-16) < noise_norm < disc(1e6)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if disc(math.exp(mid)) < noise_norm:
+                lo = mid
+            else:
+                hi = mid
+        mu = math.exp(0.5 * (lo + hi))
+        assert choose_mu_discrepancy(rho, a, grid, data, cutoff, noise_norm) == mu
 
 
 def test_holder_stability_single_constant():
