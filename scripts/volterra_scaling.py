@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time and accuracy of the direct Volterra solve on long time grids.
+"""Wall time and accuracy of the two rho solvers on long time grids.
 
 For n_steps = 256, 2048, 8192 and 32768 (N = 64, alpha = 0.5, sine-bump
 g, x0 = 0.3, sine rho, T = 1, clean data) it prints:
@@ -8,7 +8,10 @@ g, x0 = 0.3, sine rho, T = 1, clean data) it prints:
   synthesised as one product-rule convolution with the trace weights;
 * the wall time of `solve_volterra` on the warm table;
 * the relative L2 error of the recovered rho (node 0 skipped) and the
-  discrete residual the solver reports.
+  discrete residual the solver reports;
+* for 50 fixed-point sweeps (`fixed_point_iterate`, K at its bound, no
+  tol stop): the cold time, which builds the set-up's sweep table, the
+  warm time of a second call, and the relative L2 error.
 
 The error is set by the L1 derivative of a trace that behaves like
 t^alpha near t = 0, so it falls slowly with n_steps; the time shows what
@@ -21,7 +24,7 @@ import time
 
 from fracsource.forward import trace_weights
 from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries, product_rule_convolve
-from fracsource.inverse_t import TSourceProblem, solve_volterra
+from fracsource.inverse_t import TSourceProblem, fixed_point_iterate, solve_volterra
 from fracsource.profiles import make_g, make_rho
 from fracsource.report import relative_l2
 from fracsource.spectral import Domain1D
@@ -33,7 +36,10 @@ def main() -> None:
     dom = Domain1D(1.0, 64)
     alpha = FractionalOrder(0.5)
     g = make_g(dom, "sine_bump")
-    print(f"{'n_steps':>8} {'set-up s':>9} {'solve s':>9} {'rel. error':>11} {'residual':>10}")
+    print(
+        f"{'n_steps':>8} {'set-up s':>9} {'solve s':>9} {'rel. error':>11} {'residual':>10}"
+        f" {'fp cold s':>10} {'fp warm s':>10} {'fp error':>10}"
+    )
     for n in (256, 2048, 8192, 32768):
         grid = TimeGrid(1.0, n)
         rho = make_rho(grid, "sine")
@@ -46,7 +52,16 @@ def main() -> None:
         rep = solve_volterra(problem)
         solve = time.perf_counter() - t0
         err = relative_l2(rep.recovered, rho, skip_first=1)
-        print(f"{n:>8} {setup:9.3f} {solve:9.4f} {err:11.3e} {rep.residual_history[0]:10.2e}")
+        fp = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            sweeps = fixed_point_iterate(problem, m_max=50, tol=0.0)
+            fp.append(time.perf_counter() - t0)
+        fp_err = relative_l2(sweeps.recovered, rho, skip_first=1)
+        print(
+            f"{n:>8} {setup:9.3f} {solve:9.4f} {err:11.3e} {rep.residual_history[0]:10.2e}"
+            f" {fp[0]:10.4f} {fp[1]:10.4f} {fp_err:10.3e}"
+        )
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import forward, inverse_t, inverse_x
-from .errors import FracsourceError
+from .errors import FracsourceError, ParameterError
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
 from .mlf import MLConvergenceError, MLParams, ml_eval
 from .profiles import make_g, make_rho
@@ -231,18 +231,19 @@ def _run_invert_rho(cfg: dict, variant: str):
     trace = TimeSeries(grid, perturb(clean, level, seed)[0])
     problem = inverse_t.TSourceProblem(g, x0, alpha, grid, trace, noise_level=level)
     width = _int(s, "solver.mollify_width", 5, lo=1)
-    if variant == "volterra":
-        rep = inverse_t.solve_volterra(problem, mollify_width=width)
-    else:
+    if variant == "fixedpoint":
         K = _num(s, "solver.K", None, lo=0.0)
         m_max = _int(s, "solver.m_max", 50, lo=1)
         tol = _num(s, "solver.tol", 1e-10, lo=0.0)
-        try:
+    try:
+        if variant == "volterra":
+            rep = inverse_t.solve_volterra(problem, mollify_width=width)
+        else:
             rep = inverse_t.fixed_point_iterate(
                 problem, K=K, m_max=m_max, tol=tol, mollify_width=width
             )
-        except ValueError as exc:  # K below the homogeneous-trace bound
-            raise ConfigError("solver.K", str(exc)) from exc
+    except ParameterError as exc:  # K below its bound, or a window that flattens the trace
+        raise ConfigError(f"solver.{exc.name}", str(exc)) from exc
     err = relative_l2(rep.recovered.values, rho_true.values, skip_first=1)
     meta = {
         "mode": f"invert-rho-{variant}",

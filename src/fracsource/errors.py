@@ -27,3 +27,11 @@ class DegenerateRhoError(FracsourceError):
 
 class NonPositiveParamsError(FracsourceError):
     """Iteration parameters that must be positive are not."""
+
+
+class ParameterError(ValueError):
+    """A solver argument outside its admissible range; `name` is the argument."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name

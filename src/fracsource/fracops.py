@@ -79,17 +79,22 @@ def caputo_l1(f: TimeSeries, alpha: FractionalOrder) -> TimeSeries:
     Node 0 is set to 0 by convention (the series starts at t_1); the
     scheme is O(tau^(2-alpha)) for twice-differentiable data.
     """
-    a = alpha.alpha
-    tau = f.grid.tau
     n = f.grid.n_steps
-    j = np.arange(n, dtype=float)
-    b = (j + 1.0) ** (1.0 - a) - j ** (1.0 - a)
+    b, scale = _l1_weights(alpha, f.grid)
     df = np.diff(f.values)
     out = np.zeros(n + 1)
     # out[k] = sum_{j<k} b_j (f_{k-j} - f_{k-j-1}), a discrete convolution
     out[1:] = np.convolve(b, df)[:n]
-    out[1:] *= tau ** (-a) / math.gamma(2.0 - a)
+    out[1:] *= scale
     return TimeSeries(f.grid, out)
+
+
+def _l1_weights(alpha: FractionalOrder, grid: TimeGrid) -> tuple[np.ndarray, float]:
+    """The L1 scheme's increment weights b_j, j < n_steps, and their common factor."""
+    a = alpha.alpha
+    j = np.arange(grid.n_steps, dtype=float)
+    b = (j + 1.0) ** (1.0 - a) - j ** (1.0 - a)
+    return b, grid.tau ** (-a) / math.gamma(2.0 - a)
 
 
 def _interval_moments(p: float, t: np.ndarray, tau: float):

@@ -12,25 +12,41 @@ equation (L1 derivative on the trace, exact kernel moments in the
 convolution) and convolves the data with the discrete resolvent of that
 lower-triangular Toeplitz system; the fixed-point solver repeatedly
 corrects rho by the fractional derivative of the trace mismatch, damped
-by a bound K on the homogeneous trace.  Both apply the trace map as one
-product-rule convolution whose weights contract the forward kernel-weight
-table over the modes once, so no sweep solves the forward problem; the
-fixed-point sweep folds the L1 derivative into that convolution, and the
-bound K comes from the Volterra weights without a homogeneous solve.
+by a bound K on the homogeneous trace.  Both apply the trace map through
+product-rule weights that contract the forward kernel-weight table over
+the modes once, so neither solves the forward problem.  A fixed-point
+sweep is one lower-triangular Toeplitz map plus a rank-one term from the
+node-0 extrapolation, so the iterates are power series of that map: the
+sweeps run in closed form, 64 at a time, on a per-set-up table of the
+spectra of its powers, and the bound K comes from the Volterra weights
+without a homogeneous solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError, NonZeroInitialTraceError, PointDegenerateError
+from .errors import (
+    DivergenceError,
+    NonZeroInitialTraceError,
+    ParameterError,
+    PointDegenerateError,
+)
 from .forward import trace_weights
-from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
+from .fracops import (
+    FractionalOrder,
+    TimeGrid,
+    TimeSeries,
+    _l1_weights,
+    caputo_l1,
+    product_rule_convolve,
+)
 from .report import ReconstructionReport
-from .spectral import SpectralField, eval_at
+from .spectral import Domain1D, SpectralField, eval_at
 
 __all__ = [
     "EPS_POINT",
@@ -84,6 +100,19 @@ def mollify(f: TimeSeries, width: int) -> TimeSeries:
     lo = np.maximum(0, i - half)
     hi = np.minimum(n, i + half + 1)
     return TimeSeries(f.grid, (csum[hi] - csum[lo]) / (hi - lo))
+
+
+def _observed_trace(problem: TSourceProblem, mollify_width: int) -> TimeSeries:
+    """The trace the solvers differentiate: premollified when the problem is noisy."""
+    if problem.noise_level == 0.0:
+        return problem.trace
+    if mollify_width // 2 >= problem.grid.n_steps:
+        raise ParameterError(
+            "mollify_width",
+            f"a window of {mollify_width} nodes averages all {problem.grid.n_steps + 1} "
+            "nodes into a constant trace",
+        )
+    return mollify(problem.trace, mollify_width)
 
 
 def _volterra_weights(
@@ -148,10 +177,7 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
         raise PointDegenerateError(
             f"|g(x0)| = {abs(gx0)} is below the usable threshold {EPS_POINT}"
         )
-    trace = problem.trace
-    if problem.noise_level > 0.0:
-        trace = mollify(trace, mollify_width)
-    psi = caputo_l1(trace, problem.alpha).values
+    psi = caputo_l1(_observed_trace(problem, mollify_width), problem.alpha).values
     c, d = _volterra_weights(problem.g, problem.x0, problem.alpha, problem.grid)
     r = _series_reciprocal(np.concatenate(([gx0], -d[:-1])) - c)
     rho = np.concatenate(([0.0], np.convolve(r, psi[1:])[: r.shape[0]]))
@@ -164,6 +190,106 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
         iterations=1,
         diagnostics={"g_x0": gx0, "diagonal": gx0 - c[0]},
     )
+
+
+# sweeps per block of the closed-form fixed-point iteration
+_SWEEP_BLOCK = 64
+
+
+def _impulse_traces(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Trace-map images of unit impulses at t_0 and t_1, as two rows.
+
+    They are what product_rule_convolve(c, d, .) makes of the unit vectors,
+    read off its weights: [0, d_0 .. d_(n-1)] and [0, c_0, c_k + d_(k-1) ..].
+    """
+    out = np.zeros((2, c.shape[0] + 1))
+    out[0, 1:] = d
+    out[1, 1] = c[0]
+    out[1, 2:] = c[1:] + d[:-1]
+    return out
+
+
+class _SweepTable:
+    """The fixed-point sweep map of one set-up, tabulated for blocks of sweeps.
+
+    On z = rho[1:] a sweep is z <- z + (b - T z - r (e . z))/K: b is the L1
+    derivative of the data, T convolves with that of the trace of a unit
+    impulse at t_1, r is that of one at t_0, and e . z is rho(0) as
+    `_extrapolate_node0` sets it.  Update m is M^(m-1) b/K for
+    M = I - T/K - r e^T/K.  With nu = 1 - t/K the series of I - T/K, the
+    update j sweeps after one equal to delta is
+
+        nu^j * delta - (1/K) sum_{i<j} (nu^(j-1-i) * r) (e . update i).
+
+    T is triangular, so the first q entries of an update follow the leading
+    q x q block A of M, and e . update i = (e^T A^i) delta[:q]: the sum is
+    sum_l delta_l G_l[j] with G_l[j] = (1/K) sum_{i<j} (e^T A^i)_l
+    nu^(j-1-i) * r, fixed per set-up.  The table holds the spectra of
+    nu^0 .. nu^B (built by doubling) and G_l[0..B] for l < q, read-only,
+    for B = `_SWEEP_BLOCK`, so a block of B sweeps is one rfft, one batched
+    irfft and q scaled subtractions.
+    """
+
+    def __init__(
+        self, g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid, K: float
+    ):
+        n, blk = grid.n_steps, _SWEEP_BLOCK
+        self.n = n
+        # a power of two that holds a linear convolution of two n-vectors
+        self.fft_len = size = 1 << (2 * n - 2).bit_length()
+        weights, self.l1_scale = _l1_weights(alpha, grid)
+        self.l1_spectrum = np.fft.rfft(weights, size)
+        r, t = self.derivative(np.diff(_impulse_traces(*trace_weights(g, x0, alpha, grid))))
+        nu = -t / K
+        nu[0] += 1.0
+        powers = np.empty((blk + 1, size // 2 + 1), dtype=complex)
+        powers[0] = 1.0
+        powers[1] = np.fft.rfft(nu, size)
+        k = 1
+        while k < blk:  # nu^(k+i) = nu^k nu^i cut at order n, i = 1..k
+            m = min(k, blk - k)
+            cut = np.fft.irfft(powers[k] * powers[1 : m + 1], size)[:, :n]
+            powers[k + 1 : k + m + 1] = np.fft.rfft(cut, size)
+            k += m
+        self.powers = powers
+        e = np.array([3.0, -3.0, 1.0]) if n >= 3 else np.ones(1)
+        lag = np.subtract.outer(np.arange(e.size), np.arange(e.size))
+        lead = np.where(lag >= 0, nu[np.abs(lag)], 0.0) - np.outer(r[: e.size], e) / K
+        rows = np.empty((blk, e.size))  # e^T A^i
+        rows[0] = e
+        for i in range(1, blk):
+            rows[i] = rows[i - 1] @ lead
+        spread_r = self._convolve(powers[:blk], r / K)  # nu^k * r/K
+        self.coupling = np.zeros((e.size, blk + 1, n))
+        for j in range(1, blk + 1):
+            self.coupling[:, j] = rows[j - 1 :: -1].T @ spread_r[:j]
+        for a in (self.l1_spectrum, self.powers, self.coupling):
+            a.flags.writeable = False
+
+    def _convolve(self, spectra: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Rows spectra x f as truncated convolutions over t_1..t_n."""
+        size = self.fft_len
+        return np.fft.irfft(spectra * np.fft.rfft(f, size), size)[..., : self.n]
+
+    def derivative(self, increments: np.ndarray) -> np.ndarray:
+        """The L1 derivative at t_1..t_n of data with these increments (rows)."""
+        return self._convolve(self.l1_spectrum, increments) * self.l1_scale
+
+    def block(self, start: np.ndarray, count: int) -> np.ndarray:
+        """Rows: the update `start` and the count updates that follow it."""
+        out = self._convolve(self.powers[: count + 1], start)
+        for weight, table in zip(start, self.coupling):  # start_l G_l, l < q
+            out -= weight * table[: count + 1]
+        return out
+
+
+@lru_cache(maxsize=1)
+def _sweep_table(
+    coeffs: bytes, domain: Domain1D, x0: float, alpha: float, grid: TimeGrid, K: float
+) -> _SweepTable:
+    """The sweep table of a set-up given by value, built once while it repeats."""
+    g = SpectralField(domain, np.frombuffer(coeffs))
+    return _SweepTable(g, x0, FractionalOrder(alpha), grid, K)
 
 
 def fixed_point_iterate(
@@ -179,71 +305,56 @@ def fixed_point_iterate(
     Each sweep adds the fractional derivative of the trace mismatch, scaled
     by 1/K.  K must dominate the sup norm of the homogeneous trace v(x0, .),
     which makes the map a contraction of Volterra type; it defaults to that
-    bound.  The derivative of the trace of rho is formed by one convolution.
+    bound.  The sweeps run in closed form, `_SWEEP_BLOCK` at a time, on the
+    set-up's `_SweepTable`.  residual_history[m-1] is the size of update m;
+    three rises in a row raise DivergenceError, and an update of at most
+    `tol` ends the run, checked in that order at every sweep.
     """
     gx0 = eval_at(problem.g, problem.x0)
     if abs(gx0) < EPS_POINT:
         raise PointDegenerateError(
             f"|g(x0)| = {abs(gx0)} is below the usable threshold {EPS_POINT}"
         )
-    grid, alpha = problem.grid, problem.alpha
-    k_bound = float(np.max(np.abs(_homogeneous_trace(problem.g, problem.x0, alpha, grid))))
+    grid = problem.grid
+    k_bound = float(np.max(np.abs(_homogeneous_trace(problem.g, problem.x0, problem.alpha, grid))))
     if K is None:
         K = k_bound
     if not (K > 0.0) or K < k_bound * (1.0 - 1e-12):
-        raise ValueError(
-            f"K = {K} is below the homogeneous-trace bound {k_bound}"
-        )
-    trace = problem.trace
-    if problem.noise_level > 0.0:
-        trace = mollify(trace, mollify_width)
-    c, d = trace_weights(problem.g, problem.x0, alpha, grid)
-
-    def derivative_of_trace(f: np.ndarray) -> np.ndarray:
-        return caputo_l1(TimeSeries(grid, product_rule_convolve(c, d, f)), alpha).values
-
-    # rho -> L1 derivative of its trace is lower-triangular Toeplitz except
-    # in column 0, which both operators weigh differently: a convolution with
-    # the response to a unit impulse at t_1, plus rho_0 times the response
-    # to one at t_0
-    n = grid.n_steps
-    impulse = np.eye(2, n + 1)
-    response0 = derivative_of_trace(impulse[0])
-    response1 = derivative_of_trace(impulse[1])[1:]
-    target = caputo_l1(trace, alpha).values
-    rho = np.zeros(n + 1)
-    history = []
-    error_history = []
-    grew = 0
-    iterations = 0
-    for m in range(1, m_max + 1):
-        iterations = m
-        fitted = rho[0] * response0
-        fitted[1:] += np.convolve(response1, rho[1:])[:n]
-        update = (target - fitted) / K
-        rho = rho + update
-        # the update carries no information at t = 0; extrapolating there
-        # keeps the next trace consistent with rho(0) != 0 sources
-        _extrapolate_node0(rho)
-        step = float(np.linalg.norm(update[1:]) * math.sqrt(grid.tau))
-        history.append(step)
+        raise ParameterError("K", f"K = {K} is below the homogeneous-trace bound {k_bound}")
+    trace = _observed_trace(problem, mollify_width)
+    g = problem.g
+    sweeps = _sweep_table(g.coeffs.tobytes(), g.domain, problem.x0, problem.alpha.alpha, grid, K)
+    start = sweeps.derivative(np.diff(trace.values)) / K
+    z = np.zeros(grid.n_steps)  # rho at t_1..t_n
+    history: list[float] = []
+    error_history: list[float] = []
+    done = 0
+    while done < m_max:
+        count = min(_SWEEP_BLOCK, m_max - done)
+        updates = sweeps.block(start, count)
+        steps = np.linalg.norm(updates[:count], axis=1) * math.sqrt(grid.tau)
+        # z + u_1, then (z + u_1) + u_2, ...: one rounding per sweep
+        iterates = np.cumsum(np.vstack((z, updates[:count])), axis=0)[1:]
+        stop = _block_stop(steps, history, tol)
+        last = min(stop, count - 1)
+        history.extend(steps[: last + 1].tolist())
         if truth is not None:
-            num = float(np.linalg.norm(rho[1:] - truth.values[1:]))
-            error_history.append(num / float(np.linalg.norm(truth.values[1:])))
-        if len(history) > 1 and step > history[-2]:
-            grew += 1
-            if grew >= 3:
-                raise DivergenceError(
-                    f"successive-iterate distance grew for {grew} iterations"
-                )
-        else:
-            grew = 0
-        if step <= tol:
+            want = truth.values[1:]
+            err = np.linalg.norm(iterates[: last + 1] - want, axis=1)
+            error_history.extend((err / float(np.linalg.norm(want))).tolist())
+        z = iterates[last]
+        done += last + 1
+        if stop < count:
             break
+        start = updates[count]
+    rho = np.concatenate(([0.0], z))
+    # the updates carry no information at t = 0; extrapolating there keeps
+    # the trace consistent with rho(0) != 0 sources
+    _extrapolate_node0(rho)
     return ReconstructionReport(
         recovered=TimeSeries(problem.grid, rho),
         residual_history=history,
-        iterations=iterations,
+        iterations=done,
         diagnostics={
             "g_x0": gx0,
             "k_bound": k_bound,
@@ -251,6 +362,23 @@ def fixed_point_iterate(
             "error_history": error_history,
         },
     )
+
+
+def _block_stop(steps: np.ndarray, history: list[float], tol: float) -> int:
+    """Index of the sweep of this block that meets `tol`, or steps.size.
+
+    Raises DivergenceError at a third rise in a row first, counting the
+    steps of earlier blocks in `history`, as a per-sweep check would.
+    """
+    n = steps.size
+    ext = np.concatenate((([math.inf] * 3 + history[-3:])[-3:], steps))
+    rising = ext[1:] > ext[:-1]
+    grown = np.flatnonzero(rising[2:] & rising[1:-1] & rising[:-2])
+    met = np.flatnonzero(steps <= tol)
+    stop = int(met[0]) if met.size else n
+    if grown.size and grown[0] <= stop:
+        raise DivergenceError("successive-iterate distance grew for 3 iterations")
+    return stop
 
 
 def lipschitz_certificate(

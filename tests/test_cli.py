@@ -202,6 +202,15 @@ def test_exit_code_fixed_point_k_below_bound(tmp_path, capsys, k):
     assert "config key 'solver.K'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["invert-rho-volterra", "invert-rho-fixedpoint"])
+def test_exit_code_mollifier_over_every_node(tmp_path, capsys, mode):
+    base = {"mode": mode, "alpha": 0.5, "N": 16, "n_steps": 2, "x0": 0.3, "noise_level": 0.01}
+    assert run(write_cfg(tmp_path, "w.json", base)) == 3
+    assert "config key 'solver.mollify_width'" in capsys.readouterr().err
+    narrow = dict(base, solver={"mollify_width": 3})
+    assert run(write_cfg(tmp_path, "w3.json", narrow)) == 0
+
+
 def test_exit_code_non_finite_metadata(tmp_path, monkeypatch, capsys):
     import fracsource.cli as cli
 

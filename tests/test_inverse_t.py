@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsource.errors import NonZeroInitialTraceError, PointDegenerateError
+from fracsource.errors import DivergenceError, NonZeroInitialTraceError, PointDegenerateError
 from fracsource.forward import (
     modal_kernel_weights,
     observe_point,
@@ -232,6 +232,20 @@ def test_volterra_noisy_premollified_smoke():
     assert relative_l2(rep.recovered, rho, skip_first=1) < 0.5
 
 
+@pytest.mark.parametrize("solver", (solve_volterra, fixed_point_iterate))
+def test_noisy_solvers_reject_a_window_over_every_node(solver):
+    # at n_steps 2 a 5-node window averages the trace into a constant, and
+    # rho = 0 came back with no error
+    problem, _ = sweep_case(2, True)
+    for width in (4, 5, 9):
+        with pytest.raises(ValueError, match="mollify_width|nodes"):
+            solver(problem, mollify_width=width)
+    assert np.any(solver(problem, mollify_width=3).recovered.values)
+    # clean data are not mollified, so any window is accepted
+    clean, _ = sweep_case(2, False)
+    assert np.any(solver(clean, mollify_width=5).recovered.values)
+
+
 def test_mollify_damps_differentiated_noise():
     grid = TimeGrid(1.0, 256)
     a = FractionalOrder(0.5)
@@ -359,6 +373,242 @@ def test_fixed_point_sweep_matches_three_convolution_loop():
         ref = ref + caputo_l1(TimeSeries(grid, mismatch), a).values / K
         ref[0] = 3.0 * ref[1] - 3.0 * ref[2] + ref[3]
     assert np.max(np.abs(rep.recovered.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def sweep_loop(problem, K, m_max=50, tol=1e-10, mollify_width=5, truth=None):
+    """The per-sweep loop that fixed_point_iterate ran before its sweeps
+    were blocked, kept as the reference: each sweep is one np.convolve."""
+    grid, alpha = problem.grid, problem.alpha
+    trace = problem.trace
+    if problem.noise_level > 0.0:
+        trace = mollify(trace, mollify_width)
+    c, d = trace_weights(problem.g, problem.x0, alpha, grid)
+
+    def derivative_of_trace(f):
+        return caputo_l1(TimeSeries(grid, product_rule_convolve(c, d, f)), alpha).values
+
+    n = grid.n_steps
+    impulse = np.eye(2, n + 1)
+    response0 = derivative_of_trace(impulse[0])
+    response1 = derivative_of_trace(impulse[1])[1:]
+    target = caputo_l1(trace, alpha).values
+    rho = np.zeros(n + 1)
+    history, error_history = [], []
+    grew = iterations = 0
+    for m in range(1, m_max + 1):
+        iterations = m
+        fitted = rho[0] * response0
+        fitted[1:] += np.convolve(response1, rho[1:])[:n]
+        update = (target - fitted) / K
+        rho = rho + update
+        rho[0] = 3.0 * rho[1] - 3.0 * rho[2] + rho[3] if n >= 3 else rho[1]
+        step = float(np.linalg.norm(update[1:]) * math.sqrt(grid.tau))
+        history.append(step)
+        if truth is not None:
+            num = float(np.linalg.norm(rho[1:] - truth.values[1:]))
+            error_history.append(num / float(np.linalg.norm(truth.values[1:])))
+        if len(history) > 1 and step > history[-2]:
+            grew += 1
+            if grew >= 3:
+                raise DivergenceError(f"successive-iterate distance grew for {grew} iterations")
+        else:
+            grew = 0
+        if step <= tol:
+            break
+    return rho, history, iterations, error_history
+
+
+FP_DOM = Domain1D(1.0, 16)
+
+
+def sweep_case(n_steps, noisy, x0=0.35):
+    grid = TimeGrid(1.0, n_steps)
+    a = FractionalOrder(0.6)
+    g = make_g(FP_DOM, "sine_bump")
+    rho = make_rho(grid, "sine")
+    c, d = trace_weights(g, x0, a, grid)
+    trace = product_rule_convolve(c, d, rho.values)
+    level = 0.01 if noisy else 0.0
+    if noisy:
+        amp = level * float(np.max(np.abs(trace)))
+        trace = trace + np.random.default_rng(n_steps).uniform(-amp, amp, trace.shape)
+    return TSourceProblem(g, x0, a, grid, TimeSeries(grid, trace), noise_level=level), rho
+
+
+def assert_matches_loop(rep, ref):
+    rho, history, iterations, error_history = ref
+    assert rep.iterations == iterations
+    assert np.max(np.abs(rep.recovered.values - rho)) <= 1e-13 * np.max(np.abs(rho))
+    # relative to the largest entry: a step or error far below it is the
+    # loop's own round-off, which no other summation order reproduces
+    for got, want in ((rep.residual_history, history), (rep.diagnostics["error_history"], error_history)):
+        assert len(got) == len(want)
+        if want:
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("noisy", (False, True))
+@pytest.mark.parametrize("m_max", (1, 63, 64, 65, 130))
+@pytest.mark.parametrize("n_steps", (2, 3, 4, 96, 256))
+def test_fixed_point_blocks_match_the_sweep_loop(n_steps, m_max, noisy):
+    # a 3-node window keeps the noisy trace of n_steps = 2 non-constant
+    problem, rho = sweep_case(n_steps, noisy)
+    rep = fixed_point_iterate(problem, m_max=m_max, mollify_width=3, truth=rho)
+    K = rep.diagnostics["K"]
+    assert_matches_loop(rep, sweep_loop(problem, K, m_max, mollify_width=3, truth=rho))
+    assert rep.diagnostics["error_history"] and rep.iterations <= m_max
+    bare = fixed_point_iterate(problem, m_max=m_max, mollify_width=3)
+    assert bare.diagnostics["error_history"] == []
+    assert np.array_equal(bare.recovered.values, rep.recovered.values)
+
+
+@pytest.mark.parametrize("stop", (40, 64, 65, 100))
+def test_fixed_point_tol_stop_matches_the_sweep_loop(stop):
+    # tol between the steps of sweeps stop - 1 and stop: inside the first
+    # block, on its last sweep, on the first of the next, inside the second
+    problem, rho = sweep_case(96, False)
+    K = fixed_point_iterate(problem, m_max=1).diagnostics["K"]
+    steps = sweep_loop(problem, K, 130, tol=0.0)[1]
+    assert all(b < a for a, b in zip(steps[:stop], steps[1:stop]))
+    tol = math.sqrt(steps[stop - 2] * steps[stop - 1])
+    ref = sweep_loop(problem, K, 1000, tol=tol, truth=rho)
+    assert ref[2] == stop
+    assert_matches_loop(fixed_point_iterate(problem, m_max=1000, tol=tol, truth=rho), ref)
+
+
+def scan_loop(steps, tol):
+    """The loop's stopping rules on a whole step sequence: (stop index, diverged)."""
+    grew = 0
+    for m, step in enumerate(steps):
+        if m > 0 and step > steps[m - 1]:
+            grew += 1
+            if grew >= 3:
+                return m, True
+        else:
+            grew = 0
+        if step <= tol:
+            return m, False
+    return len(steps), False
+
+
+def test_block_scan_follows_the_loop_across_block_boundaries():
+    from fracsource.inverse_t import _block_stop
+
+    rng = np.random.default_rng(11)
+    raised = stopped = 0
+    for _ in range(400):
+        length = int(rng.integers(1, 40))
+        # mostly falling steps with rises mixed in, and some exact repeats
+        steps = np.exp(np.cumsum(rng.choice([-1.0, -0.5, 0.0, 0.3, 0.6], length)))
+        tol = float(np.exp(rng.uniform(-8.0, 1.0)))
+        cuts = sorted(set(rng.integers(1, length + 1, 3).tolist()) | {length})
+        history, first, want = [], 0, scan_loop(steps.tolist(), tol)
+        got = (length, False)
+        for cut in cuts:
+            try:
+                stop = _block_stop(steps[first:cut], history, tol)
+            except DivergenceError:
+                # the loop raised inside this block
+                assert want[1] and first <= want[0] < cut
+                got = want
+                break
+            if stop < cut - first:
+                got = (first + stop, False)
+                break
+            history.extend(steps[first:cut].tolist())
+            first = cut
+        assert got == want
+        raised += want[1]
+        stopped += (not want[1]) and want[0] < length
+    assert raised > 20 and stopped > 20
+
+
+def test_block_scan_counts_rises_before_the_boundary():
+    from fracsource.inverse_t import _block_stop
+
+    # two rises end the last block: the first step of this one is the third
+    with pytest.raises(DivergenceError):
+        _block_stop(np.array([0.8, 0.1]), [1.0, 0.5, 0.6, 0.7], 0.0)
+    # two rises in all, one on each side of the boundary: no divergence
+    assert _block_stop(np.array([0.7, 0.65]), [1.0, 0.5, 0.6], 0.0) == 2
+    # divergence is checked before tol within a sweep, as the loop did
+    with pytest.raises(DivergenceError):
+        _block_stop(np.array([0.8]), [0.5, 0.6, 0.7], 1.0)
+    assert _block_stop(np.array([0.7, 0.8]), [0.5, 0.6], 0.75) == 0
+    # the first sweep of a run has nothing to rise from
+    assert _block_stop(np.array([1.0, 2.0, 3.0]), [], 0.0) == 3
+    with pytest.raises(DivergenceError):
+        _block_stop(np.array([1.0, 2.0, 3.0, 4.0]), [], 0.0)
+
+
+@pytest.mark.parametrize("n_steps,a,x0", [(2, 0.5, 0.3), (3, 0.1, 0.5), (17, 0.9, 0.2), (256, 0.6, 0.35)])
+def test_impulse_traces_are_the_convolved_unit_vectors(n_steps, a, x0):
+    from fracsource.inverse_t import _impulse_traces
+
+    grid = TimeGrid(1.0, n_steps)
+    c, d = trace_weights(make_g(FP_DOM, "sine_bump"), x0, FractionalOrder(a), grid)
+    unit = np.eye(2, n_steps + 1)
+    convolved = [product_rule_convolve(c, d, unit[0]), product_rule_convolve(c, d, unit[1])]
+    assert np.array_equal(_impulse_traces(c, d), np.array(convolved))
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Count sweep-table builds from an empty cache."""
+    import fracsource.inverse_t as inverse_t
+
+    builds = []
+
+    class Counting(inverse_t._SweepTable):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(inverse_t, "_SweepTable", Counting)
+    inverse_t._sweep_table.cache_clear()
+    yield builds
+    inverse_t._sweep_table.cache_clear()
+
+
+def test_fixed_point_resolve_rebuilds_nothing(table_builds):
+    problem, _ = sweep_case(128, True)
+    first = fixed_point_iterate(problem, m_max=70)
+    # new data, m_max and tol on the same set-up
+    for seed, m_max, tol in ((1, 70, 1e-10), (2, 5, 0.0), (3, 130, 1e-6)):
+        rng = np.random.default_rng(seed)
+        noisy = problem.trace.values + 1e-3 * rng.uniform(-1.0, 1.0, problem.trace.values.shape)
+        p = TSourceProblem(
+            problem.g, problem.x0, problem.alpha, problem.grid,
+            TimeSeries(problem.grid, noisy), noise_level=0.01,
+        )
+        fixed_point_iterate(p, m_max=m_max, tol=tol)
+    again = fixed_point_iterate(problem, m_max=70)
+    assert len(table_builds) == 1
+    assert np.array_equal(again.recovered.values, first.recovered.values)
+
+
+def test_fixed_point_table_follows_k_x0_and_g(table_builds):
+    import fracsource.inverse_t as inverse_t
+
+    base, _ = sweep_case(96, False)
+    k_bound = fixed_point_iterate(base, m_max=1).diagnostics["k_bound"]
+    g2 = SpectralField(FP_DOM, 1.5 * base.g.coeffs)
+    changed = [
+        (base, {"K": 1.5 * k_bound}),
+        (sweep_case(96, False, x0=0.45)[0], {}),
+        (TSourceProblem(g2, base.x0, base.alpha, base.grid, base.trace), {}),
+        (base, {}),
+    ]
+    for i, (problem, kw) in enumerate(changed):
+        fixed_point_iterate(base, m_max=70)  # leaves the base table cached
+        built = len(table_builds)
+        warm = fixed_point_iterate(problem, m_max=70, **kw)
+        # a changed set-up builds its own table; the unchanged one is served
+        assert len(table_builds) == built + (i < 3)
+        inverse_t._sweep_table.cache_clear()
+        cold = fixed_point_iterate(problem, m_max=70, **kw)
+        assert np.array_equal(warm.recovered.values, cold.recovered.values)
+        assert warm.residual_history == cold.residual_history
 
 
 # ---------------------------------------------------------------------------
