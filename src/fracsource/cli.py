@@ -130,24 +130,14 @@ def _build_alpha(cfg: dict) -> FractionalOrder:
         raise ConfigError("alpha", str(exc)) from exc
 
 
-def _build_g(cfg: dict, domain: Domain1D) -> SpectralField:
-    spec = _get(cfg, "g", {"profile": "sine_bump"})
+def _build_profile(cfg: dict, key: str, default: str, make, on):
+    spec = _get(cfg, key, {"profile": default})
     if not isinstance(spec, dict) or "profile" not in spec:
-        raise ConfigError("g", "expected an object with a 'profile' key")
+        raise ConfigError(key, "expected an object with a 'profile' key")
     try:
-        return make_g(domain, spec["profile"], **spec.get("params", {}))
+        return make(on, spec["profile"], **spec.get("params", {}))
     except (ValueError, TypeError) as exc:
-        raise ConfigError("g", str(exc)) from exc
-
-
-def _build_rho(cfg: dict, grid: TimeGrid) -> TimeSeries:
-    spec = _get(cfg, "rho", {"profile": "constant"})
-    if not isinstance(spec, dict) or "profile" not in spec:
-        raise ConfigError("rho", "expected an object with a 'profile' key")
-    try:
-        return make_rho(grid, spec["profile"], **spec.get("params", {}))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("rho", str(exc)) from exc
+        raise ConfigError(key, str(exc)) from exc
 
 
 def _interior_point(cfg: dict, domain: Domain1D) -> float:
@@ -204,8 +194,8 @@ def _synthesize(cfg: dict):
     domain = _build_domain(cfg)
     grid = _build_grid(cfg)
     alpha = _build_alpha(cfg)
-    g = _build_g(cfg, domain)
-    rho = _build_rho(cfg, grid)
+    g = _build_profile(cfg, "g", "sine_bump", make_g, domain)
+    rho = _build_profile(cfg, "rho", "constant", make_rho, grid)
     return domain, grid, alpha, g, rho
 
 

@@ -45,7 +45,7 @@ from .fracops import (
     caputo_l1,
     product_rule_convolve,
 )
-from .report import ReconstructionReport
+from .report import ReconstructionReport, first_index, third_rises
 from .spectral import Domain1D, SpectralField, eval_at
 
 __all__ = [
@@ -112,7 +112,9 @@ def _observed_trace(problem: TSourceProblem, mollify_width: int) -> TimeSeries:
             f"a window of {mollify_width} nodes averages all {problem.grid.n_steps + 1} "
             "nodes into a constant trace",
         )
-    return mollify(problem.trace, mollify_width)
+    # node 0 keeps the known u(x0, 0) = 0, which the end-shrunk window would lift
+    smooth = mollify(problem.trace, mollify_width).values
+    return TimeSeries(problem.grid, np.concatenate(([0.0], smooth[1:])))
 
 
 def _volterra_weights(
@@ -335,8 +337,11 @@ def fixed_point_iterate(
         steps = np.linalg.norm(updates[:count], axis=1) * math.sqrt(grid.tau)
         # z + u_1, then (z + u_1) + u_2, ...: one rounding per sweep
         iterates = np.cumsum(np.vstack((z, updates[:count])), axis=0)[1:]
-        stop = _block_stop(steps, history, tol)
+        stop = first_index(steps <= tol)
         last = min(stop, count - 1)
+        # within a sweep the divergence check comes first, then tol
+        if first_index(third_rises(steps, history)) <= last:
+            raise DivergenceError("successive-iterate distance grew for 3 iterations")
         history.extend(steps[: last + 1].tolist())
         if truth is not None:
             want = truth.values[1:]
@@ -362,23 +367,6 @@ def fixed_point_iterate(
             "error_history": error_history,
         },
     )
-
-
-def _block_stop(steps: np.ndarray, history: list[float], tol: float) -> int:
-    """Index of the sweep of this block that meets `tol`, or steps.size.
-
-    Raises DivergenceError at a third rise in a row first, counting the
-    steps of earlier blocks in `history`, as a per-sweep check would.
-    """
-    n = steps.size
-    ext = np.concatenate((([math.inf] * 3 + history[-3:])[-3:], steps))
-    rising = ext[1:] > ext[:-1]
-    grown = np.flatnonzero(rising[2:] & rising[1:-1] & rising[:-2])
-    met = np.flatnonzero(steps <= tol)
-    stop = int(met[0]) if met.size else n
-    if grown.size and grown[0] <= stop:
-        raise DivergenceError("successive-iterate distance grew for 3 iterations")
-    return stop
 
 
 def lipschitz_certificate(

@@ -13,21 +13,22 @@ damped iteration
 is run, where A maps g to u(g) on the omega mesh points and A^T W is its
 exact transpose in the quadrature inner product of the data.  Mode n of
 u(g) is g_n times the response of mode n to the source phi_n rho, so A
-and the normal matrix A^T W A are assembled from one forward solve.
-The iteration is linear and the SVD U S V^T of A in reduced coordinates
-diagonalises it: from g = 0, m sweeps leave
-(1 - r_i^m) s_i y_i / (s_i^2 + beta) in singular direction i, with y_i
-the data's coordinate along U's column i and r_i = (K - s_i^2)/(K + beta),
-so every sweep is array arithmetic.  The operator and its SVD are built
-once per set-up (rho, alpha, grid, domain, omega, mesh) and reused by
-re-solves with new data.
+is assembled from one forward solve.  The iteration is linear and the
+SVD U S V^T of A in reduced coordinates diagonalises it, A^T W A =
+V S^2 V^T: from g = 0, m sweeps leave (1 - r_i^m) s_i y_i / (s_i^2 + beta)
+in singular direction i, with y_i the data's coordinate along U's column
+i and r_i = (K - s_i^2)/(K + beta), so every sweep is array arithmetic.
+The bound K defaults to 1.1 s_1^2, the largest eigenvalue of A^T W A
+read off that SVD.  The operator and its SVD are built once per set-up
+(rho, alpha, grid, domain, omega, mesh) and reused by re-solves with new
+data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .forward import EvolutionField, modal_kernel_weights, separated_source, solve_inhomogeneous
 from .fracops import FractionalOrder, TimeGrid, TimeSeries
-from .report import ReconstructionReport
+from .report import ReconstructionReport, first_index, third_rises
 from .spectral import Domain1D, SpectralField, simpson_weights
 
 __all__ = [
@@ -52,6 +53,10 @@ __all__ = [
     "estimate_k",
     "observe_interior",
 ]
+
+_MU_LO, _MU_HI = 1e-16, 1e6  # the Tikhonov weights choose_mu_discrepancy bisects between
+# sweeps per block of the closed-form interior iteration: (N, block) temporaries
+_SWEEP_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +104,7 @@ class XSourceInteriorProblem:
         if self.rho.grid != self.grid:
             raise ValueError("rho grid does not match the problem grid")
         obs = np.asarray(self.observed, dtype=float)
-        n_pts = int(np.count_nonzero(self._omega_mask()))
+        n_pts = int(np.count_nonzero(_omega_mesh(self.domain, self.omega, self.n_mesh)[1]))
         if n_pts == 0:
             raise ValueError(f"omega {self.omega} holds no point of the {self.n_mesh}-point mesh")
         if obs.shape != (n_pts, self.grid.n_steps + 1):
@@ -110,19 +115,19 @@ class XSourceInteriorProblem:
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
 
-    def _omega_mask(self) -> np.ndarray:
-        xs = self.domain.mesh(self.n_mesh)
-        return (xs >= self.omega[0]) & (xs <= self.omega[1])
+
+def _omega_mesh(domain: Domain1D, omega: tuple, n_mesh: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform mesh of n_mesh points and the mask of those inside omega."""
+    xs = domain.mesh(n_mesh)
+    return xs, (xs >= omega[0]) & (xs <= omega[1])
 
 
 def observe_interior(
     u: EvolutionField, omega: tuple[float, float], n_mesh: int
 ) -> np.ndarray:
     """Sample u on the uniform-mesh points inside omega, as a (points, time) array."""
-    xs = u.domain.mesh(n_mesh)
-    mask = (xs >= omega[0]) & (xs <= omega[1])
-    phi = u.domain.eigenfunctions(xs[mask])
-    return phi.T @ u.modal_values
+    xs, mask = _omega_mesh(u.domain, omega, n_mesh)
+    return u.domain.eigenfunctions(xs[mask]).T @ u.modal_values
 
 
 def modal_responses(
@@ -182,8 +187,6 @@ def choose_mu_discrepancy(
     final_data: SpectralField,
     cutoff: float,
     noise_norm: float,
-    lo: float = 1e-16,
-    hi: float = 1e6,
 ) -> float:
     """Tikhonov weight matching the fit residual to the noise norm.
 
@@ -200,11 +203,11 @@ def choose_mu_discrepancy(
     def disc(mu: float) -> float:
         return _tikhonov_fit(b, bu, b2, keep, u, mu)[1]
 
-    if disc(lo) >= noise_norm:
-        return lo
-    if disc(hi) <= noise_norm:
-        return hi
-    log_lo, log_hi = math.log(lo), math.log(hi)
+    if disc(_MU_LO) >= noise_norm:
+        return _MU_LO
+    if disc(_MU_HI) <= noise_norm:
+        return _MU_HI
+    log_lo, log_hi = math.log(_MU_LO), math.log(_MU_HI)
     for _ in range(80):
         mid = 0.5 * (log_lo + log_hi)
         if disc(math.exp(mid)) < noise_norm:
@@ -220,7 +223,7 @@ class _InteriorOperator:
     Row n of `response` is mode n of the solution driven by phi_n rho, so
     A g = Phi^T (g R).  Data are compared in <a, b>_W = sum w_i a_ik b_ik t_k
     (Simpson weights in x, trapezoid weights in t); `adjoint` is the exact
-    transpose of A in it and `normal` the N x N matrix of A^T W A.
+    transpose of A in it.
 
     With the QR factors sqrt(w) Phi^T = Q_x S_x and sqrt(w_t) R^T = Q_t S_t,
     W^(1/2) A g W_t^(1/2) = Q_x S_x diag(g) S_t^T Q_t^T, so residual norms
@@ -231,40 +234,31 @@ class _InteriorOperator:
     read-only, since one operator serves every solve of its set-up.
     """
 
-    def __init__(self, problem: XSourceInteriorProblem):
-        dom = problem.domain
-        xs = dom.mesh(problem.n_mesh)
-        mask = problem._omega_mask()
+    def __init__(
+        self,
+        rho: TimeSeries,
+        alpha: FractionalOrder,
+        grid: TimeGrid,
+        domain: Domain1D,
+        omega: tuple,
+        n_mesh: int,
+    ):
+        xs, mask = _omega_mesh(domain, omega, n_mesh)
         # sharp indicator: quadrature weights of the full mesh, zeroed off omega
-        w = simpson_weights(problem.n_mesh, dom.length / (problem.n_mesh - 1))
-        self.w_omega = w[mask]
-        self.phi = dom.eigenfunctions(xs[mask])
-        tau = problem.grid.tau
-        self.t_weights = np.full(problem.grid.n_steps + 1, tau)
-        self.t_weights[0] = self.t_weights[-1] = tau / 2.0
-        ones = SpectralField(dom, np.ones(dom.n_modes))
-        self.response = solve_inhomogeneous(
-            separated_source(ones, problem.rho), problem.alpha, problem.grid
-        ).modal_values
-        self.normal = ((self.phi * self.w_omega) @ self.phi.T) * (
-            (self.response * self.t_weights) @ self.response.T
-        )
+        self.w_omega = simpson_weights(n_mesh, domain.length / (n_mesh - 1))[mask]
+        self.phi = domain.eigenfunctions(xs[mask])
+        self.t_weights = np.full(grid.n_steps + 1, grid.tau)
+        self.t_weights[0] = self.t_weights[-1] = grid.tau / 2.0
+        ones = SpectralField(domain, np.ones(domain.n_modes))
+        self.response = solve_inhomogeneous(separated_source(ones, rho), alpha, grid).modal_values
         self._sqrt_w = np.sqrt(self.w_omega)
         self._sqrt_wt = np.sqrt(self.t_weights)
-        self._q_x, self._s_x = np.linalg.qr((self.phi * self._sqrt_w).T)
+        self._q_x, s_x = np.linalg.qr((self.phi * self._sqrt_w).T)
         self._q_t, s_t = np.linalg.qr((self.response * self._sqrt_wt).T)
-        self._s_t_transposed = np.ascontiguousarray(s_t.T)
-        reduced = np.einsum("ij,jk->ikj", self._s_x, self._s_t_transposed)
-        self.u, self.sigma, self.vt = np.linalg.svd(
-            reduced.reshape(-1, dom.n_modes), full_matrices=False
-        )
+        reduced = np.einsum("ij,kj->ikj", s_x, s_t).reshape(-1, domain.n_modes)
+        self.u, self.sigma, self.vt = np.linalg.svd(reduced, full_matrices=False)
         for a in vars(self).values():
             a.flags.writeable = False
-
-    @cached_property
-    def default_k(self) -> float:
-        """K of a run that sets none: 1.1 times the power-iteration eigenvalue of `normal`."""
-        return 1.1 * _largest_eigenvalue(self.normal, 20)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """A g, as a (points, time) array."""
@@ -286,81 +280,50 @@ class _InteriorOperator:
         outside = y_w - self._q_x @ y_c @ self._q_t.T
         return y_c, float(np.vdot(outside, outside))
 
-    def residual_norm(self, g: np.ndarray, y_c: np.ndarray, outside_sq: float) -> float:
-        """||A g - y||_W from the reduction (y_c, outside_sq) of y."""
-        diff = (self._s_x * g) @ self._s_t_transposed - y_c
-        return math.sqrt(float(np.vdot(diff, diff)) + outside_sq)
-
-
-def _largest_eigenvalue(normal: np.ndarray, iters: int) -> float:
-    """Largest eigenvalue of a symmetric positive semidefinite matrix, by power iteration."""
-    g = np.ones(normal.shape[0]) / math.sqrt(normal.shape[0])
-    eig = 0.0
-    for _ in range(iters):
-        q = normal @ g
-        eig = float(g @ q)
-        norm = float(np.linalg.norm(q))
-        if norm == 0.0:
-            return 0.0
-        g = q / norm
-    return eig
-
-
-def estimate_k(problem: XSourceInteriorProblem, iters: int = 20) -> float:
-    """Largest eigenvalue of the normal matrix, by deterministic power iteration."""
-    if iters < 5:
-        raise ValueError(f"iters must be >= 5, got {iters}")
-    return _largest_eigenvalue(_operator(problem).normal, iters)
-
-
-@dataclass(frozen=True)
-class _SetUp:
-    """A problem compared by what its operator depends on.
-
-    That is rho (by its bytes), alpha, grid, domain, omega and the mesh;
-    data, K, beta, m_max and tol play no part.
-    """
-
-    key: tuple
-    problem: XSourceInteriorProblem = field(compare=False)
-
 
 @lru_cache(maxsize=1)
-def _operator_cached(set_up: _SetUp) -> _InteriorOperator:
-    return _InteriorOperator(set_up.problem)
+def _operator(
+    rho: bytes, alpha: float, grid: TimeGrid, domain: Domain1D, omega: tuple, n_mesh: int
+) -> _InteriorOperator:
+    """The operator of a set-up given by value, built once while it repeats."""
+    return _InteriorOperator(
+        TimeSeries(grid, np.frombuffer(rho)), FractionalOrder(alpha), grid, domain, omega, n_mesh
+    )
 
 
-def _operator(problem: XSourceInteriorProblem) -> _InteriorOperator:
-    """The operator of the problem's set-up, built once while the set-up repeats."""
-    p = problem
-    key = (p.rho.values.tobytes(), p.alpha, p.grid, p.domain, tuple(p.omega), p.n_mesh)
-    return _operator_cached(_SetUp(key, problem))
+def _operator_of(p: XSourceInteriorProblem) -> _InteriorOperator:
+    """The operator of the problem's set-up; rho is compared by its bytes."""
+    return _operator(
+        p.rho.values.tobytes(), p.alpha.alpha, p.grid, p.domain, tuple(p.omega), p.n_mesh
+    )
 
 
-# sweeps per block of the closed-form iteration: (N, block) temporaries
-_SWEEP_BLOCK = 256
+def estimate_k(problem: XSourceInteriorProblem) -> float:
+    """Largest eigenvalue of A^T W A: the square of A's largest singular value."""
+    return float(_operator_of(problem).sigma[0] ** 2)
 
 
 def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionReport:
     """Damped adjoint-driven iteration for g from interior data.
 
     Starts from g = 0; sweep m applies the damped update
-    g_m = (K g_(m-1) - (M g_(m-1) - b))/(K + beta) with the normal matrix M
-    and b = A^T W y.  In the singular basis of the reduced operator the
-    sweeps are closed-form, g_m = (1 - r^m) s y/(s^2 + beta), and are taken
-    in blocks of `_SWEEP_BLOCK`.  residual_history[m-1] = ||A g_(m-1) - y||_W
-    is summed as an explicit difference in a fixed order, so it cannot
-    rise through cancellation.  At every sweep the triangle-inequality
-    bound on the update norm is asserted, three consecutive residual rises
-    (or a non-finite value) raise DivergenceError, and a step of at most
-    `tol` ends the run.  The diagnostics add the singular values and the
-    filter factors (1 - r^m) s^2/(s^2 + beta) of the run.
+    g_m = (K g_(m-1) - (M g_(m-1) - b))/(K + beta) with M = A^T W A and
+    b = A^T W y.  In the singular basis of the reduced operator M is
+    diag(s^2), so the sweeps are closed-form, g_m = (1 - r^m) s y/(s^2 + beta),
+    and are taken in blocks of `_SWEEP_BLOCK`.  K defaults to 1.1 s_1^2, the
+    largest eigenvalue of M.  residual_history[m-1] = ||A g_(m-1) - y||_W is
+    summed as an explicit difference in a fixed order, so it cannot rise
+    through cancellation.  At every sweep the triangle-inequality bound on
+    the update norm is asserted, three consecutive residual rises (or a
+    non-finite value) raise DivergenceError, and a step of at most `tol`
+    ends the run.  The diagnostics add the singular values and the filter
+    factors (1 - r^m) s^2/(s^2 + beta) of the run.
     """
     # the rho(0) != 0 hypothesis backs identifiability of the iteration target
     if problem.rho.values[0] == 0.0:
         raise DegenerateRhoError("rho(0) must be nonzero")
-    op = _operator(problem)
-    K = problem.K if problem.K is not None else op.default_k
+    op = _operator_of(problem)
+    K = problem.K if problem.K is not None else 1.1 * float(op.sigma[0] ** 2)
     beta = problem.beta
     if not (K > 0.0 and beta > 0.0):
         raise NonPositiveParamsError(f"K and beta must be positive, got K={K}, beta={beta}")
@@ -394,13 +357,10 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
             bound = (K / (K + beta)) * size[:-1] + grad / (K + beta)
             broke = (size[1:] > bound * (1.0 + 1e-12) + 1e-300) & np.isfinite(size[1:])
         n = resid.size
-        # three rises in a row, counted across the block boundary
-        ext = np.concatenate((([math.inf] * 3 + history[-3:])[-3:], resid))
-        rising = ext[1:] > ext[:-1]
-        grown = rising[2:] & rising[1:-1] & rising[:-2]
-        diverged = _first(grown | ~np.isfinite(resid) | ~np.isfinite(size[1:]), n)
-        broke = _first(broke, n)
-        done = _first(steps <= problem.tol, n) if problem.tol > 0.0 else n
+        overflow = ~np.isfinite(resid) | ~np.isfinite(size[1:])
+        diverged = first_index(third_rises(resid, history) | overflow)
+        broke = first_index(broke)
+        done = first_index(steps <= problem.tol) if problem.tol > 0.0 else n
         # within a sweep: the bound check, then the divergence check, then tol
         if broke < n and broke <= min(diverged, done):
             raise AssertionError("damped-update norm bound violated")
@@ -427,9 +387,3 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
             "filter_factors": filters,
         },
     )
-
-
-def _first(flags: np.ndarray, none: int) -> int:
-    """Index of the first set flag, or `none`."""
-    hits = np.flatnonzero(flags)
-    return int(hits[0]) if hits.size else none

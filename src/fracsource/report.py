@@ -1,9 +1,10 @@
-"""Result container shared by the reconstruction solvers."""
+"""Result container and stopping scan shared by the reconstruction solvers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,6 +33,23 @@ def relative_l2(recovered, truth, skip_first: int = 0) -> float:
     return float(np.linalg.norm(a - b)) / denom
 
 
+def third_rises(values: np.ndarray, history: list) -> np.ndarray:
+    """Flags of the entries of `values` that are the third rise in a row.
+
+    The tail of `history`, the values of earlier blocks, counts, so a scan
+    block by block flags what one scan of the whole sequence would.
+    """
+    ext = np.concatenate((([math.inf] * 3 + history[-3:])[-3:], values))
+    rising = ext[1:] > ext[:-1]
+    return rising[2:] & rising[1:-1] & rising[:-2]
+
+
+def first_index(flags: np.ndarray) -> int:
+    """Index of the first set flag, or flags.size when none is set."""
+    hits = np.flatnonzero(flags)
+    return int(hits[0]) if hits.size else flags.size
+
+
 @dataclass
 class ReconstructionReport:
     """Recovered component plus solver diagnostics.
@@ -40,8 +58,6 @@ class ReconstructionReport:
     residual_history: per-iteration data-fidelity residuals (iterative
         solvers) or a single final residual (direct solvers).
     iterations: number of iterations actually performed.
-    rel_l2_error: relative L2 error against ground truth when the caller
-        supplied one, else None.
     diagnostics: free-form diagnostics (regularization parameters,
         retained mode counts, bound constants; read-only arrays such as the
         interior solve's singular values and filter factors).
@@ -50,5 +66,4 @@ class ReconstructionReport:
     recovered: Union[TimeSeries, SpectralField]
     residual_history: list = field(default_factory=list)
     iterations: int = 0
-    rel_l2_error: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)

@@ -23,6 +23,7 @@ from fracsource.fracops import (
 )
 from fracsource.inverse_t import (
     TSourceProblem,
+    _observed_trace,
     _series_reciprocal,
     _volterra_weights,
     count_sign_changes,
@@ -32,7 +33,7 @@ from fracsource.inverse_t import (
     solve_volterra,
 )
 from fracsource.profiles import make_g, make_rho
-from fracsource.report import relative_l2
+from fracsource.report import first_index, relative_l2, third_rises
 from fracsource.spectral import Domain1D, SpectralField, eval_at
 
 DOM = Domain1D(1.0, 8)
@@ -194,8 +195,7 @@ VOLTERRA_SIZES = (2, 3, 100, 257, 2048)
 def test_volterra_resolvent_matches_substitution(n_steps, a, noisy, x0):
     # a 3-node window keeps the 3-node noisy trace of n_steps = 2 non-constant
     problem = volterra_case(n_steps, a, noisy, x0)
-    trace = mollify(problem.trace, 3) if noisy else problem.trace
-    psi = caputo_l1(trace, problem.alpha).values
+    psi = caputo_l1(_observed_trace(problem, 3), problem.alpha).values
     expected = forward_substitution(problem, psi)
     rep = solve_volterra(problem, mollify_width=3)
     scale = float(np.max(np.abs(expected)))
@@ -230,6 +230,28 @@ def test_volterra_noisy_premollified_smoke():
     # the averaging trades a smoothing bias for noise damping; at desk
     # scale the result stays usable rather than derivative-amplified
     assert relative_l2(rep.recovered, rho, skip_first=1) < 0.5
+
+
+@pytest.mark.parametrize("solver", (solve_volterra, fixed_point_iterate))
+def test_noisy_constant_rho_keeps_the_zero_initial_value(solver):
+    # Both solvers are linear in the data, so the error splits in two:
+    # clean data through the noisy path (the discretisation error for
+    # rho(0) != 0 plus the 5-node window's bias: 0.012 for the direct
+    # solve, 0.019 after 50 sweeps) and the mollified 1% noise alone (at
+    # most 0.0055 of ||rho|| over seeds 0-19).  Their sum, 0.025, gives
+    # the bound 0.03; seed 5 reads 0.013 and 0.019.  A mollified trace whose
+    # node 0 keeps the mean of the first three nodes, not the known
+    # u(x0, 0) = 0, errs by 0.37 here in either solver.
+    grid = TimeGrid(1.0, 256)
+    a = FractionalOrder(0.5)
+    g = make_g(Domain1D(1.0, 64), "sine_bump")
+    rho = make_rho(grid, "constant")
+    c, d = trace_weights(g, 0.35, a, grid)
+    clean = product_rule_convolve(c, d, rho.values)
+    amp = 0.01 * float(np.max(np.abs(clean)))
+    noisy = clean + np.random.default_rng(5).uniform(-amp, amp, clean.shape)
+    p = TSourceProblem(g, 0.35, a, grid, TimeSeries(grid, noisy), noise_level=0.01)
+    assert relative_l2(solver(p, mollify_width=5).recovered, rho, skip_first=1) < 0.03
 
 
 @pytest.mark.parametrize("solver", (solve_volterra, fixed_point_iterate))
@@ -379,9 +401,7 @@ def sweep_loop(problem, K, m_max=50, tol=1e-10, mollify_width=5, truth=None):
     """The per-sweep loop that fixed_point_iterate ran before its sweeps
     were blocked, kept as the reference: each sweep is one np.convolve."""
     grid, alpha = problem.grid, problem.alpha
-    trace = problem.trace
-    if problem.noise_level > 0.0:
-        trace = mollify(trace, mollify_width)
+    trace = _observed_trace(problem, mollify_width)
     c, d = trace_weights(problem.g, problem.x0, alpha, grid)
 
     def derivative_of_trace(f):
@@ -491,9 +511,19 @@ def scan_loop(steps, tol):
     return len(steps), False
 
 
-def test_block_scan_follows_the_loop_across_block_boundaries():
-    from fracsource.inverse_t import _block_stop
+def block_stop(steps, history, tol):
+    """The fixed-point solver's scan of one block, from the shared helpers.
 
+    The index of the sweep that meets tol (steps.size if none does); a
+    third rise in a row at or before it raises DivergenceError.
+    """
+    stop = first_index(steps <= tol)
+    if first_index(third_rises(steps, history)) <= min(stop, steps.size - 1):
+        raise DivergenceError("third rise")
+    return stop
+
+
+def test_block_scan_follows_the_loop_across_block_boundaries():
     rng = np.random.default_rng(11)
     raised = stopped = 0
     for _ in range(400):
@@ -506,7 +536,7 @@ def test_block_scan_follows_the_loop_across_block_boundaries():
         got = (length, False)
         for cut in cuts:
             try:
-                stop = _block_stop(steps[first:cut], history, tol)
+                stop = block_stop(steps[first:cut], history, tol)
             except DivergenceError:
                 # the loop raised inside this block
                 assert want[1] and first <= want[0] < cut
@@ -524,21 +554,19 @@ def test_block_scan_follows_the_loop_across_block_boundaries():
 
 
 def test_block_scan_counts_rises_before_the_boundary():
-    from fracsource.inverse_t import _block_stop
-
     # two rises end the last block: the first step of this one is the third
     with pytest.raises(DivergenceError):
-        _block_stop(np.array([0.8, 0.1]), [1.0, 0.5, 0.6, 0.7], 0.0)
+        block_stop(np.array([0.8, 0.1]), [1.0, 0.5, 0.6, 0.7], 0.0)
     # two rises in all, one on each side of the boundary: no divergence
-    assert _block_stop(np.array([0.7, 0.65]), [1.0, 0.5, 0.6], 0.0) == 2
+    assert block_stop(np.array([0.7, 0.65]), [1.0, 0.5, 0.6], 0.0) == 2
     # divergence is checked before tol within a sweep, as the loop did
     with pytest.raises(DivergenceError):
-        _block_stop(np.array([0.8]), [0.5, 0.6, 0.7], 1.0)
-    assert _block_stop(np.array([0.7, 0.8]), [0.5, 0.6], 0.75) == 0
+        block_stop(np.array([0.8]), [0.5, 0.6, 0.7], 1.0)
+    assert block_stop(np.array([0.7, 0.8]), [0.5, 0.6], 0.75) == 0
     # the first sweep of a run has nothing to rise from
-    assert _block_stop(np.array([1.0, 2.0, 3.0]), [], 0.0) == 3
+    assert block_stop(np.array([1.0, 2.0, 3.0]), [], 0.0) == 3
     with pytest.raises(DivergenceError):
-        _block_stop(np.array([1.0, 2.0, 3.0, 4.0]), [], 0.0)
+        block_stop(np.array([1.0, 2.0, 3.0, 4.0]), [], 0.0)
 
 
 @pytest.mark.parametrize("n_steps,a,x0", [(2, 0.5, 0.3), (3, 0.1, 0.5), (17, 0.9, 0.2), (256, 0.6, 0.35)])

@@ -311,19 +311,28 @@ def test_thresholding_beta_tradeoff():
     assert hi.residual_history[-1] > lo.residual_history[-1]
 
 
-def recursion(p, K):
-    """The damped iteration sweep by sweep: (g, residual history, sweeps)."""
+def operator_of(p):
+    """The interior operator of problem p, built afresh."""
     import fracsource.inverse_x as inverse_x
 
-    op = inverse_x._InteriorOperator(p)
+    return inverse_x._InteriorOperator(p.rho, p.alpha, p.grid, p.domain, p.omega, p.n_mesh)
+
+
+def w_norm(op, r):
+    """||r||_W for a (points, time) array r, summed explicitly."""
+    return math.sqrt(float(op.w_omega @ (r**2) @ op.t_weights))
+
+
+def recursion(p, K):
+    """The damped iteration sweep by sweep: (g, residual history, sweeps)."""
+    op = operator_of(p)
     y = p.observed
     b = op.adjoint(y)
     g = np.zeros(p.domain.n_modes)
     history = []
     for m in range(1, p.m_max + 1):
-        resid = op.apply(g) - y
-        history.append(math.sqrt(float(op.w_omega @ (resid**2) @ op.t_weights)))
-        g_next = (K * g - (op.normal @ g - b)) / (K + p.beta)
+        history.append(w_norm(op, op.apply(g) - y))
+        g_next = (K * g - (op.adjoint(op.apply(g)) - b)) / (K + p.beta)
         step = float(np.linalg.norm(g_next - g))
         g = g_next
         if p.tol > 0.0 and step <= p.tol:
@@ -423,7 +432,7 @@ def test_operator_built_once_per_set_up(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(inverse_x, "solve_inhomogeneous", counting)
-    inverse_x._operator_cached.cache_clear()
+    inverse_x._operator.cache_clear()
     p = noisy_interior_problem(beta=1e-8, m_max=20)
     iterative_thresholding(p)
     assert len(calls) == 1
@@ -449,21 +458,20 @@ def test_operator_built_once_per_set_up(monkeypatch):
 
 
 def test_interior_adjoint_is_exact_transpose():
-    import fracsource.inverse_x as inverse_x
-
     grid = TimeGrid(1.0, 64)
     rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
     p = interior_problem(make_g(DOM, "sine_bump"), rho, FractionalOrder(0.6))
-    op = inverse_x._InteriorOperator(p)
+    op = operator_of(p)
     rng = np.random.default_rng(17)
     g = rng.standard_normal(DOM.n_modes)
     r = rng.standard_normal(p.observed.shape)
     lhs = float(op.w_omega @ (op.apply(g) * r) @ op.t_weights)
     rhs = float(g @ op.adjoint(r))
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
-    m = op.normal
-    assert np.max(np.abs(m - m.T)) <= 1e-13 * np.max(np.abs(m))
-    assert np.allclose(m @ g, op.adjoint(op.apply(g)), rtol=1e-13, atol=0.0)
+    # A^T W A is V S^2 V^T for the SVD of the reduced operator
+    normal_g = op.adjoint(op.apply(g))
+    from_svd = op.vt.T @ (op.sigma**2 * (op.vt @ g))
+    assert np.linalg.norm(normal_g - from_svd) <= 1e-13 * np.linalg.norm(normal_g)
 
 
 def test_sweeps_solve_no_forward_problem(monkeypatch):
@@ -498,7 +506,7 @@ def test_sweeps_solve_no_forward_problem(monkeypatch):
         inverse_t.fixed_point_iterate(t_problem, m_max=m_max, tol=0.0)
         fixed_point = len(calls)
         del calls[:]
-        inverse_x._operator_cached.cache_clear()
+        inverse_x._operator.cache_clear()
         iterative_thresholding(x_problem)
         counts.append((fixed_point, len(calls)))
     assert counts == [(0, 1), (0, 1)]
@@ -545,33 +553,48 @@ def test_warm_solves_evaluate_no_mittag_leffler(monkeypatch):
     ],
 )
 def test_reduced_residual_matches_explicit(n_modes, omega, n_mesh, n_steps):
-    import fracsource.inverse_x as inverse_x
-
+    # residual_history[m] is ||A g_m - y||_W, taken in reduced coordinates;
+    # g_m is what a run of m sweeps returns
     dom = Domain1D(1.0, n_modes)
     grid = TimeGrid(1.0, n_steps)
     rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
     g_true = make_g(dom, "offset_bump", center_frac=0.6, width_frac=0.5)
     p = interior_problem(g_true, rho, FractionalOrder(0.6), omega=omega, n_mesh=n_mesh)
-    op = inverse_x._InteriorOperator(p)
+    op = operator_of(p)
     rng = np.random.default_rng(23)
     noisy = p.observed + 1e-3 * rng.standard_normal(p.observed.shape)
-    def explicit(g, y):
-        resid = op.apply(g) - y
-        return math.sqrt(float(op.w_omega @ (resid**2) @ op.t_weights))
-
     for y in (p.observed, noisy):
         y_c, outside_sq = op.reduce(y)
-        for g in (np.zeros(n_modes), rng.standard_normal(n_modes)):
-            reduced = op.residual_norm(g, y_c, outside_sq)
-            assert reduced == pytest.approx(explicit(g, y), rel=1e-12, abs=0.0)
-    y_c, outside_sq = op.reduce(noisy)
-    reduced = op.residual_norm(g_true.coeffs, y_c, outside_sq)
-    assert reduced == pytest.approx(explicit(g_true.coeffs, noisy), rel=1e-12, abs=0.0)
-    # the exact fit leaves only round-off, in either form
-    scale = explicit(np.zeros(n_modes), p.observed)
-    y_c, outside_sq = op.reduce(p.observed)
-    assert op.residual_norm(g_true.coeffs, y_c, outside_sq) <= 1e-14 * scale
-    assert explicit(g_true.coeffs, p.observed) <= 1e-14 * scale
+        assert math.sqrt(float(np.vdot(y_c, y_c)) + outside_sq) == pytest.approx(
+            w_norm(op, y), rel=1e-12, abs=0.0
+        )
+        history = iterative_thresholding(
+            XSourceInteriorProblem(rho, p.alpha, grid, dom, omega, y, n_mesh, beta=1e-8, m_max=9)
+        ).residual_history
+        assert history[0] == pytest.approx(w_norm(op, y), rel=1e-12, abs=0.0)
+        for m in (1, 2, 8):
+            g = iterative_thresholding(
+                XSourceInteriorProblem(rho, p.alpha, grid, dom, omega, y, n_mesh, beta=1e-8, m_max=m)
+            ).recovered.coeffs
+            assert history[m] == pytest.approx(w_norm(op, op.apply(g) - y), rel=1e-12, abs=0.0)
+    # the exact fit leaves only round-off
+    scale = w_norm(op, p.observed)
+    assert w_norm(op, op.apply(g_true.coeffs) - p.observed) <= 1e-14 * scale
+
+
+def power_iteration(op, iters):
+    """Largest eigenvalue of the assembled N x N matrix of A^T W A, by power iteration."""
+    normal = ((op.phi * op.w_omega) @ op.phi.T) * ((op.response * op.t_weights) @ op.response.T)
+    g = np.ones(normal.shape[0]) / math.sqrt(normal.shape[0])
+    eig = 0.0
+    for _ in range(iters):
+        q = normal @ g
+        eig = float(g @ q)
+        norm = float(np.linalg.norm(q))
+        if norm == 0.0:
+            return 0.0
+        g = q / norm
+    return eig
 
 
 def test_estimate_k_zero_operator():
@@ -581,8 +604,7 @@ def test_estimate_k_zero_operator():
     zero_rho = TimeSeries(grid, np.zeros(65))
     p = interior_problem(g, zero_rho, a)
     assert estimate_k(p) == 0.0
-    with pytest.raises(ValueError):
-        estimate_k(p, iters=3)
+    assert power_iteration(operator_of(p), 20) == 0.0
 
 
 def test_estimate_k_stable_and_scales_quadratically():
@@ -591,10 +613,11 @@ def test_estimate_k_stable_and_scales_quadratically():
     g = make_g(DOM, "sine_bump")
     rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
     p = interior_problem(g, rho, a)
-    k20 = estimate_k(p, iters=20)
-    k40 = estimate_k(p, iters=40)
-    assert k20 > 0.0
-    assert abs(k40 - k20) / k40 < 0.05
+    k = estimate_k(p)
+    assert k > 0.0
+    # sigma_1^2 of the SVD is the eigenvalue the power iteration converges to
+    for iters in (20, 40):
+        assert k == pytest.approx(power_iteration(operator_of(p), iters), rel=1e-13, abs=0.0)
     scaled = TimeSeries(grid, 3.0 * rho.values)
     p3 = interior_problem(g, scaled, a)
-    assert estimate_k(p3, iters=40) == pytest.approx(9.0 * k40, rel=1e-6)
+    assert estimate_k(p3) == pytest.approx(9.0 * k, rel=1e-6)
