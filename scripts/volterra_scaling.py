@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall time and accuracy of the two rho solvers on long time grids.
+"""Wall time and accuracy of the rho solvers and the sourced solve on long grids.
 
 For n_steps = 256, 2048, 8192 and 32768 (N = 64, alpha = 0.5, sine-bump
 g, x0 = 0.3, sine rho, T = 1, clean data) it prints:
@@ -11,23 +11,31 @@ g, x0 = 0.3, sine rho, T = 1, clean data) it prints:
   discrete residual the solver reports;
 * for 50 fixed-point sweeps (`fixed_point_iterate`, K at its bound, no
   tol stop): the cold time, which builds the set-up's sweep table, the
-  warm time of a second call, and the relative L2 error.
+  warm time of a second call, and the relative L2 error;
+* the warm time of the full sourced solve `solve_inhomogeneous` with all
+  64 modes of the source nonzero (g_n = 1), on the cached kernel table;
+* the peak resident set of the process so far, in MiB.
 
 The error is set by the L1 derivative of a trace that behaves like
 t^alpha near t = 0, so it falls slowly with n_steps; the time shows what
 a finer grid costs for it.  The largest grid takes several seconds.
+Pin one BLAS thread (OPENBLAS_NUM_THREADS=1) for timings that compare
+across hosts.
 
 Usage: python3 scripts/volterra_scaling.py
 """
 
+import resource
 import time
 
-from fracsource.forward import trace_weights
+import numpy as np
+
+from fracsource.forward import separated_source, solve_inhomogeneous, trace_weights
 from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries, product_rule_convolve
 from fracsource.inverse_t import TSourceProblem, fixed_point_iterate, solve_volterra
 from fracsource.profiles import make_g, make_rho
 from fracsource.report import relative_l2
-from fracsource.spectral import Domain1D
+from fracsource.spectral import Domain1D, SpectralField
 
 X0 = 0.3
 
@@ -36,9 +44,10 @@ def main() -> None:
     dom = Domain1D(1.0, 64)
     alpha = FractionalOrder(0.5)
     g = make_g(dom, "sine_bump")
+    ones = SpectralField(dom, np.ones(dom.n_modes))
     print(
         f"{'n_steps':>8} {'set-up s':>9} {'solve s':>9} {'rel. error':>11} {'residual':>10}"
-        f" {'fp cold s':>10} {'fp warm s':>10} {'fp error':>10}"
+        f" {'fp cold s':>10} {'fp warm s':>10} {'fp error':>10} {'inhom s':>9} {'peak MiB':>9}"
     )
     for n in (256, 2048, 8192, 32768):
         grid = TimeGrid(1.0, n)
@@ -58,9 +67,14 @@ def main() -> None:
             sweeps = fixed_point_iterate(problem, m_max=50, tol=0.0)
             fp.append(time.perf_counter() - t0)
         fp_err = relative_l2(sweeps.recovered, rho, skip_first=1)
+        source = separated_source(ones, rho)
+        t0 = time.perf_counter()
+        solve_inhomogeneous(source, alpha, grid)
+        inhom = time.perf_counter() - t0
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(
             f"{n:>8} {setup:9.3f} {solve:9.4f} {err:11.3e} {rep.residual_history[0]:10.2e}"
-            f" {fp[0]:10.4f} {fp[1]:10.4f} {fp_err:10.3e}"
+            f" {fp[0]:10.4f} {fp[1]:10.4f} {fp_err:10.3e} {inhom:9.4f} {peak:9.1f}"
         )
 
 

@@ -139,8 +139,8 @@ def solve_inhomogeneous(
         raise ValueError("source grid does not match the requested output grid")
     modal = np.zeros_like(source.modal_values)
     c, d = modal_kernel_weights(source.domain, alpha, grid)
-    for i in np.flatnonzero(np.any(source.modal_values, axis=1)):
-        modal[i] = product_rule_convolve(c[i], d[i], source.modal_values[i])
+    live = np.flatnonzero(np.any(source.modal_values, axis=1))
+    modal[live] = product_rule_convolve(c[live], d[live], source.modal_values[live])
     return EvolutionField(source.domain, grid, modal)
 
 

@@ -5,6 +5,11 @@ integral from 0, and a product-trapezoidal quadrature for weakly
 singular convolutions.  The singular weight s^(p-1) is always
 integrated in closed form against piecewise-linear data, which makes
 every operator second-order accurate on smooth inputs.
+
+Every time convolution in the package goes through one primitive, row
+by row over the leading axes: `_spectrum`, the rfft at the power-of-two
+length that holds two n-term series, and `_truncated_inverse`, the first
+n terms of the inverse of a product of such spectra.
 """
 
 from __future__ import annotations
@@ -73,28 +78,32 @@ class TimeSeries:
         object.__setattr__(self, "values", v)
 
 
+def _spectrum(x: np.ndarray, n: int) -> np.ndarray:
+    """rfft of the rows of x at the power-of-two length that holds two n-term series."""
+    return np.fft.rfft(x, 1 << (2 * n - 1).bit_length())
+
+
+def _truncated_inverse(spectrum: np.ndarray, n: int) -> np.ndarray:
+    """Terms 0..n-1 of the rows whose `_spectrum` is given: a truncated convolution."""
+    return np.fft.irfft(spectrum, 2 * (spectrum.shape[-1] - 1))[..., :n]
+
+
+def _l1_derivative(values: np.ndarray, alpha: FractionalOrder, grid: TimeGrid) -> np.ndarray:
+    """`caputo_l1` of each row: tau^-a/Gamma(2-a) sum_{j<k} b_j (f_{k-j} - f_{k-j-1})."""
+    a, n = alpha.alpha, grid.n_steps
+    b = np.diff(np.arange(n + 1.0) ** (1.0 - a)) * (grid.tau ** (-a) / math.gamma(2.0 - a))
+    out = np.zeros(values.shape)
+    out[..., 1:] = _truncated_inverse(_spectrum(b, n) * _spectrum(np.diff(values), n), n)
+    return out
+
+
 def caputo_l1(f: TimeSeries, alpha: FractionalOrder) -> TimeSeries:
     """L1-scheme Caputo derivative of order alpha on the grid.
 
     Node 0 is set to 0 by convention (the series starts at t_1); the
     scheme is O(tau^(2-alpha)) for twice-differentiable data.
     """
-    n = f.grid.n_steps
-    b, scale = _l1_weights(alpha, f.grid)
-    df = np.diff(f.values)
-    out = np.zeros(n + 1)
-    # out[k] = sum_{j<k} b_j (f_{k-j} - f_{k-j-1}), a discrete convolution
-    out[1:] = np.convolve(b, df)[:n]
-    out[1:] *= scale
-    return TimeSeries(f.grid, out)
-
-
-def _l1_weights(alpha: FractionalOrder, grid: TimeGrid) -> tuple[np.ndarray, float]:
-    """The L1 scheme's increment weights b_j, j < n_steps, and their common factor."""
-    a = alpha.alpha
-    j = np.arange(grid.n_steps, dtype=float)
-    b = (j + 1.0) ** (1.0 - a) - j ** (1.0 - a)
-    return b, grid.tau ** (-a) / math.gamma(2.0 - a)
+    return TimeSeries(f.grid, _l1_derivative(f.values, alpha, f.grid))
 
 
 def _interval_moments(p: float, t: np.ndarray, tau: float):
@@ -113,12 +122,18 @@ def product_rule_convolve(c: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.nda
     """out[k] = sum_{j<k} (c_j f_{k-j} + d_j f_{k-j-1}), with out[0] = 0.
 
     The product rule behind every convolution on the grid: c_j and d_j
-    weigh the two nodes of f that bound subinterval j of the kernel.
+    weigh the two nodes of f that bound subinterval j of the kernel.  f may
+    hold one series per row, and c and d one row of weights per row of f.
     """
-    n = f.shape[0] - 1
-    out = np.zeros(n + 1)
-    out[1:] = np.convolve(c, f[1:])[:n]
-    out[1:] += np.convolve(d, f)[:n]
+    n = f.shape[-1] - 1
+    # one convolution with e_i = c_i + d_(i-1), less the c_k f_0 it adds at
+    # i = k; at the FFT length (>= 2n) only its term 2n wraps, onto term 0
+    e = np.zeros(c.shape[:-1] + (n + 1,))
+    e[..., :-1] = c
+    e[..., 1:] += d
+    out = np.zeros(f.shape)
+    out[..., 1:] = _truncated_inverse(_spectrum(e, n) * _spectrum(f, n), n + 1)[..., 1:]
+    out[..., 1:-1] -= c[..., 1:] * f[..., :1]
     return out
 
 

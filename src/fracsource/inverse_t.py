@@ -41,7 +41,9 @@ from .fracops import (
     FractionalOrder,
     TimeGrid,
     TimeSeries,
-    _l1_weights,
+    _l1_derivative,
+    _spectrum,
+    _truncated_inverse,
     caputo_l1,
     product_rule_convolve,
 )
@@ -143,12 +145,9 @@ def _homogeneous_trace(
     return eval_at(g, x0) - np.concatenate(([0.0], np.cumsum(c + d)))
 
 
-def _extrapolate_node0(values: np.ndarray) -> None:
-    """Fill node 0 quadratically; the equation gives no information there."""
-    if values.shape[0] >= 4:
-        values[0] = 3.0 * values[1] - 3.0 * values[2] + values[3]
-    else:
-        values[0] = values[1]
+def _node0_weights(n_steps: int) -> np.ndarray:
+    """e with rho(0) = e . rho[1:4]: quadratic through t_1..t_3, constant on a 2-step grid."""
+    return np.array([3.0, -3.0, 1.0]) if n_steps >= 3 else np.array([1.0, 0.0])
 
 
 def _series_reciprocal(t: np.ndarray) -> np.ndarray:
@@ -158,6 +157,7 @@ def _series_reciprocal(t: np.ndarray) -> np.ndarray:
     times it corrects orders m..2m-1 (cut at len(t) in the last step).
     """
     r = np.array([1.0 / t[0]])
+    # np.convolve, not the fracops FFT primitive: most Newton steps are short
     while r.shape[0] < t.shape[0]:
         m = r.shape[0]
         k = min(m, t.shape[0] - m)
@@ -182,10 +182,11 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
     psi = caputo_l1(_observed_trace(problem, mollify_width), problem.alpha).values
     c, d = _volterra_weights(problem.g, problem.x0, problem.alpha, problem.grid)
     r = _series_reciprocal(np.concatenate(([gx0], -d[:-1])) - c)
-    rho = np.concatenate(([0.0], np.convolve(r, psi[1:])[: r.shape[0]]))
+    n = r.shape[0]
+    rho = np.concatenate(([0.0], _truncated_inverse(_spectrum(r, n) * _spectrum(psi[1:], n), n)))
     # discrete residual of the original system: it checks the resolvent solve
     resid = float(np.max(np.abs(gx0 * rho - psi - product_rule_convolve(c, d, rho))[1:]))
-    _extrapolate_node0(rho)
+    rho[0] = _node0_weights(problem.grid.n_steps) @ rho[1:4]
     return ReconstructionReport(
         recovered=TimeSeries(problem.grid, rho),
         residual_history=[resid],
@@ -198,26 +199,13 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
 _SWEEP_BLOCK = 64
 
 
-def _impulse_traces(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Trace-map images of unit impulses at t_0 and t_1, as two rows.
-
-    They are what product_rule_convolve(c, d, .) makes of the unit vectors,
-    read off its weights: [0, d_0 .. d_(n-1)] and [0, c_0, c_k + d_(k-1) ..].
-    """
-    out = np.zeros((2, c.shape[0] + 1))
-    out[0, 1:] = d
-    out[1, 1] = c[0]
-    out[1, 2:] = c[1:] + d[:-1]
-    return out
-
-
 class _SweepTable:
     """The fixed-point sweep map of one set-up, tabulated for blocks of sweeps.
 
     On z = rho[1:] a sweep is z <- z + (b - T z - r (e . z))/K: b is the L1
     derivative of the data, T convolves with that of the trace of a unit
-    impulse at t_1, r is that of one at t_0, and e . z is rho(0) as
-    `_extrapolate_node0` sets it.  Update m is M^(m-1) b/K for
+    impulse at t_1, r is that of one at t_0, and e . z is rho(0) with e
+    from `_node0_weights`.  Update m is M^(m-1) b/K for
     M = I - T/K - r e^T/K.  With nu = 1 - t/K the series of I - T/K, the
     update j sweeps after one equal to delta is
 
@@ -237,49 +225,36 @@ class _SweepTable:
     ):
         n, blk = grid.n_steps, _SWEEP_BLOCK
         self.n = n
-        # a power of two that holds a linear convolution of two n-vectors
-        self.fft_len = size = 1 << (2 * n - 2).bit_length()
-        weights, self.l1_scale = _l1_weights(alpha, grid)
-        self.l1_spectrum = np.fft.rfft(weights, size)
-        r, t = self.derivative(np.diff(_impulse_traces(*trace_weights(g, x0, alpha, grid))))
+        impulses = product_rule_convolve(*trace_weights(g, x0, alpha, grid), np.eye(2, n + 1))
+        r, t = _l1_derivative(impulses, alpha, grid)[:, 1:]
         nu = -t / K
         nu[0] += 1.0
-        powers = np.empty((blk + 1, size // 2 + 1), dtype=complex)
+        powers = np.repeat(_spectrum(nu, n)[None], blk + 1, axis=0)
         powers[0] = 1.0
-        powers[1] = np.fft.rfft(nu, size)
         k = 1
         while k < blk:  # nu^(k+i) = nu^k nu^i cut at order n, i = 1..k
             m = min(k, blk - k)
-            cut = np.fft.irfft(powers[k] * powers[1 : m + 1], size)[:, :n]
-            powers[k + 1 : k + m + 1] = np.fft.rfft(cut, size)
+            cut = _truncated_inverse(powers[k] * powers[1 : m + 1], n)
+            powers[k + 1 : k + m + 1] = _spectrum(cut, n)
             k += m
         self.powers = powers
-        e = np.array([3.0, -3.0, 1.0]) if n >= 3 else np.ones(1)
+        e = _node0_weights(n)
         lag = np.subtract.outer(np.arange(e.size), np.arange(e.size))
         lead = np.where(lag >= 0, nu[np.abs(lag)], 0.0) - np.outer(r[: e.size], e) / K
         rows = np.empty((blk, e.size))  # e^T A^i
         rows[0] = e
         for i in range(1, blk):
             rows[i] = rows[i - 1] @ lead
-        spread_r = self._convolve(powers[:blk], r / K)  # nu^k * r/K
+        spread_r = _truncated_inverse(powers[:blk] * _spectrum(r / K, n), n)  # nu^k * r/K
         self.coupling = np.zeros((e.size, blk + 1, n))
         for j in range(1, blk + 1):
             self.coupling[:, j] = rows[j - 1 :: -1].T @ spread_r[:j]
-        for a in (self.l1_spectrum, self.powers, self.coupling):
+        for a in (self.powers, self.coupling):
             a.flags.writeable = False
-
-    def _convolve(self, spectra: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Rows spectra x f as truncated convolutions over t_1..t_n."""
-        size = self.fft_len
-        return np.fft.irfft(spectra * np.fft.rfft(f, size), size)[..., : self.n]
-
-    def derivative(self, increments: np.ndarray) -> np.ndarray:
-        """The L1 derivative at t_1..t_n of data with these increments (rows)."""
-        return self._convolve(self.l1_spectrum, increments) * self.l1_scale
 
     def block(self, start: np.ndarray, count: int) -> np.ndarray:
         """Rows: the update `start` and the count updates that follow it."""
-        out = self._convolve(self.powers[: count + 1], start)
+        out = _truncated_inverse(self.powers[: count + 1] * _spectrum(start, self.n), self.n)
         for weight, table in zip(start, self.coupling):  # start_l G_l, l < q
             out -= weight * table[: count + 1]
         return out
@@ -326,7 +301,7 @@ def fixed_point_iterate(
     trace = _observed_trace(problem, mollify_width)
     g = problem.g
     sweeps = _sweep_table(g.coeffs.tobytes(), g.domain, problem.x0, problem.alpha.alpha, grid, K)
-    start = sweeps.derivative(np.diff(trace.values)) / K
+    start = _l1_derivative(trace.values, problem.alpha, grid)[1:] / K
     z = np.zeros(grid.n_steps)  # rho at t_1..t_n
     history: list[float] = []
     error_history: list[float] = []
@@ -355,7 +330,7 @@ def fixed_point_iterate(
     rho = np.concatenate(([0.0], z))
     # the updates carry no information at t = 0; extrapolating there keeps
     # the trace consistent with rho(0) != 0 sources
-    _extrapolate_node0(rho)
+    rho[0] = _node0_weights(grid.n_steps) @ rho[1:4]
     return ReconstructionReport(
         recovered=TimeSeries(problem.grid, rho),
         residual_history=history,
@@ -386,17 +361,16 @@ def lipschitz_certificate(
         raise ValueError("rho_family must be non-empty")
     if abs(eval_at(g, x0)) < EPS_POINT:
         raise PointDegenerateError(f"|g(x0)| below the usable threshold {EPS_POINT}")
-    c, d = trace_weights(g, x0, alpha, grid)
-    ratios = []
     for rho in family:
         if not np.any(rho.values):
             raise ValueError("family members must be nonzero")
         if rho.grid != grid:
             raise ValueError("family members must lie on the given grid")
-        dtrace = caputo_l1(TimeSeries(grid, product_rule_convolve(c, d, rho.values)), alpha)
-        denom = float(np.max(np.abs(dtrace.values)))
-        ratios.append(float(np.max(np.abs(rho.values))) / denom)
-    return min(ratios), max(ratios)
+    rhos = np.array([rho.values for rho in family])
+    traces = product_rule_convolve(*trace_weights(g, x0, alpha, grid), rhos)
+    dtraces = _l1_derivative(traces, alpha, grid)
+    ratios = np.max(np.abs(rhos), axis=1) / np.max(np.abs(dtraces), axis=1)
+    return float(ratios.min()), float(ratios.max())
 
 
 def count_sign_changes(rho: TimeSeries, zero_tol: float = 0.0) -> tuple[int, float]:

@@ -250,15 +250,20 @@ def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, float]:
 
     For alpha >= 1 the exponentially damped pole terms are added explicitly,
     since near alpha = 2 they decay too slowly to ignore; at alpha = 1 the
-    two poles are one.
+    two poles are one.  For alpha > 1 the expansion's own error has a part
+    as large as the pole terms, which the envelope misses (just above
+    alpha = 1 the algebraic terms nearly vanish), so the estimate adds it.
     """
     eta = -z
     val, err = _asymptotic_array(alpha, beta, np.array([eta]))
-    total = float(val[0])
+    total, bound = float(val[0]), float(err[0])
     if alpha >= 1.0:
+        x = eta ** (1.0 / alpha)
         weight = 1.0 if alpha == 1.0 else 2.0
-        total += _pole_terms(alpha, beta, eta ** (1.0 / alpha), weight)
-    return total, float(err[0])
+        total += _pole_terms(alpha, beta, x, weight)
+        if alpha > 1.0:
+            bound += (weight / alpha) * x ** (1.0 - beta) * math.exp(x * math.cos(math.pi / alpha))
+    return total, bound
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from fracsource.fracops import (
     weakly_singular_convolve,
 )
 
+EPS = np.finfo(float).eps
+
 
 def make_series(func, T=1.0, n=256):
     grid = TimeGrid(T, n)
@@ -104,6 +106,48 @@ def test_product_rule_matches_loop_formula():
     c, d, f = rng.standard_normal(40), rng.standard_normal(40), rng.standard_normal(41)
     loop = [0.0] + [c[:k] @ f[k:0:-1] + d[:k] @ f[k - 1 :: -1] for k in range(1, 41)]
     assert np.max(np.abs(product_rule_convolve(c, d, f) - loop)) < 1e-13
+
+    def reference(c, d, f):
+        n = f.shape[0] - 1
+        return [0.0] + [c[:k] @ f[k:0:-1] + d[:k] @ f[k - 1 :: -1] for k in range(1, n + 1)]
+
+    def fft_bound(c, d, f):
+        # an FFT convolution at length L errs by at most about
+        # eps log2(L) ||x|| ||y|| in each entry (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2nd ed., sec. 24.1); with a
+        # factor 4 for the two products, the sum and the loop's own dots
+        size = 1 << (2 * c.shape[0] - 1).bit_length()
+        norm = np.linalg.norm
+        return 4.0 * EPS * math.log2(size) * (norm(c) * norm(f[1:]) + norm(d) * norm(f[:-1]))
+
+    # three series at once, with shared weights and with one weight row each
+    rows = rng.standard_normal((3, 41))
+    cs, ds = rng.standard_normal((3, 40)), rng.standard_normal((3, 40))
+    shared, own = product_rule_convolve(c, d, rows), product_rule_convolve(cs, ds, rows)
+    for i in range(3):
+        assert np.max(np.abs(shared[i] - reference(c, d, rows[i]))) < fft_bound(c, d, rows[i])
+        err = np.max(np.abs(own[i] - reference(cs[i], ds[i], rows[i])))
+        assert err < fft_bound(cs[i], ds[i], rows[i])
+    # a long grid
+    c, d, f = rng.standard_normal(4096), rng.standard_normal(4096), rng.standard_normal(4097)
+    assert np.max(np.abs(product_rule_convolve(c, d, f) - reference(c, d, f))) < fft_bound(c, d, f)
+
+
+def test_caputo_long_grid_matches_direct_convolution():
+    # the L1 derivative is scale sum_{j<k} b_j (f_{k-j} - f_{k-j-1}); the
+    # reference forms that sum with np.convolve.  The FFT errs by at most
+    # about eps log2(L) ||b|| ||diff f|| per entry (see the product-rule
+    # test), times the scale, with a factor 4 for the reference's own sums
+    n, a = 4096, 0.4
+    grid = TimeGrid(1.0, n)
+    f = np.random.default_rng(5).standard_normal(n + 1)
+    j = np.arange(n, dtype=float)
+    b = (j + 1.0) ** (1.0 - a) - j ** (1.0 - a)
+    scale = grid.tau ** (-a) / math.gamma(2.0 - a)
+    want = np.concatenate(([0.0], np.convolve(b, np.diff(f))[:n] * scale))
+    got = caputo_l1(TimeSeries(grid, f), FractionalOrder(a)).values
+    bound = 4.0 * EPS * math.log2(2 * n) * np.linalg.norm(b) * np.linalg.norm(np.diff(f)) * scale
+    assert np.max(np.abs(got - want)) < bound
 
 
 def test_convolve_trivial_and_power():

@@ -569,17 +569,6 @@ def test_block_scan_counts_rises_before_the_boundary():
         block_stop(np.array([1.0, 2.0, 3.0, 4.0]), [], 0.0)
 
 
-@pytest.mark.parametrize("n_steps,a,x0", [(2, 0.5, 0.3), (3, 0.1, 0.5), (17, 0.9, 0.2), (256, 0.6, 0.35)])
-def test_impulse_traces_are_the_convolved_unit_vectors(n_steps, a, x0):
-    from fracsource.inverse_t import _impulse_traces
-
-    grid = TimeGrid(1.0, n_steps)
-    c, d = trace_weights(make_g(FP_DOM, "sine_bump"), x0, FractionalOrder(a), grid)
-    unit = np.eye(2, n_steps + 1)
-    convolved = [product_rule_convolve(c, d, unit[0]), product_rule_convolve(c, d, unit[1])]
-    assert np.array_equal(_impulse_traces(c, d), np.array(convolved))
-
-
 @pytest.fixture
 def table_builds(monkeypatch):
     """Count sweep-table builds from an empty cache."""

@@ -285,3 +285,20 @@ def test_array_path_refuses_contour_beyond_its_range(monkeypatch):
     assert np.isfinite(ml_eval_array(0.5, 1.0, [-1e6, -1e149])).all()
     with pytest.raises(MLConvergenceError):
         ml_eval_array(0.5, 1.0, [-1e6, -1e160])
+
+
+@pytest.mark.parametrize("a", [1.0000001, 1.001, 1.01, 1.1])
+def test_asymptotic_route_just_above_alpha_one(a):
+    # at x = 34 the algebraic terms for a just above 1 nearly vanish, and
+    # the expansion's error is the size of the pole terms, (2/a) e^(x cos(pi/a))
+    # ~ 2 e^-34 ~ 3.4e-15, which its envelope alone does not see.  Measured
+    # absolute errors with that size in the estimate are 1.1e-18, 1.6e-17,
+    # 4.7e-18 and 0 (values -3.1e-9, -3.1e-5, -3.0e-4, -2.0e-3), against
+    # 1.7e-15, 1.7e-15, 5.9e-16 and 5.3e-16 without it.  The bound is the
+    # 1e-13 relative target of every route plus 1e-16 absolute (about half
+    # an ulp of 1), since near a = 1 the value itself is only 3e-9: 6x
+    # above the worst fixed error, and below every unfixed one.
+    ml_reference = pytest.importorskip("ml_reference")
+    z = -(34.0**a)
+    ref = float(ml_reference.ml_series(a, 1.0, z))
+    assert abs(ml_eval(MLParams(a, 1.0), z) - ref) <= 1e-13 * abs(ref) + 1e-16
