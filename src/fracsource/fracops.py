@@ -9,13 +9,15 @@ every operator second-order accurate on smooth inputs.
 Every time convolution in the package goes through one primitive, row
 by row over the leading axes: `_spectrum`, the rfft at the power-of-two
 length that holds two n-term series, and `_truncated_inverse`, the first
-n terms of the inverse of a product of such spectra.
+n terms of the inverse of a product of such spectra.  The spectrum of
+the L1 weights is cached per (alpha, grid).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,12 +90,24 @@ def _truncated_inverse(spectrum: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(spectrum, 2 * (spectrum.shape[-1] - 1))[..., :n]
 
 
+@lru_cache(maxsize=8)
+def _l1_spectrum(a: float, grid: TimeGrid) -> np.ndarray:
+    """Read-only `_spectrum` of the scaled L1 weights tau^-a/Gamma(2-a) b_j, per (alpha, grid)."""
+    n = grid.n_steps
+    b = np.diff(np.arange(n + 1.0) ** (1.0 - a)) * (grid.tau ** (-a) / math.gamma(2.0 - a))
+    spectrum = _spectrum(b, n)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _l1_derivative(values: np.ndarray, alpha: FractionalOrder, grid: TimeGrid) -> np.ndarray:
     """`caputo_l1` of each row: tau^-a/Gamma(2-a) sum_{j<k} b_j (f_{k-j} - f_{k-j-1})."""
-    a, n = alpha.alpha, grid.n_steps
-    b = np.diff(np.arange(n + 1.0) ** (1.0 - a)) * (grid.tau ** (-a) / math.gamma(2.0 - a))
+    n = grid.n_steps
     out = np.zeros(values.shape)
-    out[..., 1:] = _truncated_inverse(_spectrum(b, n) * _spectrum(np.diff(values), n), n)
+    # np.multiply, not *: numpy may evaluate weights * (a temporary) as
+    # temporary * weights, and complex products round differently that way
+    own = np.multiply(_l1_spectrum(alpha.alpha, grid), _spectrum(np.diff(values), n))
+    out[..., 1:] = _truncated_inverse(own, n)
     return out
 
 

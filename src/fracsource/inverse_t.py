@@ -19,14 +19,15 @@ sweep is one lower-triangular Toeplitz map plus a rank-one term from the
 node-0 extrapolation, so the iterates are power series of that map: the
 sweeps run in closed form, 64 at a time, on a per-set-up table of the
 spectra of its powers, and the bound K comes from the Volterra weights
-without a homogeneous solve.
+without a homogeneous solve.  What depends on the set-up alone (g(x0),
+the Volterra weights, K's bound, the resolvent) is built once per set-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -131,20 +132,6 @@ def _volterra_weights(
     return trace_weights(lap_g, x0, alpha, grid)
 
 
-def _homogeneous_trace(
-    g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid
-) -> np.ndarray:
-    """v(x0, t_k) for the initial datum g and no source, from the Volterra weights.
-
-    E_{a,1}(z) = 1 + z E_{a,a+1}(z), and the weights c_j + d_j of mode n
-    telescope to t^a E_{a,a+1}(-lambda_n t^a), so v(x0, .) is g(x0) less
-    the running sum of the Volterra weights: no Mittag-Leffler evaluation
-    beyond the cached kernel weights.
-    """
-    c, d = _volterra_weights(g, x0, alpha, grid)
-    return eval_at(g, x0) - np.concatenate(([0.0], np.cumsum(c + d)))
-
-
 def _node0_weights(n_steps: int) -> np.ndarray:
     """e with rho(0) = e . rho[1:4]: quadratic through t_1..t_3, constant on a 2-step grid."""
     return np.array([3.0, -3.0, 1.0]) if n_steps >= 3 else np.array([1.0, 0.0])
@@ -166,6 +153,52 @@ def _series_reciprocal(t: np.ndarray) -> np.ndarray:
     return r
 
 
+class _RhoSetUp:
+    """g(x0), the Volterra weights (c, d) and the homogeneous trace v(x0, .) of one set-up.
+
+    E_{a,1}(z) = 1 + z E_{a,a+1}(z), and the weights c_j + d_j of mode n
+    telescope to t^a E_{a,a+1}(-lambda_n t^a), so v is g(x0) less their
+    running sum, and its sup bounds K.  The first `solve_volterra` builds
+    the resolvent's spectrum, which no fixed-point run pays for.
+    """
+
+    def __init__(self, g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid):
+        self.gx0 = eval_at(g, x0)
+        self.c, self.d = _volterra_weights(g, x0, alpha, grid)
+        self.v = self.gx0 - np.concatenate(([0.0], np.cumsum(self.c + self.d)))
+        self.k_bound = float(np.max(np.abs(self.v)))
+        for a in (self.c, self.d, self.v):
+            a.flags.writeable = False
+
+    @cached_property
+    def resolvent(self) -> np.ndarray:
+        """Read-only `_spectrum` of the reciprocal series of the system's first column."""
+        r = _series_reciprocal(np.concatenate(([self.gx0], -self.d[:-1])) - self.c)
+        spectrum = _spectrum(r, r.shape[0])
+        spectrum.flags.writeable = False
+        return spectrum
+
+
+@lru_cache(maxsize=1)
+def _set_up(coeffs: bytes, domain: Domain1D, x0: float, alpha: float, grid: TimeGrid):
+    """The set-up given by value, built once while it repeats."""
+    g = SpectralField(domain, np.frombuffer(coeffs))
+    return _RhoSetUp(g, x0, FractionalOrder(alpha), grid)
+
+
+def _homogeneous_trace(g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid):
+    """v(x0, t_k) for the initial datum g and no source, from the Volterra weights."""
+    return _set_up(g.coeffs.tobytes(), g.domain, x0, alpha.alpha, grid).v
+
+
+def _usable_set_up(p: TSourceProblem) -> _RhoSetUp:
+    """The problem's set-up, once g(x0) is known to be usable."""
+    s = _set_up(p.g.coeffs.tobytes(), p.g.domain, p.x0, p.alpha.alpha, p.grid)
+    if abs(s.gx0) >= EPS_POINT:
+        return s
+    raise PointDegenerateError(f"|g(x0)| = {abs(s.gx0)} is below the usable threshold {EPS_POINT}")
+
+
 def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> ReconstructionReport:
     """Direct reconstruction of rho by the discrete resolvent.
 
@@ -174,24 +207,19 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
     the left, the system for rho at t_1..t_n is lower-triangular Toeplitz:
     its inverse convolves with the reciprocal series of its first column.
     """
-    gx0 = eval_at(problem.g, problem.x0)
-    if abs(gx0) < EPS_POINT:
-        raise PointDegenerateError(
-            f"|g(x0)| = {abs(gx0)} is below the usable threshold {EPS_POINT}"
-        )
+    s = _usable_set_up(problem)
     psi = caputo_l1(_observed_trace(problem, mollify_width), problem.alpha).values
-    c, d = _volterra_weights(problem.g, problem.x0, problem.alpha, problem.grid)
-    r = _series_reciprocal(np.concatenate(([gx0], -d[:-1])) - c)
-    n = r.shape[0]
-    rho = np.concatenate(([0.0], _truncated_inverse(_spectrum(r, n) * _spectrum(psi[1:], n), n)))
+    n = problem.grid.n_steps
+    own = np.multiply(s.resolvent, _spectrum(psi[1:], n))  # not *: see `_l1_derivative`
+    rho = np.concatenate(([0.0], _truncated_inverse(own, n)))
     # discrete residual of the original system: it checks the resolvent solve
-    resid = float(np.max(np.abs(gx0 * rho - psi - product_rule_convolve(c, d, rho))[1:]))
-    rho[0] = _node0_weights(problem.grid.n_steps) @ rho[1:4]
+    resid = float(np.max(np.abs(s.gx0 * rho - psi - product_rule_convolve(s.c, s.d, rho))[1:]))
+    rho[0] = _node0_weights(n) @ rho[1:4]
     return ReconstructionReport(
         recovered=TimeSeries(problem.grid, rho),
         residual_history=[resid],
         iterations=1,
-        diagnostics={"g_x0": gx0, "diagonal": gx0 - c[0]},
+        diagnostics={"g_x0": s.gx0, "diagonal": s.gx0 - s.c[0]},
     )
 
 
@@ -287,13 +315,8 @@ def fixed_point_iterate(
     three rises in a row raise DivergenceError, and an update of at most
     `tol` ends the run, checked in that order at every sweep.
     """
-    gx0 = eval_at(problem.g, problem.x0)
-    if abs(gx0) < EPS_POINT:
-        raise PointDegenerateError(
-            f"|g(x0)| = {abs(gx0)} is below the usable threshold {EPS_POINT}"
-        )
-    grid = problem.grid
-    k_bound = float(np.max(np.abs(_homogeneous_trace(problem.g, problem.x0, problem.alpha, grid))))
+    s = _usable_set_up(problem)
+    grid, k_bound = problem.grid, s.k_bound
     if K is None:
         K = k_bound
     if not (K > 0.0) or K < k_bound * (1.0 - 1e-12):
@@ -336,7 +359,7 @@ def fixed_point_iterate(
         residual_history=history,
         iterations=done,
         diagnostics={
-            "g_x0": gx0,
+            "g_x0": s.gx0,
             "k_bound": k_bound,
             "K": K,
             "error_history": error_history,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -154,20 +154,19 @@ def _modal_responses(problem: XSourceFinalProblem) -> tuple[np.ndarray, np.ndarr
     return b, keep
 
 
-def _tikhonov_fit(
-    b: np.ndarray, bu: np.ndarray, b2: np.ndarray, keep: np.ndarray, u_t: np.ndarray, mu: float
-) -> tuple[np.ndarray, float]:
-    """Regularized coefficients and their discrepancy ||g B - u_T||; bu = B u_T, b2 = B^2."""
-    g = np.divide(bu, b2 + mu, out=np.zeros(u_t.shape[0]), where=keep)
-    r = g * b - u_t
-    return g, math.sqrt(float(r @ r))
+def _tikhonov_fit(b, bu, b2, keep, u_t, g: np.ndarray, r: np.ndarray, mu: float) -> float:
+    """Coefficients into g (0 where cut) and ||g B - u_T||; bu = B u_T, b2 = B^2, r scratch."""
+    np.divide(bu, np.add(b2, mu, out=r), out=g, where=keep)
+    np.subtract(np.multiply(g, b, out=r), u_t, out=r)
+    return math.sqrt(float(r @ r))
 
 
 def reconstruct_final(problem: XSourceFinalProblem) -> ReconstructionReport:
     """Regularized mode-by-mode division of final data by the modal response."""
     b, keep = _modal_responses(problem)
     u = problem.final_data.coeffs
-    g, discrepancy = _tikhonov_fit(b, b * u, b**2, keep, u, problem.tikhonov)
+    g = np.zeros(u.shape[0])
+    discrepancy = _tikhonov_fit(b, b * u, b**2, keep, u, g, np.empty(u.shape[0]), problem.tikhonov)
     return ReconstructionReport(
         recovered=SpectralField(problem.final_data.domain, g),
         residual_history=[discrepancy],
@@ -199,10 +198,8 @@ def choose_mu_discrepancy(
     b, keep = _modal_responses(XSourceFinalProblem(rho, alpha, grid, final_data, cutoff))
     u = final_data.coeffs
     bu, b2 = b * u, b**2
-
-    def disc(mu: float) -> float:
-        return _tikhonov_fit(b, bu, b2, keep, u, mu)[1]
-
+    # the discrepancy of a weight mu, every step in the same two buffers
+    disc = partial(_tikhonov_fit, b, bu, b2, keep, u, np.zeros(u.shape[0]), np.empty(u.shape[0]))
     if disc(_MU_LO) >= noise_norm:
         return _MU_LO
     if disc(_MU_HI) <= noise_norm:
@@ -210,6 +207,8 @@ def choose_mu_discrepancy(
     log_lo, log_hi = math.log(_MU_LO), math.log(_MU_HI)
     for _ in range(80):
         mid = 0.5 * (log_lo + log_hi)
+        if mid in (log_lo, log_hi):
+            break  # the midpoint is an end: every later step returns it too
         if disc(math.exp(mid)) < noise_norm:
             log_lo = mid
         else:

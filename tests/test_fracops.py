@@ -11,6 +11,7 @@ from fracsource.fracops import (
     FractionalOrder,
     TimeGrid,
     TimeSeries,
+    _l1_spectrum,
     caputo_l1,
     product_rule_convolve,
     rl_integral_forward,
@@ -148,6 +149,29 @@ def test_caputo_long_grid_matches_direct_convolution():
     got = caputo_l1(TimeSeries(grid, f), FractionalOrder(a)).values
     bound = 4.0 * EPS * math.log2(2 * n) * np.linalg.norm(b) * np.linalg.norm(np.diff(f)) * scale
     assert np.max(np.abs(got - want)) < bound
+
+
+@pytest.mark.parametrize("a", (0.3, 0.8))
+@pytest.mark.parametrize("n", (2, 3, 256))
+def test_caputo_on_the_cached_l1_spectrum(n, a):
+    # as the long-grid test above, on short grids, from the cached spectrum
+    grid = TimeGrid(1.0, n)
+    f = np.random.default_rng(n).standard_normal(n + 1)
+    j = np.arange(n, dtype=float)
+    b = (j + 1.0) ** (1.0 - a) - j ** (1.0 - a)
+    scale = grid.tau ** (-a) / math.gamma(2.0 - a)
+    want = np.concatenate(([0.0], np.convolve(b, np.diff(f))[:n] * scale))
+    got = caputo_l1(TimeSeries(grid, f), FractionalOrder(a)).values
+    bound = 4.0 * EPS * math.log2(2 * n) * np.linalg.norm(b) * np.linalg.norm(np.diff(f)) * scale
+    assert np.max(np.abs(got - want)) < bound
+    spectrum = _l1_spectrum(a, grid)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 0.0
+    # a repeat call is served the same spectrum and gives the same bytes
+    again = caputo_l1(TimeSeries(grid, f), FractionalOrder(a)).values
+    assert _l1_spectrum(a, grid) is spectrum
+    assert again.tobytes() == got.tobytes()
 
 
 def test_convolve_trivial_and_power():

@@ -628,6 +628,100 @@ def test_fixed_point_table_follows_k_x0_and_g(table_builds):
         assert warm.residual_history == cold.residual_history
 
 
+@pytest.fixture
+def set_up_builds(monkeypatch):
+    """Count rho set-up builds and resolvent builds from an empty cache."""
+    import fracsource.inverse_t as inverse_t
+
+    builds = {"set_up": 0, "resolvent": 0}
+    series_reciprocal = inverse_t._series_reciprocal
+
+    class Counting(inverse_t._RhoSetUp):
+        def __init__(self, *args):
+            builds["set_up"] += 1
+            super().__init__(*args)
+
+    def counting(t):
+        builds["resolvent"] += 1
+        return series_reciprocal(t)
+
+    monkeypatch.setattr(inverse_t, "_RhoSetUp", Counting)
+    monkeypatch.setattr(inverse_t, "_series_reciprocal", counting)
+    inverse_t._set_up.cache_clear()
+    yield builds
+    inverse_t._set_up.cache_clear()
+
+
+def with_new_noise(problem, seed):
+    """The problem's trace with seeded noise added, as a re-solve on new data sees it."""
+    rng = np.random.default_rng(seed)
+    noisy = problem.trace.values + 1e-3 * rng.uniform(-1.0, 1.0, problem.trace.values.shape)
+    return TSourceProblem(
+        problem.g, problem.x0, problem.alpha, problem.grid,
+        TimeSeries(problem.grid, noisy), noise_level=0.01,
+    )
+
+
+def assert_warm_equals_cold(solver, problem, warm):
+    import fracsource.inverse_t as inverse_t
+
+    inverse_t._set_up.cache_clear()
+    cold = solver(problem)
+    assert np.array_equal(warm.recovered.values, cold.recovered.values)
+    assert warm.residual_history == cold.residual_history
+
+
+def test_rho_solvers_share_one_set_up(set_up_builds):
+    base, _ = sweep_case(128, True)
+    runs = []
+    for seed in range(1, 6):
+        problem = with_new_noise(base, seed)
+        for solver in (solve_volterra, fixed_point_iterate):
+            runs.append((solver, problem, solver(problem)))
+    assert set_up_builds == {"set_up": 1, "resolvent": 1}
+    for solver, problem, warm in runs:
+        assert_warm_equals_cold(solver, problem, warm)
+
+
+def test_fixed_point_session_builds_no_resolvent(set_up_builds):
+    base, _ = sweep_case(128, True)
+    for seed in range(1, 6):
+        fixed_point_iterate(with_new_noise(base, seed))
+    assert set_up_builds == {"set_up": 1, "resolvent": 0}
+    solve_volterra(base)
+    assert set_up_builds == {"set_up": 1, "resolvent": 1}
+
+
+def test_degenerate_point_builds_no_resolvent(set_up_builds):
+    grid = TimeGrid(1.0, 32)
+    # phi_2 vanishes at the midpoint
+    p = TSourceProblem(mode(1), 0.5, FractionalOrder(0.5), grid, TimeSeries(grid, np.zeros(33)))
+    for solver in (solve_volterra, fixed_point_iterate):
+        with pytest.raises(PointDegenerateError):
+            solver(p)
+    assert set_up_builds["resolvent"] == 0
+
+
+@pytest.mark.parametrize("solver", (solve_volterra, fixed_point_iterate))
+def test_rho_set_up_follows_g_x0_alpha_and_grid(set_up_builds, solver):
+    base, _ = sweep_case(96, True)
+    g2 = SpectralField(FP_DOM, 1.5 * base.g.coeffs)
+    changed = [
+        TSourceProblem(g2, base.x0, base.alpha, base.grid, base.trace, base.noise_level),
+        sweep_case(96, True, x0=0.45)[0],
+        TSourceProblem(base.g, base.x0, FractionalOrder(0.5), base.grid, base.trace, 0.01),
+        sweep_case(128, True)[0],
+        with_new_noise(base, 7),
+    ]
+    for i, problem in enumerate(changed):
+        solver(base)  # leaves the base set-up cached
+        built = set_up_builds["set_up"]
+        warm = solver(problem)
+        # a changed set-up builds its own; new data on the base one is served
+        assert set_up_builds["set_up"] == built + (i < 4)
+        assert_warm_equals_cold(solver, problem, warm)
+
+
 # ---------------------------------------------------------------------------
 # stability diagnostics
 

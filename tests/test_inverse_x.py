@@ -14,6 +14,8 @@ from fracsource.errors import (
 from fracsource.forward import ml_on_nodes, observe_point, separated_source, solve_inhomogeneous
 from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries
 from fracsource.inverse_x import (
+    _MU_HI,
+    _MU_LO,
     XSourceFinalProblem,
     XSourceInteriorProblem,
     choose_mu_discrepancy,
@@ -190,6 +192,27 @@ def test_choose_mu_equals_per_step_reconstruction():
                 hi = mid
         mu = math.exp(0.5 * (lo + hi))
         assert choose_mu_discrepancy(rho, a, grid, data, cutoff, noise_norm) == mu
+
+
+def test_choose_mu_returns_the_bracket_ends():
+    # a noise norm at or beyond the discrepancy of an end of the bracket
+    # returns that end itself, not a bisected weight
+    for grid, a, rho, data, cutoff, _ in bisection_cases()[:5]:
+
+        def disc(mu):
+            problem = XSourceFinalProblem(rho, a, grid, data, cutoff, mu)
+            return reconstruct_final(problem).residual_history[-1]
+
+        at_lo, at_hi = disc(_MU_LO), disc(_MU_HI)
+        assert 0.0 < at_lo < at_hi
+        for noise_norm in (at_lo, 0.5 * at_lo):
+            assert choose_mu_discrepancy(rho, a, grid, data, cutoff, noise_norm) == _MU_LO
+        for noise_norm in (at_hi, 2.0 * at_hi):
+            assert choose_mu_discrepancy(rho, a, grid, data, cutoff, noise_norm) == _MU_HI
+        # just inside either end the bisection runs and stays strictly inside
+        inner = (np.nextafter(at_lo, np.inf), np.nextafter(at_hi, 0.0))
+        for noise_norm in inner:
+            assert _MU_LO < choose_mu_discrepancy(rho, a, grid, data, cutoff, noise_norm) < _MU_HI
 
 
 def test_holder_stability_single_constant():
