@@ -23,7 +23,7 @@ import numpy as np
 from . import forward, inverse_t, inverse_x
 from .errors import FracsourceError, ParameterError
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
-from .mlf import MLConvergenceError, MLParams, ml_eval
+from .mlf import MLConvergenceError, ml_eval_array
 from .profiles import make_g, make_rho
 from .report import relative_l2
 from .spectral import Domain1D, SpectralField, eval_on_mesh
@@ -180,13 +180,12 @@ def _run_ml_eval(cfg: dict):
     except (TypeError, ValueError) as exc:
         raise ConfigError("ml.z", f"expected a list of numbers, got {zs!r}") from exc
     try:
-        p = MLParams(a, b)
-        vals = [ml_eval(p, z) for z in zs]
+        vals = ml_eval_array(a, b, zs)
     except ValueError as exc:
         raise ConfigError("ml", str(exc)) from exc
     return (
         {"mode": "ml-eval", "alpha": a, "beta": b},
-        {"z": np.asarray(zs), "value": np.asarray(vals)},
+        {"z": np.asarray(zs), "value": vals},
     )
 
 
@@ -243,7 +242,7 @@ def _run_invert_rho(cfg: dict, variant: str):
         "seed": seed,
         "iterations": rep.iterations,
         "rel_l2_error": err,
-        "final_residual": rep.residual_history[-1] if rep.residual_history else 0.0,
+        "final_residual": rep.residual_history[-1],
     }
     cols = {"t": grid.nodes(), "rho_rec": rep.recovered.values, "rho_true": rho_true.values}
     return meta, cols

@@ -136,8 +136,9 @@ def product_rule_convolve(c: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.nda
     """out[k] = sum_{j<k} (c_j f_{k-j} + d_j f_{k-j-1}), with out[0] = 0.
 
     The product rule behind every convolution on the grid: c_j and d_j
-    weigh the two nodes of f that bound subinterval j of the kernel.  f may
-    hold one series per row, and c and d one row of weights per row of f.
+    weigh the two nodes of f that bound subinterval j of the kernel.  The
+    leading axes broadcast: f may hold one series per row, and c and d one
+    row of weights per row of f, or one series may meet a stack of rows.
     """
     n = f.shape[-1] - 1
     # one convolution with e_i = c_i + d_(i-1), less the c_k f_0 it adds at
@@ -145,7 +146,7 @@ def product_rule_convolve(c: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.nda
     e = np.zeros(c.shape[:-1] + (n + 1,))
     e[..., :-1] = c
     e[..., 1:] += d
-    out = np.zeros(f.shape)
+    out = np.zeros(np.broadcast_shapes(e.shape, f.shape))
     out[..., 1:] = _truncated_inverse(_spectrum(e, n) * _spectrum(f, n), n + 1)[..., 1:]
     out[..., 1:-1] -= c[..., 1:] * f[..., :1]
     return out

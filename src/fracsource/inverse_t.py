@@ -20,7 +20,8 @@ node-0 extrapolation, so the iterates are power series of that map: the
 sweeps run in closed form, 64 at a time, on a per-set-up table of the
 spectra of its powers, and the bound K comes from the Volterra weights
 without a homogeneous solve.  What depends on the set-up alone (g(x0),
-the Volterra weights, K's bound, the resolvent) is built once per set-up.
+the trace and Volterra weights, K's bound, the resolvent, the sweep
+table of a K) is one object, built once per set-up.
 """
 
 from __future__ import annotations
@@ -144,31 +145,34 @@ def _series_reciprocal(t: np.ndarray) -> np.ndarray:
     times it corrects orders m..2m-1 (cut at len(t) in the last step).
     """
     r = np.array([1.0 / t[0]])
-    # np.convolve, not the fracops FFT primitive: most Newton steps are short
     while r.shape[0] < t.shape[0]:
         m = r.shape[0]
         k = min(m, t.shape[0] - m)
-        err = np.convolve(t[: m + k], r)[m : m + k]
-        r = np.concatenate((r, -np.convolve(r[:k], err)[:k]))
+        err = _truncated_inverse(_spectrum(t[: m + k], m + k) * _spectrum(r, m + k), m + k)[m:]
+        r = np.concatenate((r, -_truncated_inverse(_spectrum(r[:k], k) * _spectrum(err, k), k)))
     return r
 
 
 class _RhoSetUp:
-    """g(x0), the Volterra weights (c, d) and the homogeneous trace v(x0, .) of one set-up.
+    """g(x0), the trace and Volterra weights and the homogeneous trace v(x0, .) of one set-up.
 
     E_{a,1}(z) = 1 + z E_{a,a+1}(z), and the weights c_j + d_j of mode n
     telescope to t^a E_{a,a+1}(-lambda_n t^a), so v is g(x0) less their
     running sum, and its sup bounds K.  The first `solve_volterra` builds
-    the resolvent's spectrum, which no fixed-point run pays for.
+    the resolvent's spectrum, which no fixed-point run pays for; a
+    fixed-point run builds the sweep table of its K.
     """
 
     def __init__(self, g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid):
+        self.alpha, self.grid = alpha, grid
         self.gx0 = eval_at(g, x0)
+        self.trace_weights = trace_weights(g, x0, alpha, grid)
         self.c, self.d = _volterra_weights(g, x0, alpha, grid)
         self.v = self.gx0 - np.concatenate(([0.0], np.cumsum(self.c + self.d)))
         self.k_bound = float(np.max(np.abs(self.v)))
-        for a in (self.c, self.d, self.v):
+        for a in (*self.trace_weights, self.c, self.d, self.v):
             a.flags.writeable = False
+        self._sweeps = (None, None)  # the last K and its sweep table
 
     @cached_property
     def resolvent(self) -> np.ndarray:
@@ -178,6 +182,12 @@ class _RhoSetUp:
         spectrum.flags.writeable = False
         return spectrum
 
+    def sweeps(self, K: float) -> _SweepTable:
+        """The sweep table of damping K, kept while K repeats."""
+        if self._sweeps[0] != K:
+            self._sweeps = (K, _SweepTable(self, K))
+        return self._sweeps[1]
+
 
 @lru_cache(maxsize=1)
 def _set_up(coeffs: bytes, domain: Domain1D, x0: float, alpha: float, grid: TimeGrid):
@@ -186,14 +196,9 @@ def _set_up(coeffs: bytes, domain: Domain1D, x0: float, alpha: float, grid: Time
     return _RhoSetUp(g, x0, FractionalOrder(alpha), grid)
 
 
-def _homogeneous_trace(g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid):
-    """v(x0, t_k) for the initial datum g and no source, from the Volterra weights."""
-    return _set_up(g.coeffs.tobytes(), g.domain, x0, alpha.alpha, grid).v
-
-
-def _usable_set_up(p: TSourceProblem) -> _RhoSetUp:
-    """The problem's set-up, once g(x0) is known to be usable."""
-    s = _set_up(p.g.coeffs.tobytes(), p.g.domain, p.x0, p.alpha.alpha, p.grid)
+def _usable_set_up(g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid):
+    """The set-up, once g(x0) is known to be usable."""
+    s = _set_up(g.coeffs.tobytes(), g.domain, x0, alpha.alpha, grid)
     if abs(s.gx0) >= EPS_POINT:
         return s
     raise PointDegenerateError(f"|g(x0)| = {abs(s.gx0)} is below the usable threshold {EPS_POINT}")
@@ -207,7 +212,7 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
     the left, the system for rho at t_1..t_n is lower-triangular Toeplitz:
     its inverse convolves with the reciprocal series of its first column.
     """
-    s = _usable_set_up(problem)
+    s = _usable_set_up(problem.g, problem.x0, problem.alpha, problem.grid)
     psi = caputo_l1(_observed_trace(problem, mollify_width), problem.alpha).values
     n = problem.grid.n_steps
     own = np.multiply(s.resolvent, _spectrum(psi[1:], n))  # not *: see `_l1_derivative`
@@ -248,13 +253,11 @@ class _SweepTable:
     irfft and q scaled subtractions.
     """
 
-    def __init__(
-        self, g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid, K: float
-    ):
-        n, blk = grid.n_steps, _SWEEP_BLOCK
+    def __init__(self, s: _RhoSetUp, K: float):
+        n, blk = s.grid.n_steps, _SWEEP_BLOCK
         self.n = n
-        impulses = product_rule_convolve(*trace_weights(g, x0, alpha, grid), np.eye(2, n + 1))
-        r, t = _l1_derivative(impulses, alpha, grid)[:, 1:]
+        impulses = product_rule_convolve(*s.trace_weights, np.eye(2, n + 1))
+        r, t = _l1_derivative(impulses, s.alpha, s.grid)[:, 1:]
         nu = -t / K
         nu[0] += 1.0
         powers = np.repeat(_spectrum(nu, n)[None], blk + 1, axis=0)
@@ -288,15 +291,6 @@ class _SweepTable:
         return out
 
 
-@lru_cache(maxsize=1)
-def _sweep_table(
-    coeffs: bytes, domain: Domain1D, x0: float, alpha: float, grid: TimeGrid, K: float
-) -> _SweepTable:
-    """The sweep table of a set-up given by value, built once while it repeats."""
-    g = SpectralField(domain, np.frombuffer(coeffs))
-    return _SweepTable(g, x0, FractionalOrder(alpha), grid, K)
-
-
 def fixed_point_iterate(
     problem: TSourceProblem,
     K: float | None = None,
@@ -315,15 +309,16 @@ def fixed_point_iterate(
     three rises in a row raise DivergenceError, and an update of at most
     `tol` ends the run, checked in that order at every sweep.
     """
-    s = _usable_set_up(problem)
+    if m_max < 1:
+        raise ParameterError("m_max", f"m_max must be >= 1, got {m_max}")
+    s = _usable_set_up(problem.g, problem.x0, problem.alpha, problem.grid)
     grid, k_bound = problem.grid, s.k_bound
     if K is None:
         K = k_bound
     if not (K > 0.0) or K < k_bound * (1.0 - 1e-12):
         raise ParameterError("K", f"K = {K} is below the homogeneous-trace bound {k_bound}")
     trace = _observed_trace(problem, mollify_width)
-    g = problem.g
-    sweeps = _sweep_table(g.coeffs.tobytes(), g.domain, problem.x0, problem.alpha.alpha, grid, K)
+    sweeps = s.sweeps(K)
     start = _l1_derivative(trace.values, problem.alpha, grid)[1:] / K
     z = np.zeros(grid.n_steps)  # rho at t_1..t_n
     history: list[float] = []
@@ -333,19 +328,19 @@ def fixed_point_iterate(
         count = min(_SWEEP_BLOCK, m_max - done)
         updates = sweeps.block(start, count)
         steps = np.linalg.norm(updates[:count], axis=1) * math.sqrt(grid.tau)
-        # z + u_1, then (z + u_1) + u_2, ...: one rounding per sweep
-        iterates = np.cumsum(np.vstack((z, updates[:count])), axis=0)[1:]
         stop = first_index(steps <= tol)
         last = min(stop, count - 1)
         # within a sweep the divergence check comes first, then tol
         if first_index(third_rises(steps, history)) <= last:
             raise DivergenceError("successive-iterate distance grew for 3 iterations")
         history.extend(steps[: last + 1].tolist())
+        # z + u_1, then (z + u_1) + u_2, ...: np.sum adds the rows in order, as the cumsum does
+        rows = np.vstack((z, updates[: last + 1]))
         if truth is not None:
             want = truth.values[1:]
-            err = np.linalg.norm(iterates[: last + 1] - want, axis=1)
+            err = np.linalg.norm(np.cumsum(rows, axis=0)[1:] - want, axis=1)
             error_history.extend((err / float(np.linalg.norm(want))).tolist())
-        z = iterates[last]
+        z = np.sum(rows, axis=0)
         done += last + 1
         if stop < count:
             break
@@ -358,12 +353,7 @@ def fixed_point_iterate(
         recovered=TimeSeries(problem.grid, rho),
         residual_history=history,
         iterations=done,
-        diagnostics={
-            "g_x0": s.gx0,
-            "k_bound": k_bound,
-            "K": K,
-            "error_history": error_history,
-        },
+        diagnostics={"g_x0": s.gx0, "k_bound": k_bound, "K": K, "error_history": error_history},
     )
 
 
@@ -382,15 +372,13 @@ def lipschitz_certificate(
     family = list(rho_family)
     if not family:
         raise ValueError("rho_family must be non-empty")
-    if abs(eval_at(g, x0)) < EPS_POINT:
-        raise PointDegenerateError(f"|g(x0)| below the usable threshold {EPS_POINT}")
     for rho in family:
         if not np.any(rho.values):
             raise ValueError("family members must be nonzero")
         if rho.grid != grid:
             raise ValueError("family members must lie on the given grid")
     rhos = np.array([rho.values for rho in family])
-    traces = product_rule_convolve(*trace_weights(g, x0, alpha, grid), rhos)
+    traces = product_rule_convolve(*_usable_set_up(g, x0, alpha, grid).trace_weights, rhos)
     dtraces = _l1_derivative(traces, alpha, grid)
     ratios = np.max(np.abs(rhos), axis=1) / np.max(np.abs(dtraces), axis=1)
     return float(ratios.min()), float(ratios.max())

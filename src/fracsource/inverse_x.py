@@ -13,7 +13,7 @@ damped iteration
 is run, where A maps g to u(g) on the omega mesh points and A^T W is its
 exact transpose in the quadrature inner product of the data.  Mode n of
 u(g) is g_n times the response of mode n to the source phi_n rho, so A
-is assembled from one forward solve.  The iteration is linear and the
+is assembled from one convolution with rho.  The iteration is linear and the
 SVD U S V^T of A in reduced coordinates diagonalises it, A^T W A =
 V S^2 V^T: from g = 0, m sweeps leave (1 - r_i^m) s_i y_i / (s_i^2 + beta)
 in singular direction i, with y_i the data's coordinate along U's column
@@ -38,8 +38,8 @@ from .errors import (
     DivergenceError,
     NonPositiveParamsError,
 )
-from .forward import EvolutionField, modal_kernel_weights, separated_source, solve_inhomogeneous
-from .fracops import FractionalOrder, TimeGrid, TimeSeries
+from .forward import EvolutionField, modal_kernel_weights
+from .fracops import FractionalOrder, TimeGrid, TimeSeries, product_rule_convolve
 from .report import ReconstructionReport, first_index, third_rises
 from .spectral import Domain1D, SpectralField, simpson_weights
 
@@ -248,8 +248,7 @@ class _InteriorOperator:
         self.phi = domain.eigenfunctions(xs[mask])
         self.t_weights = np.full(grid.n_steps + 1, grid.tau)
         self.t_weights[0] = self.t_weights[-1] = grid.tau / 2.0
-        ones = SpectralField(domain, np.ones(domain.n_modes))
-        self.response = solve_inhomogeneous(separated_source(ones, rho), alpha, grid).modal_values
+        self.response = product_rule_convolve(*modal_kernel_weights(domain, alpha, grid), rho.values)
         self._sqrt_w = np.sqrt(self.w_omega)
         self._sqrt_wt = np.sqrt(self.t_weights)
         self._q_x, s_x = np.linalg.qr((self.phi * self._sqrt_w).T)

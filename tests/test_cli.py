@@ -224,7 +224,9 @@ def test_exit_code_non_finite_metadata(tmp_path, monkeypatch, capsys):
 def test_exit_code_non_finite_column(tmp_path, monkeypatch, capsys):
     import fracsource.cli as cli
 
-    monkeypatch.setattr(cli, "ml_eval", lambda p, z: math.inf if z < -1.0 else 1.0)
+    monkeypatch.setattr(
+        cli, "ml_eval_array", lambda a, b, z: np.where(np.asarray(z) < -1.0, math.inf, 1.0)
+    )
     cfg = write_cfg(
         tmp_path,
         "nc.json",

@@ -121,14 +121,21 @@ def test_product_rule_matches_loop_formula():
         norm = np.linalg.norm
         return 4.0 * EPS * math.log2(size) * (norm(c) * norm(f[1:]) + norm(d) * norm(f[:-1]))
 
-    # three series at once, with shared weights and with one weight row each
+    # three series at once, with shared weights and with one weight row each,
+    # and one series against the three weight rows
     rows = rng.standard_normal((3, 41))
     cs, ds = rng.standard_normal((3, 40)), rng.standard_normal((3, 40))
     shared, own = product_rule_convolve(c, d, rows), product_rule_convolve(cs, ds, rows)
+    spread = product_rule_convolve(cs, ds, f)
+    assert spread.shape == (3, 41)
+    # the same bits as the series repeated once per weight row
+    assert np.array_equal(spread, product_rule_convolve(cs, ds, np.tile(f, (3, 1))))
     for i in range(3):
         assert np.max(np.abs(shared[i] - reference(c, d, rows[i]))) < fft_bound(c, d, rows[i])
         err = np.max(np.abs(own[i] - reference(cs[i], ds[i], rows[i])))
         assert err < fft_bound(cs[i], ds[i], rows[i])
+        err = np.max(np.abs(spread[i] - reference(cs[i], ds[i], f)))
+        assert err < fft_bound(cs[i], ds[i], f)
     # a long grid
     c, d, f = rng.standard_normal(4096), rng.standard_normal(4096), rng.standard_normal(4097)
     assert np.max(np.abs(product_rule_convolve(c, d, f) - reference(c, d, f))) < fft_bound(c, d, f)

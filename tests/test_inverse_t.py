@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from fracsource.errors import DivergenceError, NonZeroInitialTraceError, PointDegenerateError
+from fracsource.errors import (
+    DivergenceError,
+    NonZeroInitialTraceError,
+    ParameterError,
+    PointDegenerateError,
+)
 from fracsource.forward import (
     modal_kernel_weights,
     observe_point,
@@ -185,6 +190,8 @@ def forward_substitution(problem, psi):
 
 
 VOLTERRA_SIZES = (2, 3, 100, 257, 2048)
+# the Newton steps of the resolvent are FFT products, whose round-off grows with the length
+LONG_RESOLVENT_SIZES = (16384,)
 
 
 # the sine bump is pi^3 x^3 near x = 0: |g(x0)| is 1e-4 at 0.0148 and 1e-6 at 0.0032
@@ -204,7 +211,7 @@ def test_volterra_resolvent_matches_substitution(n_steps, a, noisy, x0):
 
 
 @pytest.mark.parametrize("a", (0.1, 0.5, 0.9))
-@pytest.mark.parametrize("n_steps", VOLTERRA_SIZES)
+@pytest.mark.parametrize("n_steps", VOLTERRA_SIZES + LONG_RESOLVENT_SIZES)
 def test_resolvent_inverts_the_system_column(n_steps, a):
     column = system_column(volterra_case(n_steps, a, False))
     r = _series_reciprocal(column)
@@ -326,6 +333,16 @@ def test_fixed_point_rejects_small_k():
         fixed_point_iterate(p, K=1e-6)
 
 
+@pytest.mark.parametrize("m_max", (0, -3))
+def test_fixed_point_rejects_m_max_below_one(m_max):
+    grid = TimeGrid(1.0, 64)
+    p = fp_problem(make_rho(grid, "affine"))
+    with pytest.raises(ParameterError) as info:
+        fixed_point_iterate(p, m_max=m_max)
+    assert info.value.name == "m_max"
+    assert "m_max" in str(info.value)
+
+
 def test_fixed_point_converges_monotonically():
     grid = TimeGrid(1.0, 256)
     rho = make_rho(grid, "affine")
@@ -366,7 +383,7 @@ def test_k_bound_from_volterra_weights(n_modes, n_steps, a, profile, params, x0)
     alpha = FractionalOrder(a)
     g = make_g(dom, profile, **params)
     ref = observe_point(solve_homogeneous(g, alpha, grid), x0).values
-    v = inverse_t._homogeneous_trace(g, x0, alpha, grid)
+    v = inverse_t._RhoSetUp(g, x0, alpha, grid).v
     assert np.max(np.abs(v - ref)) <= 1e-13 * np.max(np.abs(ref))
     rho = make_rho(grid, "affine")
     p = TSourceProblem(g, x0, alpha, grid, synth_trace(g, rho, alpha, x0))
@@ -582,9 +599,9 @@ def table_builds(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(inverse_t, "_SweepTable", Counting)
-    inverse_t._sweep_table.cache_clear()
+    inverse_t._set_up.cache_clear()
     yield builds
-    inverse_t._sweep_table.cache_clear()
+    inverse_t._set_up.cache_clear()
 
 
 def test_fixed_point_resolve_rebuilds_nothing(table_builds):
@@ -622,7 +639,7 @@ def test_fixed_point_table_follows_k_x0_and_g(table_builds):
         warm = fixed_point_iterate(problem, m_max=70, **kw)
         # a changed set-up builds its own table; the unchanged one is served
         assert len(table_builds) == built + (i < 3)
-        inverse_t._sweep_table.cache_clear()
+        inverse_t._set_up.cache_clear()
         cold = fixed_point_iterate(problem, m_max=70, **kw)
         assert np.array_equal(warm.recovered.values, cold.recovered.values)
         assert warm.residual_history == cold.residual_history

@@ -444,21 +444,28 @@ def test_spectrum_diagnostics():
     assert np.allclose(filters, expect, rtol=1e-6, atol=0.0)
 
 
-def test_operator_built_once_per_set_up(monkeypatch):
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """Count interior-operator builds from an empty cache."""
     import fracsource.inverse_x as inverse_x
 
-    calls = []
-    original = inverse_x.solve_inhomogeneous
+    builds = []
 
-    def counting(*args):
-        calls.append(args[0])
-        return original(*args)
+    class Counting(inverse_x._InteriorOperator):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
 
-    monkeypatch.setattr(inverse_x, "solve_inhomogeneous", counting)
+    monkeypatch.setattr(inverse_x, "_InteriorOperator", Counting)
     inverse_x._operator.cache_clear()
+    yield builds
+    inverse_x._operator.cache_clear()
+
+
+def test_operator_built_once_per_set_up(operator_builds):
     p = noisy_interior_problem(beta=1e-8, m_max=20)
     iterative_thresholding(p)
-    assert len(calls) == 1
+    assert len(operator_builds) == 1
     # new data, K, beta, m_max and tol reuse the operator, as does estimate_k
     again = XSourceInteriorProblem(
         p.rho, p.alpha, p.grid, DOM, p.omega, 2.0 * p.observed, p.n_mesh,
@@ -466,14 +473,14 @@ def test_operator_built_once_per_set_up(monkeypatch):
     )
     iterative_thresholding(again)
     estimate_k(again)
-    assert len(calls) == 1
+    assert len(operator_builds) == 1
     # a changed rho builds a new one
     rho = TimeSeries(p.grid, p.rho.values * 1.5)
     changed = XSourceInteriorProblem(
         rho, p.alpha, p.grid, DOM, p.omega, p.observed, p.n_mesh, beta=1e-8, m_max=5
     )
     iterative_thresholding(changed)
-    assert len(calls) == 2
+    assert len(operator_builds) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +504,10 @@ def test_interior_adjoint_is_exact_transpose():
     assert np.linalg.norm(normal_g - from_svd) <= 1e-13 * np.linalg.norm(normal_g)
 
 
-def test_sweeps_solve_no_forward_problem(monkeypatch):
+def test_sweeps_solve_no_forward_problem(monkeypatch, operator_builds):
     # each reconstruction assembles its map once, whatever the number of
     # sweeps: the fixed-point solve needs no forward solve, a cold interior
-    # solve one (its operator, also when K is estimated) and a repeat of
+    # solve one operator build (also when K is estimated) and a repeat of
     # its set-up none
     import fracsource.forward as forward
     import fracsource.inverse_t as inverse_t
@@ -528,14 +535,14 @@ def test_sweeps_solve_no_forward_problem(monkeypatch):
         del calls[:]
         inverse_t.fixed_point_iterate(t_problem, m_max=m_max, tol=0.0)
         fixed_point = len(calls)
-        del calls[:]
+        del operator_builds[:]
         inverse_x._operator.cache_clear()
         iterative_thresholding(x_problem)
-        counts.append((fixed_point, len(calls)))
+        counts.append((fixed_point, len(operator_builds)))
     assert counts == [(0, 1), (0, 1)]
-    del calls[:]
+    del operator_builds[:]
     iterative_thresholding(x_problem)
-    assert calls == []
+    assert operator_builds == []
 
 
 def test_warm_solves_evaluate_no_mittag_leffler(monkeypatch):
