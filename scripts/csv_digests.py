@@ -2,11 +2,12 @@
 """One sha256 per CLI output, to check that a change leaves the CSV bytes alone.
 
 Runs every CLI mode at the README defaults (N = 64, n_steps = 256,
-x0 = L/2, clean data), the README example (noisy affine rho, Volterra
-solve) and that example's fixed-point twin, each in a fresh
-`python -m fracsource.cli` process, and prints `<sha256>  <config>` per
-run.  The children import whichever `fracsource` the environment finds,
-so comparing two checkouts is one diff:
+x0 = L/2, clean data), seeded noisy twins of the two g modes, the README
+example (noisy affine rho, Volterra solve) and that example's fixed-point
+twin, each in a fresh `python -m fracsource.cli` process, and prints
+`<sha256>  <config>` per run.  The children import whichever
+`fracsource` the environment finds, so comparing two checkouts is one
+diff:
 
     PYTHONPATH=old/src python3 scripts/csv_digests.py > old.txt
     PYTHONPATH=new/src python3 scripts/csv_digests.py > new.txt
@@ -50,6 +51,10 @@ CONFIGS = {
     "invert-rho-fixedpoint": {"mode": "invert-rho-fixedpoint", "alpha": 0.5},
     "invert-g-final": {"mode": "invert-g-final", "alpha": 0.5},
     "invert-g-interior": {"mode": "invert-g-interior", "alpha": 0.5, "omega": [0.1, 0.35]},
+    "invert-g-final-noisy": {"mode": "invert-g-final", "alpha": 0.5,
+                             "noise_level": 0.01, "seed": 42},
+    "invert-g-interior-noisy": {"mode": "invert-g-interior", "alpha": 0.5,
+                                "omega": [0.1, 0.35], "noise_level": 0.01, "seed": 42},
     "ml-eval": {"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [0.0, -1.0, -10.0]}},
     "caputo-t2": {"mode": "caputo-t2", "alpha": 0.5},
     "sweep": {"mode": "sweep", "sweep": {

@@ -44,20 +44,18 @@ def perturb(x: np.ndarray, level: float, seed: int) -> tuple[np.ndarray, float]:
         raise ValueError("noise level must be >= 0")
     if level == 0.0:
         return x, 0.0
-    amp = level * float(np.max(np.abs(x)))
+    amp = level * float(np.max(np.abs(x), initial=0.0))
     bump = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, x.shape)
     return x + bump, float(np.linalg.norm(bump))
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):  # np.float64 included; the commonest cell comes first
-        return format(v, ".17g")
+    if isinstance(v, (float, np.floating)):  # the commonest cell comes first
+        return format(float(v), ".17g")
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
     return str(v)
 
 
@@ -183,10 +181,7 @@ def _run_ml_eval(cfg: dict):
         vals = ml_eval_array(a, b, zs)
     except ValueError as exc:
         raise ConfigError("ml", str(exc)) from exc
-    return (
-        {"mode": "ml-eval", "alpha": a, "beta": b},
-        {"z": np.asarray(zs), "value": vals},
-    )
+    return {"alpha": a, "beta": b}, {"z": np.asarray(zs), "value": vals}
 
 
 def _synthesize(cfg: dict):
@@ -198,48 +193,48 @@ def _synthesize(cfg: dict):
     return domain, grid, alpha, g, rho
 
 
+def _noisy(cfg: dict, clean: np.ndarray):
+    """The clean data with the config's noise, the noise norm and the noise metadata."""
+    level = _num(cfg, "noise_level", 0.0, lo=0.0)
+    seed = _int(cfg, "seed", 0, lo=0)
+    return (*perturb(clean, level, seed), {"noise_level": level, "seed": seed})
+
+
 def _run_forward(cfg: dict):
     domain, grid, alpha, g, rho = _synthesize(cfg)
     x0 = _interior_point(cfg, domain)
     u = forward.solve_inhomogeneous(forward.separated_source(g, rho), alpha, grid)
     trace = forward.observe_point(u, x0)
     l2 = np.linalg.norm(u.modal_values, axis=0)
-    meta = {"mode": "forward", "alpha": alpha.alpha, "x0": x0, "n_steps": grid.n_steps}
+    meta = {"alpha": alpha.alpha, "x0": x0, "n_steps": grid.n_steps}
     return meta, {"t": grid.nodes(), "u_x0": trace.values, "l2_norm": l2}
 
 
 def _run_invert_rho(cfg: dict, variant: str):
     domain, grid, alpha, g, rho_true = _synthesize(cfg)
     x0 = _interior_point(cfg, domain)
-    level = _num(cfg, "noise_level", 0.0, lo=0.0)
-    seed = _int(cfg, "seed", 0)
-    s = _solver(cfg)
     # only the trace is observed: one convolution, not a solve of every mode
     c, d = forward.trace_weights(g, x0, alpha, grid)
-    clean = product_rule_convolve(c, d, rho_true.values)
-    trace = TimeSeries(grid, perturb(clean, level, seed)[0])
-    problem = inverse_t.TSourceProblem(g, x0, alpha, grid, trace, noise_level=level)
+    observed, _, noise = _noisy(cfg, product_rule_convolve(c, d, rho_true.values))
+    s = _solver(cfg)
+    trace = TimeSeries(grid, observed)
+    problem = inverse_t.TSourceProblem(g, x0, alpha, grid, trace, noise_level=noise["noise_level"])
     width = _int(s, "solver.mollify_width", 5, lo=1)
-    if variant == "fixedpoint":
-        K = _num(s, "solver.K", None, lo=0.0)
-        m_max = _int(s, "solver.m_max", 50, lo=1)
-        tol = _num(s, "solver.tol", 1e-10, lo=0.0)
-    try:
-        if variant == "volterra":
-            rep = inverse_t.solve_volterra(problem, mollify_width=width)
-        else:
-            rep = inverse_t.fixed_point_iterate(
-                problem, K=K, m_max=m_max, tol=tol, mollify_width=width
-            )
-    except ParameterError as exc:  # K below its bound, or a window that flattens the trace
-        raise ConfigError(f"solver.{exc.name}", str(exc)) from exc
+    if variant == "volterra":
+        rep = inverse_t.solve_volterra(problem, mollify_width=width)
+    else:
+        rep = inverse_t.fixed_point_iterate(
+            problem,
+            K=_num(s, "solver.K", None, lo=0.0),
+            m_max=_int(s, "solver.m_max", 50, lo=1),
+            tol=_num(s, "solver.tol", 1e-10, lo=0.0),
+            mollify_width=width,
+        )
     err = relative_l2(rep.recovered.values, rho_true.values, skip_first=1)
     meta = {
-        "mode": f"invert-rho-{variant}",
         "alpha": alpha.alpha,
         "x0": x0,
-        "noise_level": level,
-        "seed": seed,
+        **noise,
         "iterations": rep.iterations,
         "rel_l2_error": err,
         "final_residual": rep.residual_history[-1],
@@ -257,29 +252,21 @@ def _g_columns(recovered: SpectralField, g_true: SpectralField) -> dict:
 
 def _run_invert_g_final(cfg: dict):
     domain, grid, alpha, g_true, rho = _synthesize(cfg)
-    level = _num(cfg, "noise_level", 0.0, lo=0.0)
-    seed = _int(cfg, "seed", 0)
-    s = _solver(cfg)
     # u(., T) has coefficients g_n B_n; the rest of the field is never observed
     b = inverse_x.modal_responses(rho, alpha, grid, domain)
-    coeffs, noise_norm = perturb(g_true.coeffs * b, level, seed)
+    coeffs, noise_norm, noise = _noisy(cfg, g_true.coeffs * b)
+    s = _solver(cfg)
     final = SpectralField(domain, coeffs)
     delta = _num(s, "solver.delta", 0.0, lo=0.0)
     mu = _num(s, "solver.mu", None, lo=0.0)
     if mu is None:
-        mu = (
-            inverse_x.choose_mu_discrepancy(rho, alpha, grid, final, delta, noise_norm)
-            if level > 0.0
-            else 1e-10
-        )
+        mu = inverse_x.choose_mu_discrepancy(rho, alpha, grid, final, delta, noise_norm)
     problem = inverse_x.XSourceFinalProblem(rho, alpha, grid, final, delta, mu)
     rep = inverse_x.reconstruct_final(problem)
     err = relative_l2(rep.recovered.coeffs, g_true.coeffs)
     meta = {
-        "mode": "invert-g-final",
         "alpha": alpha.alpha,
-        "noise_level": level,
-        "seed": seed,
+        **noise,
         "mu": mu,
         "delta": delta,
         "retained_modes": rep.diagnostics["retained_modes"],
@@ -299,8 +286,9 @@ def _run_invert_g_interior(cfg: dict):
     ):
         raise ConfigError("omega", "expected a pair [lo, hi]")
     n_mesh = _int(cfg, "n_mesh", 257, lo=8)
-    level = _num(cfg, "noise_level", 0.0, lo=0.0)
-    seed = _int(cfg, "seed", 0)
+    u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
+    clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
+    observed, _, noise = _noisy(cfg, clean)
     s = _solver(cfg)
     settings = {
         "K": _positive(s, "solver.K", None),
@@ -308,9 +296,6 @@ def _run_invert_g_interior(cfg: dict):
         "m_max": _int(s, "solver.m_max", 200, lo=1),
         "tol": _num(s, "solver.tol", 0.0, lo=0.0),
     }
-    u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
-    clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
-    observed, _ = perturb(clean, level, seed)
     try:
         problem = inverse_x.XSourceInteriorProblem(
             rho, alpha, grid, domain, (omega[0], omega[1]), observed, n_mesh, **settings
@@ -320,12 +305,10 @@ def _run_invert_g_interior(cfg: dict):
     rep = inverse_x.iterative_thresholding(problem)
     err = relative_l2(rep.recovered.coeffs, g_true.coeffs)
     meta = {
-        "mode": "invert-g-interior",
         "alpha": alpha.alpha,
         "omega_lo": omega[0],
         "omega_hi": omega[1],
-        "noise_level": level,
-        "seed": seed,
+        **noise,
         "K": rep.diagnostics["K"],
         "beta": rep.diagnostics["beta"],
         "iterations": rep.iterations,
@@ -344,12 +327,7 @@ def _run_caputo_t2(cfg: dict):
     approx = caputo_l1(f, alpha).values
     exact = 2.0 * t ** (2.0 - alpha.alpha) / math.gamma(3.0 - alpha.alpha)
     err = relative_l2(approx, exact, skip_first=1)
-    meta = {
-        "mode": "caputo-t2",
-        "alpha": alpha.alpha,
-        "n_steps": grid.n_steps,
-        "rel_l2_error": err,
-    }
+    meta = {"alpha": alpha.alpha, "n_steps": grid.n_steps, "rel_l2_error": err}
     return meta, {"t": t, "caputo_l1": approx, "exact": exact}
 
 
@@ -391,8 +369,7 @@ def _run_sweep(cfg: dict):
         slope[1:] = -(np.log(errs_arr[1:]) - np.log(errs_arr[:-1])) / (
             np.log(vals[1:]) - np.log(vals[:-1])
         )
-    meta = {"mode": "sweep", "key": key, "metric": metric}
-    return meta, {key: vals, metric: errs_arr, "slope": slope}
+    return {"key": key, "metric": metric}, {key: vals, metric: errs_arr, "slope": slope}
 
 
 def _non_finite(meta: dict, cols: dict) -> str | None:
@@ -422,10 +399,15 @@ MODES = {
 
 
 def dispatch(cfg: dict):
+    """The mode's (metadata, columns), metadata led by the mode."""
     mode = _get(cfg, "mode", None, required=True)
     if not isinstance(mode, str) or mode not in MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}; options: {tuple(MODES)}")
-    return MODES[mode](cfg)
+    try:
+        meta, cols = MODES[mode](cfg)
+    except ParameterError as exc:  # e.g. K below its bound, or a window that flattens the trace
+        raise ConfigError(f"solver.{exc.name}", str(exc)) from exc
+    return {"mode": mode, **meta}, cols
 
 
 def _set_path(cfg: dict, key: str, value) -> None:

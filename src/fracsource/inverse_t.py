@@ -160,12 +160,17 @@ class _RhoSetUp:
     telescope to t^a E_{a,a+1}(-lambda_n t^a), so v is g(x0) less their
     running sum, and its sup bounds K.  The first `solve_volterra` builds
     the resolvent's spectrum, which no fixed-point run pays for; a
-    fixed-point run builds the sweep table of its K.
+    fixed-point run builds the sweep table of its K.  A set-up whose
+    |g(x0)| lies below EPS_POINT raises PointDegenerateError.
     """
 
     def __init__(self, g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid):
         self.alpha, self.grid = alpha, grid
         self.gx0 = eval_at(g, x0)
+        if abs(self.gx0) < EPS_POINT:
+            raise PointDegenerateError(
+                f"|g(x0)| = {abs(self.gx0)} is below the usable threshold {EPS_POINT}"
+            )
         self.trace_weights = trace_weights(g, x0, alpha, grid)
         self.c, self.d = _volterra_weights(g, x0, alpha, grid)
         self.v = self.gx0 - np.concatenate(([0.0], np.cumsum(self.c + self.d)))
@@ -196,12 +201,10 @@ def _set_up(coeffs: bytes, domain: Domain1D, x0: float, alpha: float, grid: Time
     return _RhoSetUp(g, x0, FractionalOrder(alpha), grid)
 
 
-def _usable_set_up(g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid):
-    """The set-up, once g(x0) is known to be usable."""
-    s = _set_up(g.coeffs.tobytes(), g.domain, x0, alpha.alpha, grid)
-    if abs(s.gx0) >= EPS_POINT:
-        return s
-    raise PointDegenerateError(f"|g(x0)| = {abs(s.gx0)} is below the usable threshold {EPS_POINT}")
+def _cached_set_up(problem: TSourceProblem) -> _RhoSetUp:
+    """The solvers' set-up of the problem, looked up by value."""
+    g = problem.g
+    return _set_up(g.coeffs.tobytes(), g.domain, problem.x0, problem.alpha.alpha, problem.grid)
 
 
 def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> ReconstructionReport:
@@ -212,7 +215,7 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
     the left, the system for rho at t_1..t_n is lower-triangular Toeplitz:
     its inverse convolves with the reciprocal series of its first column.
     """
-    s = _usable_set_up(problem.g, problem.x0, problem.alpha, problem.grid)
+    s = _cached_set_up(problem)
     psi = caputo_l1(_observed_trace(problem, mollify_width), problem.alpha).values
     n = problem.grid.n_steps
     own = np.multiply(s.resolvent, _spectrum(psi[1:], n))  # not *: see `_l1_derivative`
@@ -311,7 +314,7 @@ def fixed_point_iterate(
     """
     if m_max < 1:
         raise ParameterError("m_max", f"m_max must be >= 1, got {m_max}")
-    s = _usable_set_up(problem.g, problem.x0, problem.alpha, problem.grid)
+    s = _cached_set_up(problem)
     grid, k_bound = problem.grid, s.k_bound
     if K is None:
         K = k_bound
@@ -378,7 +381,8 @@ def lipschitz_certificate(
         if rho.grid != grid:
             raise ValueError("family members must lie on the given grid")
     rhos = np.array([rho.values for rho in family])
-    traces = product_rule_convolve(*_usable_set_up(g, x0, alpha, grid).trace_weights, rhos)
+    # its own set-up, so the solvers' cached one survives a certificate elsewhere
+    traces = product_rule_convolve(*_RhoSetUp(g, x0, alpha, grid).trace_weights, rhos)
     dtraces = _l1_derivative(traces, alpha, grid)
     ratios = np.max(np.abs(rhos), axis=1) / np.max(np.abs(dtraces), axis=1)
     return float(ratios.min()), float(ratios.max())

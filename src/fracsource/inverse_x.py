@@ -36,6 +36,7 @@ from .errors import (
     AllModesCutError,
     DegenerateRhoError,
     DivergenceError,
+    FracsourceError,
     NonPositiveParamsError,
 )
 from .forward import EvolutionField, modal_kernel_weights
@@ -165,8 +166,11 @@ def reconstruct_final(problem: XSourceFinalProblem) -> ReconstructionReport:
     """Regularized mode-by-mode division of final data by the modal response."""
     b, keep = _modal_responses(problem)
     u = problem.final_data.coeffs
-    g = np.zeros(u.shape[0])
-    discrepancy = _tikhonov_fit(b, b * u, b**2, keep, u, g, np.empty(u.shape[0]), problem.tikhonov)
+    g, r = np.zeros(u.shape[0]), np.empty(u.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        discrepancy = _tikhonov_fit(b, b * u, b**2, keep, u, g, r, problem.tikhonov)
+    if not np.all(np.isfinite(g)):
+        raise FracsourceError("the fitted coefficients are not finite")
     return ReconstructionReport(
         recovered=SpectralField(problem.final_data.domain, g),
         residual_history=[discrepancy],

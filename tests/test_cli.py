@@ -42,26 +42,42 @@ def test_ml_eval_exponential(tmp_path, capsys):
     assert float(row["value"]) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
+# every mode's metadata keys, in the order the CSV writes them
+DETERMINISM_CASES = [
+    (
+        {"mode": "invert-rho-volterra", "alpha": 0.5, "N": 8, "n_steps": 128, "x0": 0.3,
+         "noise_level": 0.01, "seed": 17, "rho": {"profile": "affine"}},
+        ["mode", "alpha", "x0", "noise_level", "seed", "iterations", "rel_l2_error",
+         "final_residual"],
+    ),
+    (
+        {"mode": "forward", "alpha": 0.5, "N": 8, "n_steps": 32, "x0": 0.3},
+        ["mode", "alpha", "x0", "n_steps"],
+    ),
+    (
+        {"mode": "invert-g-final", "alpha": 0.5, "N": 16, "n_steps": 64,
+         "noise_level": 0.01, "seed": 5},
+        ["mode", "alpha", "noise_level", "seed", "mu", "delta", "retained_modes",
+         "discrepancy", "rel_l2_error"],
+    ),
+    (
+        {"mode": "invert-g-interior", "alpha": 0.5, "N": 8, "n_steps": 32,
+         "omega": [0.1, 0.35], "noise_level": 0.01, "seed": 3},
+        ["mode", "alpha", "omega_lo", "omega_hi", "noise_level", "seed", "K", "beta",
+         "iterations", "final_data_residual", "rel_l2_error"],
+    ),
+]
+
+
 def test_determinism_bytes(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        "det.json",
-        {
-            "mode": "invert-rho-volterra",
-            "alpha": 0.5,
-            "N": 8,
-            "n_steps": 128,
-            "x0": 0.3,
-            "noise_level": 0.01,
-            "seed": 17,
-            "rho": {"profile": "affine"},
-        },
-    )
-    out = str(tmp_path / "det.csv")
-    assert run(cfg) == 0
-    first = open(out, "rb").read()
-    assert run(cfg) == 0
-    assert open(out, "rb").read() == first
+    for i, (config, keys) in enumerate(DETERMINISM_CASES):
+        cfg = write_cfg(tmp_path, f"det{i}.json", config)
+        out = str(tmp_path / f"det{i}.csv")
+        assert run(cfg) == 0, config["mode"]
+        first = open(out, "rb").read()
+        assert run(cfg) == 0
+        assert open(out, "rb").read() == first, config["mode"]
+        assert list(read_meta(out)) == keys
 
 
 def test_volterra_mode_error_metric(tmp_path):
@@ -173,10 +189,12 @@ def interior_cfg(**solver):
         (interior_cfg(K=0), "solver.K"),
         (interior_cfg(beta=0), "solver.beta"),
         (interior_cfg(tol=-1.0), "solver.tol"),
+        ({"mode": "invert-g-final", "alpha": 0.5, "N": 16, "n_steps": 64,
+          "noise_level": 0.01, "seed": -1}, "seed"),
     ],
     ids=[
         "ml-number", "z-null", "z-list", "sweep-strings", "metric-mode", "mode-list",
-        "interior-m_max", "interior-K", "interior-beta", "interior-tol",
+        "interior-m_max", "interior-K", "interior-beta", "interior-tol", "negative-seed",
     ],
 )
 def test_exit_code_malformed_config_value(tmp_path, capsys, cfg, key):
@@ -339,13 +357,27 @@ def test_sweep_leaves_its_inner_config_alone():
     assert cols["rel_l2_error"].shape == (2,)
 
 
-@pytest.mark.parametrize("solver", [{}, {"K": 1}], ids=["default-K", "K-set"])
-def test_exit_code_omega_without_mesh_points(tmp_path, capsys, solver):
+@pytest.mark.parametrize(
+    "extra",
+    [{"solver": {}}, {"solver": {"K": 1}}, {"noise_level": 0.01},
+     {"noise_level": 0.01, "omega": [0.35, 0.1]}],
+    ids=["default-K", "K-set", "noisy", "noisy-reversed"],
+)
+def test_exit_code_omega_without_mesh_points(tmp_path, capsys, extra):
     cfg = {"mode": "invert-g-interior", "alpha": 0.5, "N": 16, "n_steps": 64,
-           "omega": [0.501, 0.502], "solver": solver}
+           "omega": [0.501, 0.502], **extra}
     assert run(write_cfg(tmp_path, "w.json", cfg)) == 3
     assert "config key 'omega'" in capsys.readouterr().err
     assert not (tmp_path / "w.csv").exists()
+
+
+# noise this large overflows the noise norm and the fit; both are expected here
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_exit_code_final_fit_overflow(tmp_path, capsys):
+    cfg = g_final_cfg(noise_level=1e308)
+    assert run(write_cfg(tmp_path, "o.json", cfg)) == 4
+    assert "coefficients are not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_write_result_float_columns_match_per_value_format(tmp_path):

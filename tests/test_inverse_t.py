@@ -719,6 +719,17 @@ def test_degenerate_point_builds_no_resolvent(set_up_builds):
     assert set_up_builds["resolvent"] == 0
 
 
+def test_certificate_elsewhere_leaves_the_solvers_set_up_cached(set_up_builds):
+    base, _ = sweep_case(96, True)
+    first = solve_volterra(base)
+    lipschitz_certificate(base.g, 0.45, base.alpha, base.grid, [make_rho(base.grid, "affine")])
+    built = dict(set_up_builds)
+    again = solve_volterra(base)
+    # neither the set-up nor its resolvent is rebuilt after the certificate
+    assert set_up_builds == built
+    assert np.array_equal(again.recovered.values, first.recovered.values)
+
+
 @pytest.mark.parametrize("solver", (solve_volterra, fixed_point_iterate))
 def test_rho_set_up_follows_g_x0_alpha_and_grid(set_up_builds, solver):
     base, _ = sweep_case(96, True)

@@ -9,6 +9,7 @@ from fracsource.errors import (
     AllModesCutError,
     DegenerateRhoError,
     DivergenceError,
+    FracsourceError,
     NonPositiveParamsError,
 )
 from fracsource.forward import ml_on_nodes, observe_point, separated_source, solve_inhomogeneous
@@ -104,6 +105,10 @@ def test_reconstruct_final_errors():
         reconstruct_final(XSourceFinalProblem(rho, a, grid, data, cutoff=1e9))
     with pytest.raises(ValueError):
         XSourceFinalProblem(rho, a, grid, data, cutoff=-1.0)
+    # every B_n is below 1, so dividing data near the largest double overflows
+    huge = SpectralField(DOM, np.full(8, 1e308))
+    with pytest.raises(FracsourceError, match="not finite"):
+        reconstruct_final(XSourceFinalProblem(rho, a, grid, huge))
 
 
 def test_reconstruct_final_mu_monotone():
