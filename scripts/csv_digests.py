@@ -2,9 +2,10 @@
 """One sha256 per CLI output, to check that a change leaves the CSV bytes alone.
 
 Runs every CLI mode at the README defaults (N = 64, n_steps = 256,
-x0 = L/2, clean data), seeded noisy twins of the two g modes, the README
-example (noisy affine rho, Volterra solve) and that example's fixed-point
-twin, each in a fresh `python -m fracsource.cli` process, and prints
+x0 = L/2, clean data), seeded noisy twins of the two g modes, `ml-eval` at
+two orders outside the solvers' range, the README example (noisy affine
+rho, Volterra solve) and that example's fixed-point twin, each in a fresh
+`python -m fracsource.cli` process, and prints
 `<sha256>  <config>` per run.  The children import whichever
 `fracsource` the environment finds, so comparing two checkouts is one
 diff:
@@ -56,6 +57,12 @@ CONFIGS = {
     "invert-g-interior-noisy": {"mode": "invert-g-interior", "alpha": 0.5,
                                 "omega": [0.1, 0.35], "noise_level": 0.01, "seed": 42},
     "ml-eval": {"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [0.0, -1.0, -10.0]}},
+    # orders outside the solvers' range, at z in the series, contour (for
+    # beta = 10 through the recurrence) and asymptotic bands
+    "ml-eval-alpha-1.5": {"mode": "ml-eval", "ml": {"alpha": 1.5, "beta": 1.0, "z": [
+        0.5, 0.0, -0.5, -2.0, -10.0, -50.0, -200.0, -1e3, -1e4]}},
+    "ml-eval-beta-10": {"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 10.0, "z": [
+        0.5, 0.0, -1.0, -3.0, -4.0, -5.0, -8.0, -100.0, -1e4]}},
     "caputo-t2": {"mode": "caputo-t2", "alpha": 0.5},
     "sweep": {"mode": "sweep", "sweep": {
         "key": "n_steps", "values": [64, 128, 256],

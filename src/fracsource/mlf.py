@@ -1,27 +1,23 @@
 """Two-parameter Mittag-Leffler function on the negative real axis.
 
-E_{a,b}(z) = sum_k z^k / Gamma(a*k + b).  `ml_eval_array` evaluates it on
-whole arrays; `ml_eval` is its one-element form.  With the cancellation
-scale x = |z|^(1/a), the regimes for 0 < a < 1 and b <= 3 are
+E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) for every order 0 < a < 2, b > 0,
+evaluated on whole arrays by `ml_eval_array` (`ml_eval` is its one-element
+form).  With the cancellation scale x = |z|^(1/a), each value comes from
+the first of
 
-* z = 0: 1/Gamma(b); 0 < z <= 1: the double-precision power series,
-* x < 35: the inverse Laplace transform of s^(a-b)/(s^a - z) by the
-  trapezoid rule on the fixed parabola s(u) = mu (1 + iu)^2 (Garrappa,
-  SIAM J. Numer. Anal. 53(3), 2015; Weideman & Trefethen, Math. Comp.
-  76, 2007); s^a never equals z <= 0 on the principal sheet, so one
-  contour serves every argument,
-* x >= 35: the algebraic asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k)
-  at envelope-based optimal truncation, summed by Horner's rule over
-  sorted blocks of arguments; points whose truncation error misses the
-  target fall back to the contour, or raise MLConvergenceError beyond
-  -z = 1e150, where the contour would overflow.
-
-For 1 <= a < 2 or b > 3 (reached only from the `ml-eval` mode) each value
-comes from the first of: the compensated power series, where its largest
-term is at most ten times the sum; the asymptotic expansion, plus the
-residues at the poles s = x e^(+-i pi/a) for a >= 1, where it meets the
-target; for b > 3 the recurrence E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z;
-the parabolic contour with mu, h and the node count set for the argument.
+* z = 0: 1/Gamma(b); 0 < z <= 1: the compensated power series, which for
+  a >= 1 or b > 3 is tried at z < 0 too, where at most one digit cancels,
+* the asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k) at envelope-based
+  optimal truncation, by Horner's rule over sorted blocks of arguments,
+  plus for a >= 1 the residues at the poles s = x e^(+-i pi/a), where it
+  meets its target (for a < 1 from x = 35 on),
+* for b > 3, the recurrence E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z,
+* the trapezoid rule for the inverse Laplace transform of s^(a-b)/(s^a - z)
+  on the parabola s(u) = mu (1 + iu)^2 (Garrappa, SIAM J. Numer. Anal.
+  53(3), 2015; Weideman & Trefethen, Math. Comp. 76, 2007): one fixed
+  contour for a <= 1, where s^a never equals z <= 0 on the principal sheet;
+  for 1 < a < 2, mu, h and the nodes follow the poles.  Beyond -z = 1e150,
+  where the contour would overflow, MLConvergenceError is raised instead.
 
 Only real z <= 1 is supported; the diffusion solvers feed in z <= 0.
 """
@@ -44,8 +40,10 @@ __all__ = [
 
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 10_000
-# the scalar path takes the series while its largest term is at most this
-# multiple of the sum; at 1e3 the recurrence and the contour lose to it
+# powers z^k formed at once for each unfinished sum
+_SERIES_CHUNK = 32
+# for alpha >= 1 or beta > 3 the series is kept while its largest term is at
+# most this multiple of the sum; at 1e3 the recurrence and the contour lose to it
 # (rel. error 1.7e-11 against 9e-13 on 1800 points, x < 40)
 _SERIES_MAX_CANCEL = 10.0
 # below this x the omitted exponentially small part of the asymptotic
@@ -68,7 +66,7 @@ _CONTOUR_NODES = 32
 _POLE_MARGIN = 0.5
 # the contour rule squares s^alpha - z, which must not overflow
 _CONTOUR_MAX_ETA = 1e150
-# arguments per block: the (block, nodes) float temporaries stay at 512 KiB
+# arguments per block: the (block, 32 nodes) float temporaries stay at 512 KiB
 _BLOCK = 2048
 
 
@@ -106,43 +104,54 @@ def _rgamma(x: float) -> float:
     return math.exp(log_mag) * s / math.pi
 
 
-def _series_double(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """Defining power series with compensated summation.
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Returns (sum, largest |term|).  The largest term is infinite, and the
-    sum meaningless, once a term is out of double range: z^k overflows or
-    Gamma(alpha*k + beta) does, so that the term would drop out unsummed.
+
+def _series_double(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Defining power series at every z, with compensated summation.
+
+    Returns (sums, largest |term|).  Each sum stops at its first term below
+    1e-17 of it, past k = 2, or at its first term out of double range (z^k
+    or Gamma(alpha*k + beta) overflows), which drops out unsummed and makes
+    the largest term infinite.  Powers come a chunk at a time, but are added
+    one k at a time.
     """
-    total = _rgamma(beta)
-    biggest = abs(total)
-    comp = 0.0
-    term = 1.0
-    for k in range(1, _SERIES_MAX_TERMS):
-        term *= z
-        r = _rgamma(alpha * k + beta)
-        t = term * r
-        if r == 0.0 or not math.isfinite(t):
-            return total, math.inf
-        biggest = max(biggest, abs(t))
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if abs(t) < _SERIES_EPS * abs(total) and k > 2:
-            return total, biggest
-    raise MLConvergenceError(
-        f"series for E_({alpha},{beta})({z}) did not converge in "
-        f"{_SERIES_MAX_TERMS} terms"
-    )
+    val, big = np.empty(z.shape), np.full(z.shape, math.inf)
+    live, term, comp = np.arange(z.size), np.ones(z.shape), np.zeros(z.shape)
+    total, biggest = np.full(z.shape, _rgamma(beta)), np.full(z.shape, abs(_rgamma(beta)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(1, _SERIES_MAX_TERMS, _SERIES_CHUNK):
+            if not live.size:
+                break
+            ks = range(k0, min(k0 + _SERIES_CHUNK, _SERIES_MAX_TERMS))
+            r = np.array([_rgamma(alpha * k + beta) for k in ks])[:, None]
+            zl = z[live]
+            powers = np.cumprod(np.vstack((zl * term, np.tile(zl, (r.size - 1, 1)))), axis=0)
+            term, t = powers[-1], powers * r
+            bad = ~np.isfinite(t) | (r == 0.0)
+            t[bad] = 0.0
+            sums = np.empty(t.shape)
+            for j in range(r.size):
+                y = t[j] - comp
+                np.add(total, y, out=sums[j])
+                comp, total = (sums[j] - total) - y, sums[j]
+            at = np.abs(t)
+            peak = np.maximum.accumulate(np.vstack((biggest, at)), axis=0)[1:]
+            stop = bad | ((at < _SERIES_EPS * np.abs(sums)) & (np.array(ks)[:, None] > 2))
+            first, cols = np.argmax(stop, axis=0), np.arange(live.size)
+            done, conv = stop[first, cols], stop[first, cols] & ~bad[first, cols]
+            val[live[done]], big[live[conv]] = sums[first[done], done], peak[first[conv], conv]
+            live, term, total, comp, biggest = (a[~done] for a in (live, term, total, comp, peak[-1]))
+    if live.size:
+        msg = f"series for E_({alpha},{beta})(z) did not converge in {_SERIES_MAX_TERMS} terms"
+        raise MLConvergenceError(f"{msg} at z = {float(z[live[0]])}")
+    return val, big
 
 
 # ---------------------------------------------------------------------------
 # asymptotic expansion for large -z
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @lru_cache(maxsize=256)
@@ -201,9 +210,19 @@ def _truncation(log_env: np.ndarray, log_eta: float) -> tuple[int, int]:
     return best, best + 1 if best + 1 < n else best
 
 
-def _asymptotic_array(
-    alpha: float, beta: float, eta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _pole_terms(alpha: float, beta: float, x: np.ndarray, weight: float):
+    """(weight/alpha) Re(e^p p^(1-beta)) at every p = x e^(i pi/alpha), and its size.
+
+    With weight 2 this is the sum of the residues of e^s s^(alpha-beta) /
+    (s^alpha - z) at its two poles p and conj(p), where s^alpha = z = -x^alpha;
+    the size leaves out the cosine.
+    """
+    ang = math.pi / alpha
+    size = (weight / alpha) * x ** (1.0 - beta) * np.exp(x * math.cos(ang))
+    return size * np.cos(x * math.sin(ang) + (1.0 - beta) * ang), size
+
+
+def _asymptotic_array(alpha: float, beta: float, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Algebraic expansion at every eta = -z > 0, at optimal truncation.
 
     Returns (values, absolute error estimates).  The arguments are sorted
@@ -211,13 +230,24 @@ def _asymptotic_array(
     scan puts the optimum for its smallest eta.  A larger eta shrinks every
     term, so the kept terms stay accurate for the whole block; each point's
     error estimate is the envelope of its own first omitted term.
+
+    For alpha >= 1 the exponentially damped pole terms are added explicitly,
+    since near alpha = 2 they decay too slowly to ignore; at alpha = 1 the
+    two poles are one.  For alpha > 1 the expansion's own error has a part
+    as large as the pole terms, which the envelope misses (just above
+    alpha = 1 the algebraic terms nearly vanish), so the estimate adds it.
     """
     c, log_env = _asymptotic_coeffs(alpha, beta)
     order = np.argsort(eta)
-    val = np.empty(eta.shape)
-    err = np.empty(eta.shape)
-    for lo in range(0, eta.size, _BLOCK):
-        idx = order[lo : lo + _BLOCK]
+    ascending = eta[order]
+    val, err = np.empty(eta.shape), np.empty(eta.shape)
+    lo = 0
+    while lo < eta.size:
+        # for alpha >= 1 the expansion is tried down to x -> 0, where the
+        # optimum moves fast: a block there spans one octave of x at most
+        octave = eta.size if alpha < 1.0 else np.searchsorted(ascending, ascending[lo] * 2.0**alpha, "right")
+        idx = order[lo : min(lo + _BLOCK, int(octave))]
+        lo += idx.size
         e = eta[idx]
         log_e = np.log(e)
         best, last = _truncation(log_env, float(log_e[0]))
@@ -227,43 +257,10 @@ def _asymptotic_array(
             p = p * w + c[j]
         val[idx] = p * w
         err[idx] = _envelope(log_env[last] - (last + 1) * log_e)
-    return val, err
-
-
-def _pole_terms(alpha: float, beta: float, x: float, weight: float) -> float:
-    """(weight/alpha) Re(e^p p^(1-beta)) at p = x e^(i pi/alpha).
-
-    With weight 2 this is the sum of the residues of e^s s^(alpha-beta) /
-    (s^alpha - z) at its two poles p and conj(p), where s^alpha = z = -x^alpha.
-    """
-    ang = math.pi / alpha
-    return (
-        (weight / alpha)
-        * x ** (1.0 - beta)
-        * math.exp(x * math.cos(ang))
-        * math.cos(x * math.sin(ang) + (1.0 - beta) * ang)
-    )
-
-
-def _asymptotic(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """The expansion at one z < 0: (value, absolute error estimate).
-
-    For alpha >= 1 the exponentially damped pole terms are added explicitly,
-    since near alpha = 2 they decay too slowly to ignore; at alpha = 1 the
-    two poles are one.  For alpha > 1 the expansion's own error has a part
-    as large as the pole terms, which the envelope misses (just above
-    alpha = 1 the algebraic terms nearly vanish), so the estimate adds it.
-    """
-    eta = -z
-    val, err = _asymptotic_array(alpha, beta, np.array([eta]))
-    total, bound = float(val[0]), float(err[0])
     if alpha >= 1.0:
-        x = eta ** (1.0 / alpha)
-        weight = 1.0 if alpha == 1.0 else 2.0
-        total += _pole_terms(alpha, beta, x, weight)
-        if alpha > 1.0:
-            bound += (weight / alpha) * x ** (1.0 - beta) * math.exp(x * math.cos(math.pi / alpha))
-    return total, bound
+        poles, size = _pole_terms(alpha, beta, eta ** (1.0 / alpha), 1.0 if alpha == 1.0 else 2.0)
+        val, err = val + poles, err + size if alpha > 1.0 else err
+    return val, err
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +276,11 @@ def _contour(alpha: float, beta: float, mu: float, h: float, nodes: int) -> tupl
     one at u, so E(z) = (h/pi) Im sum' w_k / (s_k^alpha - z) over u_k >= 0
     with w_k = e^s s^(alpha-beta) s'(u) at u_k and the u = 0 term halved.
     Poles of the integrand outside the parabola are left out.  Returned as
-    real and imaginary parts (Re s^alpha, Im s^alpha, Re w, Im w).
+    real and imaginary parts (Re s^alpha, Im s^alpha, Re w, Im w).  For
+    alpha > 1 they are formed in np.longdouble: at alpha 1-1.5 the worst
+    error in scripts/ml_accuracy.py is then 3e-15, against 2e-14 in double.
     """
-    u = h * np.arange(nodes)
+    u = h * np.arange(nodes, dtype=np.longdouble if alpha > 1.0 else float)
     s = mu * (1.0 + 1j * u) ** 2
     ds = 2j * mu * (1.0 + 1j * u)
     w = (h / math.pi) * np.exp(s) * s ** (alpha - beta) * ds
@@ -301,8 +300,8 @@ def _contour_eval(contour: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contour_point(alpha: float, beta: float, z: float) -> float:
-    """The contour rule at one z < 0, with mu, h and the nodes set for it.
+def _contour_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """The contour rule at every z < 0, with mu, h and the nodes set per argument.
 
     On s = mu (1 + iu)^2 the branch point s = 0 lies at Im u = 1 and, for
     1 < alpha < 2, the poles p = x e^(+-i pi/alpha), x = (-z)^(1/alpha), at
@@ -310,48 +309,28 @@ def _contour_point(alpha: float, beta: float, z: float) -> float:
     poles lie 0.5 or more inside; otherwise mu drops until they lie 0.5 or
     more outside, and their residues are added.  h scales with the distance
     of the nearest singularity, so the error stays that of the fixed rule.
+    Both are rounded down to a power of 2^(1/8) times the fixed ones, which
+    keeps those bounds, so the arguments share a few cached contours.
     """
-    mu, pole = _CONTOUR_MU, 0.0
-    if alpha > 1.0:
-        x = (-z) ** (1.0 / alpha)
-        r = x * math.cos(math.pi / (2.0 * alpha)) ** 2
-        pole = math.sqrt(r / mu)
-        if pole > 1.0 - _POLE_MARGIN:
-            mu = min(mu, r / (1.0 + _POLE_MARGIN) ** 2)
-            pole = math.sqrt(r / mu)
-    h = _CONTOUR_H * min(1.0, abs(1.0 - pole))
-    nodes = math.ceil(math.sqrt(1.0 + 2.0 * math.pi / (_CONTOUR_H * mu)) / h)
-    val = float(_contour_eval(_contour(alpha, beta, mu, h, nodes), np.array([z]))[0])
-    return val + _pole_terms(alpha, beta, x, 2.0) if pole > 1.0 else val
+    if alpha <= 1.0:
+        return _contour_eval(_contour(alpha, beta, _CONTOUR_MU, _CONTOUR_H, _CONTOUR_NODES), z)
+    x = (-z) ** (1.0 / alpha)
+    r = x * math.cos(math.pi / (2.0 * alpha)) ** 2 / _CONTOUR_MU
+    close = np.sqrt(r) > 1.0 - _POLE_MARGIN
+    mu_steps = np.floor(8.0 * np.log2(np.where(close, np.minimum(1.0, r / (1.0 + _POLE_MARGIN) ** 2), 1.0)))
+    pole = np.sqrt(r / 2.0 ** (mu_steps / 8.0))
+    h_steps = np.floor(8.0 * np.log2(np.minimum(1.0, np.abs(1.0 - pole))))
+    groups, which = np.unique(mu_steps + 1j * h_steps, return_inverse=True)
+    out = np.empty(z.shape)
+    for g, key in enumerate(groups):
+        mu, h = _CONTOUR_MU * 2.0 ** (key.real / 8.0), _CONTOUR_H * 2.0 ** (key.imag / 8.0)
+        nodes = math.ceil(math.sqrt(1.0 + 2.0 * math.pi / (_CONTOUR_H * mu)) / h)
+        out[which == g] = _contour_eval(_contour(alpha, beta, mu, h, nodes), z[which == g])
+    return out + np.where(pole > 1.0, _pole_terms(alpha, beta, x, 2.0)[0], 0.0)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _eval(alpha: float, beta: float, z: float) -> float:
-    """Scalar evaluation, for 1 <= alpha < 2 or beta > 3."""
-    if z == 0.0:
-        return _rgamma(beta)
-    if alpha == 1.0 and beta == 1.0:
-        return math.exp(z)
-    val, biggest = _series_double(alpha, beta, z)
-    if z > 0.0 or biggest <= _SERIES_MAX_CANCEL * abs(val):
-        return val
-
-    eta = -z
-    val, err = _asymptotic(alpha, beta, z)
-    scale = max(abs(val), abs(_rgamma(beta)) / (1.0 + eta))
-    if err <= _ASYMPTOTIC_REL_TOL * scale and (alpha >= 1.0 or eta >= _ASYMPTOTIC_MIN_X**alpha):
-        return val
-    if beta > _CONTOUR_MAX_BETA:
-        return (_eval(alpha, beta - alpha, z) - _rgamma(beta - alpha)) / z
-    if eta > _CONTOUR_MAX_ETA:
-        raise MLConvergenceError(
-            f"no evaluation regime reaches the accuracy target for "
-            f"E_({alpha},{beta})({z})"
-        )
-    return _contour_point(alpha, beta, z)
 
 
 def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
@@ -367,29 +346,30 @@ def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
     if np.any(z > 1.0):
         raise ValueError(f"only z <= 1 is supported, got {float(np.max(z))}")
     flat = z.ravel()
-    if alpha >= 1.0 or beta > _CONTOUR_MAX_BETA:
-        vals = [_eval(alpha, beta, float(v)) for v in flat]
-        return np.array(vals, dtype=float).reshape(z.shape)
-    out = np.empty(flat.shape)
-    out[flat == 0.0] = _rgamma(beta)
-    for i in np.flatnonzero(flat > 0.0):
-        out[i] = _series_double(alpha, beta, float(flat[i]))[0]
-    neg = np.flatnonzero(flat < 0.0)
-    eta = -flat[neg]
-    far = eta >= _ASYMPTOTIC_MIN_X**alpha
-    eta_far = eta[far]
-    val, err = _asymptotic_array(alpha, beta, eta_far)
-    scale = np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 + eta_far))
-    ok = err <= _ASYMPTOTIC_REL_TOL * scale
-    if not ok.all() and eta_far[~ok].max() > _CONTOUR_MAX_ETA:
-        raise MLConvergenceError(
-            f"no evaluation regime reaches the accuracy target for E_({alpha},{beta})(z) "
-            f"at z = {-float(eta_far[~ok].max())}"
-        )
-    out[neg[far][ok]] = val[ok]
-    near = np.concatenate((neg[~far], neg[far][~ok]))
-    fixed = _contour(alpha, beta, _CONTOUR_MU, _CONTOUR_H, _CONTOUR_NODES)
-    out[near] = _contour_eval(fixed, flat[near])
+    if alpha == 1.0 and beta == 1.0:
+        return np.exp(flat).reshape(z.shape)
+    out = np.full(flat.shape, _rgamma(beta))
+    todo = flat != 0.0
+    # the series serves 0 < z <= 1, and z < 0 outside the solvers' orders
+    idx = np.flatnonzero((flat > 0.0) | (todo & (alpha >= 1.0 or beta > _CONTOUR_MAX_BETA)))
+    if idx.size:
+        val, biggest = _series_double(alpha, beta, flat[idx])
+        ok = (flat[idx] > 0.0) | (biggest / _SERIES_MAX_CANCEL <= np.abs(val))
+        out[idx[ok]], todo[idx[ok]] = val[ok], False
+    far = np.flatnonzero(todo & ((flat <= -(_ASYMPTOTIC_MIN_X**alpha)) | (alpha >= 1.0)))
+    val, err = _asymptotic_array(alpha, beta, -flat[far])
+    ok = err <= _ASYMPTOTIC_REL_TOL * np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 - flat[far]))
+    out[far[ok]], todo[far[ok]] = val[ok], False
+    zr = flat[todo]
+    if zr.size and beta > _CONTOUR_MAX_BETA:
+        out[todo] = (ml_eval_array(alpha, beta - alpha, zr) - _rgamma(beta - alpha)) / zr
+    elif zr.size:
+        if -zr.min() > _CONTOUR_MAX_ETA:
+            raise MLConvergenceError(
+                f"no evaluation regime reaches the accuracy target for E_({alpha},{beta})(z) "
+                f"at z = {float(zr.min())}"
+            )
+        out[todo] = _contour_array(alpha, beta, zr)
     return out.reshape(z.shape)
 
 

@@ -117,7 +117,7 @@ def test_evaluation_regimes_agree_on_overlap():
             z = -(x**a)
             fixed = mlf._contour(a, b, mlf._CONTOUR_MU, mlf._CONTOUR_H, mlf._CONTOUR_NODES)
             contour = float(mlf._contour_eval(fixed, np.array([z]))[0])
-            asym, err = mlf._asymptotic(a, b, z)
+            asym, err = (float(v[0]) for v in mlf._asymptotic_array(a, b, np.array([-z])))
             assert err <= 1e-9 * abs(contour)
             assert asym == pytest.approx(contour, rel=1e-9)
 
@@ -181,24 +181,25 @@ def test_array_evaluator_against_mpmath():
 
 
 def test_scalar_path_against_mpmath():
-    # seeded points in both bands of x = |z|^(1/alpha) for the orders the
-    # array path leaves to the scalar one: 1 <= alpha < 2 (the poles of the
-    # contour integrand near alpha = 1 and alpha = 2) and beta > 3
+    # seeded points in every band of x = |z|^(1/alpha), and at 0 < z <= 1,
+    # for the orders outside the solvers' range: 1 <= alpha < 2 (the poles
+    # of the contour integrand near alpha = 1 and alpha = 2) and beta > 3
     ml_reference = pytest.importorskip("ml_reference")
     rng = np.random.default_rng(2026)
+    low = np.random.default_rng(2027)  # x < 4 and 0 < z <= 1
     cases = [(a, b) for a in (1.0, 1.05, 1.4, 1.9, 1.95) for b in (0.5, 1.0, 2.5)]
     cases += [(a, b) for a in (0.1, 0.5, 0.9, 1.4) for b in (3.5, 10.0, 30.0)]
     for a, b in cases:
-        for x in (rng.uniform(4.0, 35.0), rng.uniform(35.0, 300.0)):
-            e = x**a
-            tol = 1e-10 if e <= 100.0 else 1e-8
+        xs = (rng.uniform(4.0, 35.0), rng.uniform(35.0, 300.0), low.uniform(0.0, 4.0))
+        for z in [-(x**a) for x in xs] + [low.uniform(0.0, 1.0)]:
+            tol = 1e-10 if abs(z) <= 100.0 else 1e-8
             # at a = 0.1 the reference series takes seconds per point beyond
             # x = 35; the integral representation is as independent and fast
-            if a < 0.5 and x > 35.0:
-                ref = float(ml_reference.ml_integral(a, b, -e))
+            if a < 0.5 and abs(z) ** (1.0 / a) > 35.0:
+                ref = float(ml_reference.ml_integral(a, b, z))
             else:
-                ref = ml_reference.ml_reference(a, b, -e)
-            assert ml_eval(MLParams(a, b), -e) == pytest.approx(ref, rel=tol, abs=1e-300), (a, b, e)
+                ref = ml_reference.ml_reference(a, b, z)
+            assert ml_eval(MLParams(a, b), z) == pytest.approx(ref, rel=tol, abs=1e-300), (a, b, z)
 
 
 def test_scalar_is_one_element_array_call():
@@ -222,9 +223,9 @@ def test_array_argument_validation():
 
 
 def test_gamma_tables_shared_between_threads():
-    # beta > 3 takes the scalar path (series, beta recurrence, contour); a
-    # fresh interpreter evaluates it from four threads at once and must
-    # agree with the serial values
+    # beta > 3 takes the series, the beta recurrence and the contour, with
+    # their cached tables; a fresh interpreter evaluates it from four
+    # threads at once and must agree with the serial values
     import subprocess
     import sys
 
@@ -263,14 +264,18 @@ print(json.dumps(out))
     assert json.loads(res.stdout) == serial
 
 
-@pytest.mark.parametrize("a, b", [(0.5, 1.0), (0.1, 1.1), (0.3, 2.5), (0.9, 1.9), (0.7, 3.0)])
+@pytest.mark.parametrize(
+    "a, b", [(0.5, 1.0), (0.1, 1.1), (0.3, 2.5), (0.9, 1.9), (0.7, 3.0), (1.0, 0.5), (1.05, 1.0)]
+)
 def test_array_path_far_arguments(a, b):
-    # at eta = -z >= 1e120 one term of the expansion is exact to round-off;
+    # at eta = -z >= 1e100 one term of the expansion is exact to round-off;
     # the truncation floor follows the leading term, so no value reaches
-    # the contour and nothing overflows
+    # the contour and nothing overflows.  For alpha >= 1 the series comes
+    # first: near eta = 5.4e102 and 8.1e153 its partial sums reach 5e307
+    # before a term overflows, and it must not be taken
     import warnings
 
-    etas = np.array([1e120, 1e160, 1e300])
+    etas = np.array([5.44787388e102, 1e120, 8.12549354e153, 1e160, 1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals = ml_eval_array(a, b, -etas)
