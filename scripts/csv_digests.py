@@ -4,7 +4,9 @@
 Runs every CLI mode at the README defaults (N = 64, n_steps = 256,
 x0 = L/2, clean data), seeded noisy twins of the two g modes, `ml-eval` at
 two orders outside the solvers' range, the README example (noisy affine
-rho, Volterra solve) and that example's fixed-point twin, each in a fresh
+rho, Volterra solve) and that example's fixed-point twin, and the
+Volterra and noisy final-data solves at N = 64, n_steps = 2048 with every
+mode loaded (the benchmark's long grid), each in a fresh
 `python -m fracsource.cli` process, and prints
 `<sha256>  <config>` per run.  The children import whichever
 `fracsource` the environment finds, so comparing two checkouts is one
@@ -69,6 +71,14 @@ CONFIGS = {
         "inner": {"mode": "invert-rho-volterra", "alpha": 0.5}}},
     "readme-example": README_EXAMPLE,
     "readme-example-fixedpoint": dict(README_EXAMPLE, mode="invert-rho-fixedpoint"),
+    "fine-grid-rho-volterra": {"mode": "invert-rho-volterra", "alpha": 0.5, "N": 64,
+                               "n_steps": 2048, "x0": 0.35, "g": {"profile": "hat"},
+                               "rho": {"profile": "sine", "params": {"freq": 1.0}}},
+    "fine-grid-g-final": {"mode": "invert-g-final", "alpha": 0.6, "N": 64, "n_steps": 2048,
+                          "noise_level": 0.01, "seed": 42,
+                          "g": {"profile": "offset_bump",
+                                "params": {"center_frac": 0.62, "width_frac": 0.4}},
+                          "rho": {"profile": "constant", "params": {"value": 1.0}}},
 }
 
 

@@ -20,15 +20,16 @@ node-0 extrapolation, so the iterates are power series of that map: the
 sweeps run in closed form, 64 at a time, on a per-set-up table of the
 spectra of its powers, and the bound K comes from the Volterra weights
 without a homogeneous solve.  What depends on the set-up alone (g(x0),
-the trace and Volterra weights, K's bound, the resolvent, the sweep
-table of a K) is one object, built once per set-up.
+the trace and Volterra weights, K's bound, the resolvent) is one object,
+built once per set-up and looked up by value through the memo in
+`report`; so is the sweep table of a K.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +50,8 @@ from .fracops import (
     caputo_l1,
     product_rule_convolve,
 )
-from .report import ReconstructionReport, first_index, third_rises
-from .spectral import Domain1D, SpectralField, eval_at
+from .report import ReconstructionReport, _by_value, first_index, third_rises
+from .spectral import SpectralField, eval_at
 
 __all__ = [
     "EPS_POINT",
@@ -177,7 +178,6 @@ class _RhoSetUp:
         self.k_bound = float(np.max(np.abs(self.v)))
         for a in (*self.trace_weights, self.c, self.d, self.v):
             a.flags.writeable = False
-        self._sweeps = (None, None)  # the last K and its sweep table
 
     @cached_property
     def resolvent(self) -> np.ndarray:
@@ -187,24 +187,14 @@ class _RhoSetUp:
         spectrum.flags.writeable = False
         return spectrum
 
-    def sweeps(self, K: float) -> _SweepTable:
-        """The sweep table of damping K, kept while K repeats."""
-        if self._sweeps[0] != K:
-            self._sweeps = (K, _SweepTable(self, K))
-        return self._sweeps[1]
+    # sweeps(K): the sweep table of damping K, kept while the set-up and K repeat
+    sweeps = _by_value(lambda self, K: _SweepTable(self, K))
 
 
-@lru_cache(maxsize=1)
-def _set_up(coeffs: bytes, domain: Domain1D, x0: float, alpha: float, grid: TimeGrid):
+@_by_value
+def _set_up(g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid) -> _RhoSetUp:
     """The set-up given by value, built once while it repeats."""
-    g = SpectralField(domain, np.frombuffer(coeffs))
-    return _RhoSetUp(g, x0, FractionalOrder(alpha), grid)
-
-
-def _cached_set_up(problem: TSourceProblem) -> _RhoSetUp:
-    """The solvers' set-up of the problem, looked up by value."""
-    g = problem.g
-    return _set_up(g.coeffs.tobytes(), g.domain, problem.x0, problem.alpha.alpha, problem.grid)
+    return _RhoSetUp(g, x0, alpha, grid)
 
 
 def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> ReconstructionReport:
@@ -215,7 +205,7 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
     the left, the system for rho at t_1..t_n is lower-triangular Toeplitz:
     its inverse convolves with the reciprocal series of its first column.
     """
-    s = _cached_set_up(problem)
+    s = _set_up(problem.g, problem.x0, problem.alpha, problem.grid)
     psi = caputo_l1(_observed_trace(problem, mollify_width), problem.alpha).values
     n = problem.grid.n_steps
     own = np.multiply(s.resolvent, _spectrum(psi[1:], n))  # not *: see `_l1_derivative`
@@ -314,7 +304,7 @@ def fixed_point_iterate(
     """
     if m_max < 1:
         raise ParameterError("m_max", f"m_max must be >= 1, got {m_max}")
-    s = _cached_set_up(problem)
+    s = _set_up(problem.g, problem.x0, problem.alpha, problem.grid)
     grid, k_bound = problem.grid, s.k_bound
     if K is None:
         K = k_bound

@@ -20,15 +20,16 @@ in singular direction i, with y_i the data's coordinate along U's column
 i and r_i = (K - s_i^2)/(K + beta), so every sweep is array arithmetic.
 The bound K defaults to 1.1 s_1^2, the largest eigenvalue of A^T W A
 read off that SVD.  The operator and its SVD are built once per set-up
-(rho, alpha, grid, domain, omega, mesh) and reused by re-solves with new
-data.
+(rho, alpha, grid, domain, omega, mesh), and B once per (rho, alpha,
+grid, domain); both are looked up by value through the memo in `report`
+and reused by re-solves with new data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .forward import EvolutionField, modal_kernel_weights
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, product_rule_convolve
-from .report import ReconstructionReport, first_index, third_rises
+from .report import ReconstructionReport, _by_value, first_index, third_rises
 from .spectral import Domain1D, SpectralField, simpson_weights
 
 __all__ = [
@@ -131,13 +132,16 @@ def observe_interior(
     return u.domain.eigenfunctions(xs[mask]).T @ u.modal_values
 
 
+@_by_value
 def modal_responses(
     rho: TimeSeries, alpha: FractionalOrder, grid: TimeGrid, domain: Domain1D
 ) -> np.ndarray:
-    """All B_n: final-data coefficient n of the source g rho is g_n B_n."""
+    """All B_n, read-only: final-data coefficient n of the source g rho is g_n B_n."""
     c, d = modal_kernel_weights(domain, alpha, grid)
     n = grid.n_steps
-    return c @ rho.values[n:0:-1] + d @ rho.values[n - 1 :: -1]
+    b = c @ rho.values[n:0:-1] + d @ rho.values[n - 1 :: -1]
+    b.flags.writeable = False
+    return b
 
 
 def _modal_responses(problem: XSourceFinalProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -283,21 +287,15 @@ class _InteriorOperator:
         return y_c, float(np.vdot(outside, outside))
 
 
-@lru_cache(maxsize=1)
-def _operator(
-    rho: bytes, alpha: float, grid: TimeGrid, domain: Domain1D, omega: tuple, n_mesh: int
-) -> _InteriorOperator:
+@_by_value
+def _operator(rho, alpha, grid, domain, omega, n_mesh) -> _InteriorOperator:
     """The operator of a set-up given by value, built once while it repeats."""
-    return _InteriorOperator(
-        TimeSeries(grid, np.frombuffer(rho)), FractionalOrder(alpha), grid, domain, omega, n_mesh
-    )
+    return _InteriorOperator(rho, alpha, grid, domain, omega, n_mesh)
 
 
 def _operator_of(p: XSourceInteriorProblem) -> _InteriorOperator:
-    """The operator of the problem's set-up; rho is compared by its bytes."""
-    return _operator(
-        p.rho.values.tobytes(), p.alpha.alpha, p.grid, p.domain, tuple(p.omega), p.n_mesh
-    )
+    """The operator of the problem's set-up."""
+    return _operator(p.rho, p.alpha, p.grid, p.domain, p.omega, p.n_mesh)
 
 
 def estimate_k(problem: XSourceInteriorProblem) -> float:

@@ -20,8 +20,8 @@ def _sampled_field(domain: Domain1D, func, n_mesh: int | None = None) -> Spectra
 
 def _g_mode(domain: Domain1D, k: int = 1, amplitude: float = 1.0) -> SpectralField:
     """Single eigenmode phi_k."""
-    if not 1 <= k <= domain.n_modes:
-        raise ValueError(f"mode index k must lie in [1, {domain.n_modes}], got {k}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= domain.n_modes:
+        raise ValueError(f"mode index k must be an integer in [1, {domain.n_modes}], got {k!r}")
     coeffs = np.zeros(domain.n_modes)
     coeffs[k - 1] = amplitude
     return SpectralField(domain, coeffs)

@@ -1,7 +1,13 @@
-"""Result container and stopping scan shared by the reconstruction solvers."""
+"""Result container, stopping scan and set-up memo shared by the reconstruction solvers.
+
+A set-up (the operator an inverse problem reuses across re-solves with new
+data) is identified by the value of its inputs, not by the objects that
+hold them: `_by_value` memoises its builder on that value, one entry deep.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -48,6 +54,40 @@ def first_index(flags: np.ndarray) -> int:
     """Index of the first set flag, or flags.size when none is set."""
     hits = np.flatnonzero(flags)
     return int(hits[0]) if hits.size else flags.size
+
+
+def _value_key(arg):
+    """What a set-up input is compared by: sampled data by grid or domain and bytes."""
+    if isinstance(arg, TimeSeries):
+        return TimeSeries, arg.grid, arg.values.tobytes()
+    if isinstance(arg, SpectralField):
+        return SpectralField, arg.domain, arg.coeffs.tobytes()
+    return arg
+
+
+def _by_value(build):
+    """`build` memoised on the value of its arguments, keeping the last entry.
+
+    Arguments other than sampled data are compared by ==.  The entry is one
+    (key, value) tuple, replaced whole, so a concurrent caller sees the old
+    entry, the new one or none, never half of one; two callers may both
+    build, with equal results.  A miss drops the entry before it builds,
+    so a large stale value is not held while its successor is formed.
+    `cache_clear()` drops the entry.
+    """
+    last = {}
+
+    @functools.wraps(build)
+    def memo(*args):
+        key, hit = tuple(map(_value_key, args)), last.get("entry")
+        if hit is None or hit[0] != key:
+            del hit  # with the entry, the last reference to a stale value
+            last.clear()
+            hit = last["entry"] = (key, build(*args))
+        return hit[1]
+
+    memo.cache_clear = last.clear
+    return memo
 
 
 @dataclass

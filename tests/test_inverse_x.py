@@ -1,5 +1,6 @@
 """Tests of the spatial-factor reconstructions (final-time and interior data)."""
 
+import json
 import math
 
 import numpy as np
@@ -158,6 +159,60 @@ def test_choose_mu_builds_responses_once(monkeypatch):
     choose_mu_discrepancy(rho, a, grid, data, 0.0, noise_norm)
     # one fetch of the whole table, not one per mode
     assert calls == [DOM]
+
+
+@pytest.fixture
+def response_builds(monkeypatch):
+    """Count builds of B from an empty memo: each fetches the kernel-weight table once."""
+    import fracsource.inverse_x as inverse_x
+
+    builds = []
+    original = inverse_x.modal_kernel_weights
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(inverse_x, "modal_kernel_weights", counting)
+    inverse_x.modal_responses.cache_clear()
+    yield builds
+    inverse_x.modal_responses.cache_clear()
+
+
+@pytest.mark.parametrize("solver", [{}, {"mu": 1e-6}])
+def test_final_data_run_builds_b_once(tmp_path, response_builds, solver):
+    # the CLI's synthesis, choose_mu_discrepancy and reconstruct_final share one B
+    from fracsource.cli import run
+
+    cfg = {"mode": "invert-g-final", "alpha": 0.5, "N": 16, "n_steps": 64,
+           "noise_level": 0.01, "seed": 3, "solver": solver}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run(str(path)) == 0
+    assert len(response_builds) == 1
+
+
+def test_final_data_resolves_build_b_once(response_builds):
+    grid, a, rho, data, noise_norm = noisy_final_case()
+    b = modal_responses(rho, a, grid, DOM)
+    assert not b.flags.writeable
+    reps = []
+    for seed in range(1, 6):
+        bump = 1e-3 * np.random.default_rng(seed).uniform(-1.0, 1.0, DOM.n_modes)
+        noisy = SpectralField(DOM, data.coeffs + bump)
+        # rho and the grid in new objects, equal by value
+        rho_again = TimeSeries(TimeGrid(1.0, 64), rho.values.copy())
+        mu = choose_mu_discrepancy(rho_again, a, grid, noisy, 0.0, noise_norm)
+        reps.append(reconstruct_final(XSourceFinalProblem(rho_again, a, grid, noisy, 0.0, mu)))
+    assert len(response_builds) == 1
+    # a cold solve gives the same bytes
+    import fracsource.inverse_x as inverse_x
+
+    inverse_x.modal_responses.cache_clear()
+    mu = choose_mu_discrepancy(rho, a, grid, noisy, 0.0, noise_norm)
+    cold = reconstruct_final(XSourceFinalProblem(rho, a, grid, noisy, 0.0, mu))
+    assert np.array_equal(cold.recovered.coeffs, reps[-1].recovered.coeffs)
+    assert cold.residual_history == reps[-1].residual_history
 
 
 def bisection_cases():
