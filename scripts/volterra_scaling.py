@@ -19,6 +19,12 @@ g, x0 = 0.3, sine rho, T = 1, clean data) it prints:
   64 modes of the source nonzero (g_n = 1), on the cached kernel table;
 * the peak resident set of the process so far, in MiB.
 
+It ends with the peak resident set of one CLI `sweep` process over the
+same four grids (`invert-rho-volterra`, N = 64, alpha = 0.5, x0 = 0.3,
+sine rho), which holds one grid's kernel-weight table and set-up at a
+time.  A child's peak includes the resident set of whatever process
+forked it, so the sweep is started from a fresh interpreter.
+
 The error is set by the L1 derivative of a trace that behaves like
 t^alpha near t = 0, so it falls slowly with n_steps; the time shows what
 a finer grid costs for it.  The largest grid takes several seconds.
@@ -28,7 +34,12 @@ across hosts.
 Usage: python3 scripts/volterra_scaling.py
 """
 
+import json
+import os
 import resource
+import subprocess
+import sys
+import tempfile
 import time
 
 import numpy as np
@@ -41,6 +52,29 @@ from fracsource.report import relative_l2
 from fracsource.spectral import Domain1D, SpectralField
 
 X0 = 0.3
+SWEEP_GRIDS = (4096, 8192, 16384, 32768)
+# runs `fracsource.cli` on argv[1] in a child and prints the child's peak RSS in KiB
+PEAK_OF_CHILD = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run([sys.executable, '-m', 'fracsource.cli', sys.argv[1]], check=True,"
+    " stdout=subprocess.DEVNULL)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
+def sweep_peak_mib() -> float:
+    """Peak RSS of one CLI sweep of the rho Volterra solve over SWEEP_GRIDS."""
+    inner = {"mode": "invert-rho-volterra", "alpha": 0.5, "N": 64, "x0": X0,
+             "rho": {"profile": "sine"}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = {"mode": "sweep", "output": os.path.join(tmp, "sweep.csv"),
+               "sweep": {"key": "n_steps", "values": list(SWEEP_GRIDS), "inner": inner}}
+        path = os.path.join(tmp, "sweep.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = subprocess.run([sys.executable, "-c", PEAK_OF_CHILD, path], check=True,
+                             capture_output=True, text=True).stdout
+    return int(out) / 1024.0
 
 
 def main() -> None:
@@ -83,6 +117,8 @@ def main() -> None:
             f" {rep.residual_history[0]:10.2e}"
             f" {fp[0]:10.4f} {fp[1]:10.4f} {fp_err:10.3e} {inhom:9.4f} {peak:9.1f}"
         )
+    grids = ", ".join(map(str, SWEEP_GRIDS))
+    print(f"CLI sweep over n_steps {grids}: peak {sweep_peak_mib():.1f} MiB")
 
 
 if __name__ == "__main__":

@@ -343,6 +343,9 @@ def _run_sweep(cfg: dict):
         vals = np.asarray([float(v) for v in values])
     except (TypeError, ValueError) as exc:
         raise ConfigError("sweep.values", f"expected numbers, got {values!r}") from exc
+    # the log-log slope between neighbours is finite only for distinct values >= 0
+    if np.any(vals < 0.0) or np.any(vals[1:] == vals[:-1]):
+        raise ConfigError("sweep.values", f"expected values >= 0, no two neighbours equal, got {values!r}")
     if not isinstance(inner, dict):
         raise ConfigError("sweep.inner", "expected an inner config object")
 

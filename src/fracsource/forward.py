@@ -15,12 +15,14 @@ that are linear in time and stays accurate even when lambda tau^alpha
 is of order one, where sampling the kernel on the nodes would not be.
 The weights of all modes form one (N, n) table per (domain, alpha, grid),
 which every solver indexes (one mode) or contracts (a sum over modes).
+Like the solvers' set-ups, the table is memoised on the value of its
+inputs by `report._by_value`: one table is kept, and it is dropped
+before the table of new inputs is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .fracops import (
     weakly_singular_convolve,
 )
 from .mlf import ml_eval_array
+from .report import _by_value
 from .spectral import Domain1D, SpectralField
 
 __all__ = [
@@ -68,23 +71,7 @@ def ml_on_nodes(alpha: float, beta: float, lam: float, t: np.ndarray) -> np.ndar
     return ml_eval_array(alpha, beta, -lam * np.asarray(t, dtype=float) ** alpha)
 
 
-@lru_cache(maxsize=8)
-def _kernel_table(domain: Domain1D, alpha: float, grid: TimeGrid) -> tuple[np.ndarray, ...]:
-    t = grid.nodes()
-    tau = grid.tau
-    c = np.empty((domain.n_modes, grid.n_steps))
-    d = np.empty_like(c)
-    for i, lam in enumerate(domain.eigenvalues()):
-        # antiderivative of the kernel and its own antiderivative at the nodes
-        k0 = t**alpha * ml_on_nodes(alpha, alpha + 1.0, lam, t)
-        k2 = t ** (alpha + 1.0) * ml_on_nodes(alpha, alpha + 2.0, lam, t)
-        d[i] = (tau * k0[1:] - np.diff(k2)) / tau
-        c[i] = np.diff(k0) - d[i]
-    c.flags.writeable = False
-    d.flags.writeable = False
-    return c, d
-
-
+@_by_value
 def modal_kernel_weights(
     domain: Domain1D, alpha: FractionalOrder, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +84,20 @@ def modal_kernel_weights(
     holds exactly whenever f is globally linear.  (w @ C, w @ D) are the
     weights of the mode sum sum_n w_n K_n.
     """
-    return _kernel_table(domain, alpha.alpha, grid)
+    a, t, tau = alpha.alpha, grid.nodes(), grid.tau
+    t_a, t_a1 = t**a, t ** (a + 1.0)
+    c = np.empty((domain.n_modes, grid.n_steps))
+    d = np.empty_like(c)
+    for i, lam in enumerate(domain.eigenvalues()):
+        # antiderivative of the kernel and its own antiderivative at the nodes
+        z = -lam * t_a
+        k0 = t_a * ml_eval_array(a, a + 1.0, z)
+        k2 = t_a1 * ml_eval_array(a, a + 2.0, z)
+        d[i] = (tau * k0[1:] - np.diff(k2)) / tau
+        c[i] = np.diff(k0) - d[i]
+    c.flags.writeable = False
+    d.flags.writeable = False
+    return c, d
 
 
 def trace_weights(
@@ -121,13 +121,13 @@ def solve_homogeneous(
     modal_values(n, k) = E_{alpha,1}(-lambda_n t_k^alpha) (a, phi_n); there
     is no time-stepping error, only Mittag-Leffler evaluation error.
     """
-    t = grid.nodes()
+    t_a = grid.nodes() ** alpha.alpha
     lam = a.domain.eigenvalues()
     modal = np.zeros((a.domain.n_modes, grid.n_steps + 1))
     for i in range(a.domain.n_modes):
         if a.coeffs[i] == 0.0:
             continue
-        modal[i] = a.coeffs[i] * ml_on_nodes(alpha.alpha, 1.0, lam[i], t)
+        modal[i] = a.coeffs[i] * ml_eval_array(alpha.alpha, 1.0, -lam[i] * t_a)
     return EvolutionField(a.domain, grid, modal)
 
 

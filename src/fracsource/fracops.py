@@ -9,8 +9,9 @@ every operator second-order accurate on smooth inputs.
 Every time convolution in the package goes through one primitive, row
 by row over the leading axes: `_spectrum`, the rfft at the power-of-two
 length that holds two n-term series, and `_truncated_inverse`, the first
-n terms of the inverse of a product of such spectra.  The spectrum of
-the L1 weights is cached per (alpha, grid).
+n terms of the inverse of a product of such spectra.  `product_rule_convolve`
+takes a long stack in blocks of rows, to bound the spectra it holds.  The
+spectrum of the L1 weights is cached per (alpha, grid).
 """
 
 from __future__ import annotations
@@ -80,14 +81,24 @@ class TimeSeries:
         object.__setattr__(self, "values", v)
 
 
+def _fft_length(n: int) -> int:
+    """The power-of-two length that holds two n-term series."""
+    return 1 << (2 * n - 1).bit_length()
+
+
 def _spectrum(x: np.ndarray, n: int) -> np.ndarray:
-    """rfft of the rows of x at the power-of-two length that holds two n-term series."""
-    return np.fft.rfft(x, 1 << (2 * n - 1).bit_length())
+    """rfft of the rows of x at `_fft_length(n)`."""
+    return np.fft.rfft(x, _fft_length(n))
 
 
 def _truncated_inverse(spectrum: np.ndarray, n: int) -> np.ndarray:
     """Terms 0..n-1 of the rows whose `_spectrum` is given: a truncated convolution."""
     return np.fft.irfft(spectrum, 2 * (spectrum.shape[-1] - 1))[..., :n]
+
+
+# FFT points per block of a stacked convolution: 64 rows at n_steps 2048,
+# 4 MiB of complex spectrum, so every stack the benchmark forms is one block
+_BLOCK_POINTS = 1 << 18
 
 
 @lru_cache(maxsize=8)
@@ -147,7 +158,19 @@ def product_rule_convolve(c: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.nda
     e[..., :-1] = c
     e[..., 1:] += d
     out = np.zeros(np.broadcast_shapes(e.shape, f.shape))
-    out[..., 1:] = _truncated_inverse(_spectrum(e, n) * _spectrum(f, n), n + 1)[..., 1:]
+    # a stack goes in blocks along its first axis that span at most
+    # _BLOCK_POINTS FFT points; rows transform independently, so the bits
+    # are those of one block
+    step = max(1, _BLOCK_POINTS // (_fft_length(n) * (math.prod(out.shape[1:-1]) or 1)))
+    if out.ndim < 2 or out.shape[0] <= step:
+        out[..., 1:] = _truncated_inverse(_spectrum(e, n) * _spectrum(f, n), n + 1)[..., 1:]
+    else:
+        # an operand that does not run along the first axis is transformed once
+        stacked = [x.ndim == out.ndim and x.shape[0] > 1 for x in (e, f)]
+        fixed = [None if s else _spectrum(x, n) for x, s in zip((e, f), stacked)]
+        for lo in range(0, out.shape[0], step):
+            se, sf = (_spectrum(x[lo : lo + step], n) if s else w for x, s, w in zip((e, f), stacked, fixed))
+            out[lo : lo + step, ..., 1:] = _truncated_inverse(se * sf, n + 1)[..., 1:]
     out[..., 1:-1] -= c[..., 1:] * f[..., :1]
     return out
 

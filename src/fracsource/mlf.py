@@ -40,7 +40,10 @@ __all__ = [
 
 _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 10_000
-# powers z^k formed at once for each unfinished sum
+# powers z^k formed at once for each unfinished sum: the first chunk, and
+# the most once chunks have doubled; 16 then 32 costs up to 17% less per
+# value on 2000 arguments than 32 from the start, and about as much on one
+_SERIES_FIRST_CHUNK = 16
 _SERIES_CHUNK = 32
 # for alpha >= 1 or beta > 3 the series is kept while its largest term is at
 # most this multiple of the sum; at 1e3 the recurrence and the contour lose to it
@@ -109,6 +112,28 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _running_sums(t: np.ndarray, total: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compensated running sums down the rows of t, from total with compensation comp.
+
+    Returns (sums, final compensation).  A single column is summed in Python
+    floats, which round as float64 does, without four numpy calls per term.
+    """
+    sums = np.empty(t.shape)
+    if t.shape[1] == 1:
+        s, c = total.item(), comp.item()
+        for k, x in enumerate(t[:, 0].tolist()):
+            y = x - c
+            new = s + y
+            c, s = (new - s) - y, new
+            sums[k, 0] = s
+        return sums, np.array([c])
+    for tk, sk in zip(t, sums):
+        y = tk - comp
+        np.add(total, y, out=sk)
+        comp, total = (sk - total) - y, sk
+    return sums, comp
+
+
 def _series_double(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Defining power series at every z, with compensated summation.
 
@@ -116,29 +141,28 @@ def _series_double(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray
     1e-17 of it, past k = 2, or at its first term out of double range (z^k
     or Gamma(alpha*k + beta) overflows), which drops out unsummed and makes
     the largest term infinite.  Powers come a chunk at a time, but are added
-    one k at a time.
+    one k at a time; chunks double up to _SERIES_CHUNK terms, so a short sum
+    forms few terms past its stop.
     """
     val, big = np.empty(z.shape), np.full(z.shape, math.inf)
     live, term, comp = np.arange(z.size), np.ones(z.shape), np.zeros(z.shape)
     total, biggest = np.full(z.shape, _rgamma(beta)), np.full(z.shape, abs(_rgamma(beta)))
+    ks = range(1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(1, _SERIES_MAX_TERMS, _SERIES_CHUNK):
-            if not live.size:
-                break
-            ks = range(k0, min(k0 + _SERIES_CHUNK, _SERIES_MAX_TERMS))
+        while live.size and ks.stop < _SERIES_MAX_TERMS:
+            size = min(2 * len(ks), _SERIES_CHUNK) or _SERIES_FIRST_CHUNK
+            ks = range(ks.stop, min(ks.stop + size, _SERIES_MAX_TERMS))
             r = np.array([_rgamma(alpha * k + beta) for k in ks])[:, None]
-            zl = z[live]
-            powers = np.cumprod(np.vstack((zl * term, np.tile(zl, (r.size - 1, 1)))), axis=0)
+            powers = np.full((len(ks), live.size), z[live])
+            powers[0] *= term
+            np.cumprod(powers, axis=0, out=powers)
             term, t = powers[-1], powers * r
             bad = ~np.isfinite(t) | (r == 0.0)
             t[bad] = 0.0
-            sums = np.empty(t.shape)
-            for j in range(r.size):
-                y = t[j] - comp
-                np.add(total, y, out=sums[j])
-                comp, total = (sums[j] - total) - y, sums[j]
+            sums, comp = _running_sums(t, total, comp)
+            total = sums[-1]
             at = np.abs(t)
-            peak = np.maximum.accumulate(np.vstack((biggest, at)), axis=0)[1:]
+            peak = np.maximum(np.maximum.accumulate(at, axis=0), biggest)
             stop = bad | ((at < _SERIES_EPS * np.abs(sums)) & (np.array(ks)[:, None] > 2))
             first, cols = np.argmax(stop, axis=0), np.arange(live.size)
             done, conv = stop[first, cols], stop[first, cols] & ~bad[first, cols]

@@ -1,8 +1,9 @@
 """Result container, stopping scan and set-up memo shared by the reconstruction solvers.
 
 A set-up (the operator an inverse problem reuses across re-solves with new
-data) is identified by the value of its inputs, not by the objects that
-hold them: `_by_value` memoises its builder on that value, one entry deep.
+data, or the kernel-weight table every solver reads) is identified by the
+value of its inputs, not by the objects that hold them: `_by_value`
+memoises its builder on that value, one entry deep.
 """
 
 from __future__ import annotations

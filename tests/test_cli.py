@@ -171,6 +171,11 @@ def sweep_cfg(values, metric="rel_l2_error"):
     return {"mode": "sweep", "sweep": spec}
 
 
+def slope_sweep_cfg(values):
+    inner = {"mode": "invert-g-final", "alpha": 0.5, "N": 8, "n_steps": 16, "rho": {"profile": "affine"}}
+    return {"mode": "sweep", "sweep": {"key": "rho.params.slope", "values": values, "inner": inner}}
+
+
 def interior_cfg(**solver):
     return {"mode": "invert-g-interior", "alpha": 0.5, "N": 8, "n_steps": 16,
             "omega": [0.1, 0.35], "solver": solver}
@@ -183,6 +188,9 @@ def interior_cfg(**solver):
         ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [None]}}, "ml.z"),
         ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [[1, 2]]}}, "ml.z"),
         (sweep_cfg(["a", "b"]), "sweep.values"),
+        # no finite log-log slope: equal neighbours, or a negative value
+        (sweep_cfg([64, 64]), "sweep.values"),
+        (slope_sweep_cfg([-0.5, 0.5]), "sweep.values"),
         (sweep_cfg([16, 32], metric="mode"), "sweep.metric"),
         ({"mode": ["forward"]}, "mode"),
         (interior_cfg(m_max=0), "solver.m_max"),
@@ -207,7 +215,8 @@ def interior_cfg(**solver):
           "g": {"profile": "mode_k", "params": {"k": True}}}, "g"),
     ],
     ids=[
-        "ml-number", "z-null", "z-list", "sweep-strings", "metric-mode", "mode-list",
+        "ml-number", "z-null", "z-list", "sweep-strings", "sweep-equal-neighbours",
+        "sweep-negative", "metric-mode", "mode-list",
         "interior-m_max", "interior-K", "interior-beta", "interior-tol", "negative-seed",
         "N-null", "L-null", "n_steps-null", "alpha-null", "x0-null", "noise_level-null",
         "n_mesh-null", "m_max-null", "mode_k-fractional-k", "mode_k-bool-k",
@@ -376,6 +385,14 @@ def test_sweep_sets_dotted_keys(tmp_path):
         alone.append(float(read_meta(str(tmp_path / f"a{i}.csv"))["rel_l2_error"]))
     assert swept == alone
     assert len(set(swept)) == 3
+
+
+@pytest.mark.parametrize(
+    "cfg", [sweep_cfg([16, 32, 16]), slope_sweep_cfg([0.0, 0.5])], ids=["repeat", "zero"]
+)
+def test_sweep_finite_slopes_stay_accepted(tmp_path, cfg):
+    # a repeat that is not a neighbour, and the value 0, give finite slopes
+    assert run(write_cfg(tmp_path, "f.json", cfg)) == 0
 
 
 def test_sweep_leaves_its_inner_config_alone():

@@ -126,6 +126,21 @@ def test_kernel_table_rows_are_the_per_mode_weights(dom, alpha, grid):
     assert again[0] is c and again[1] is d
 
 
+def test_one_kernel_table_is_kept():
+    import gc
+    import weakref
+
+    modal_kernel_weights.cache_clear()
+    first = weakref.ref(modal_kernel_weights(DOM, FractionalOrder(0.5), TimeGrid(1.0, 32))[0])
+    second = weakref.ref(modal_kernel_weights(DOM, FractionalOrder(0.5), TimeGrid(1.0, 64))[0])
+    gc.collect()
+    # a new (domain, alpha, grid) drops the table of the last one
+    assert first() is None and second() is not None
+    modal_kernel_weights.cache_clear()
+    gc.collect()
+    assert second() is None
+
+
 def test_duhamel_zero_rho():
     grid = TimeGrid(1.0, 32)
     rho = TimeSeries(grid, np.zeros(33))

@@ -141,6 +141,23 @@ def test_product_rule_matches_loop_formula():
     assert np.max(np.abs(product_rule_convolve(c, d, f) - reference(c, d, f))) < fft_bound(c, d, f)
 
 
+def test_product_rule_blocks_give_the_row_by_row_bits():
+    # 40 rows at n_steps 4096 span 2^18.3 FFT points: two blocks of rows
+    rng = np.random.default_rng(7)
+    n, rows = 4096, 40
+    c, d = rng.standard_normal((rows, n)), rng.standard_normal((rows, n))
+    fs, f = rng.standard_normal((rows, n + 1)), rng.standard_normal(n + 1)
+    own, spread, shared = (
+        product_rule_convolve(c, d, fs),
+        product_rule_convolve(c, d, f),
+        product_rule_convolve(c[0], d[0], fs),
+    )
+    for i in range(rows):
+        assert np.array_equal(own[i], product_rule_convolve(c[i], d[i], fs[i]))
+        assert np.array_equal(spread[i], product_rule_convolve(c[i], d[i], f))
+        assert np.array_equal(shared[i], product_rule_convolve(c[0], d[0], fs[i]))
+
+
 def test_caputo_long_grid_matches_direct_convolution():
     # the L1 derivative is scale sum_{j<k} b_j (f_{k-j} - f_{k-j-1}); the
     # reference forms that sum with np.convolve.  The FFT errs by at most

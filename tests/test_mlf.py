@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fracsource.mlf import (
     MLConvergenceError,
     MLParams,
+    _series_double,
     ml_decay_constant,
     ml_eval,
     ml_eval_array,
@@ -214,6 +215,18 @@ def test_scalar_is_one_element_array_call():
     vals = ml_eval_array(0.5, 1.0, grid)
     assert vals.shape == grid.shape
     assert vals[1, 1] == ml_eval(MLParams(0.5, 1.0), -1e6)
+
+
+@pytest.mark.parametrize("a, b", [(1.5, 1.0), (1.9, 1.2), (0.9, 10.0)])
+def test_series_value_does_not_depend_on_the_call(a, b):
+    # each sum stops on its own terms, whatever chunk the other sums are in
+    z = np.concatenate((-np.logspace(-3, 1.5, 1000), np.linspace(1.0, 1e-3, 1000)))
+    sums, biggest = _series_double(a, b, z)
+    for i in range(0, z.size, 37):
+        one_sum, one_biggest = _series_double(a, b, z[i : i + 1])
+        assert one_sum[0] == sums[i] and one_biggest[0] == biggest[i], (a, b, z[i])
+    # the (1.5, 1.0) argument whose cost the chunk sizes are set for
+    assert ml_eval_array(1.5, 1.0, [-3.0])[0] == ml_eval_array(1.5, 1.0, np.append(z, -3.0))[-1]
 
 
 def test_array_argument_validation():
