@@ -343,9 +343,10 @@ def _run_sweep(cfg: dict):
         vals = np.asarray([float(v) for v in values])
     except (TypeError, ValueError) as exc:
         raise ConfigError("sweep.values", f"expected numbers, got {values!r}") from exc
-    # the log-log slope between neighbours is finite only for distinct values >= 0
-    if np.any(vals < 0.0) or np.any(vals[1:] == vals[:-1]):
-        raise ConfigError("sweep.values", f"expected values >= 0, no two neighbours equal, got {values!r}")
+    # the log-log slope between neighbours is finite only for distinct finite values >= 0
+    if not np.all(np.isfinite(vals) & (vals >= 0.0)) or np.any(vals[1:] == vals[:-1]):
+        msg = f"expected finite values >= 0, no two neighbours equal, got {values!r}"
+        raise ConfigError("sweep.values", msg)
     if not isinstance(inner, dict):
         raise ConfigError("sweep.inner", "expected an inner config object")
 

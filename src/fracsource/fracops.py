@@ -96,8 +96,9 @@ def _truncated_inverse(spectrum: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(spectrum, 2 * (spectrum.shape[-1] - 1))[..., :n]
 
 
-# FFT points per block of a stacked convolution: 64 rows at n_steps 2048,
-# 4 MiB of complex spectrum, so every stack the benchmark forms is one block
+# FFT points per block of a stacked convolution: each spectrum of a block
+# holds about 2^17 complex values (2 MiB).  That is 64 rows at n_steps 2048,
+# so every stack the benchmark forms is one block
 _BLOCK_POINTS = 1 << 18
 
 
@@ -158,19 +159,28 @@ def product_rule_convolve(c: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.nda
     e[..., :-1] = c
     e[..., 1:] += d
     out = np.zeros(np.broadcast_shapes(e.shape, f.shape))
-    # a stack goes in blocks along its first axis that span at most
-    # _BLOCK_POINTS FFT points; rows transform independently, so the bits
-    # are those of one block
-    step = max(1, _BLOCK_POINTS // (_fft_length(n) * (math.prod(out.shape[1:-1]) or 1)))
-    if out.ndim < 2 or out.shape[0] <= step:
-        out[..., 1:] = _truncated_inverse(_spectrum(e, n) * _spectrum(f, n), n + 1)[..., 1:]
+    if out.ndim < 2:
+        out[1:] = _truncated_inverse(_spectrum(e, n) * _spectrum(f, n), n + 1)[1:]
     else:
-        # an operand that does not run along the first axis is transformed once
+        # a stack goes in blocks along its first axis that span at most
+        # _BLOCK_POINTS FFT points; rows transform independently, so the bits
+        # are those of one block.  An operand that does not run along the
+        # first axis is transformed once.
+        step = max(1, _BLOCK_POINTS // (_fft_length(n) * (math.prod(out.shape[1:-1]) or 1)))
         stacked = [x.ndim == out.ndim and x.shape[0] > 1 for x in (e, f)]
         fixed = [None if s else _spectrum(x, n) for x, s in zip((e, f), stacked)]
-        for lo in range(0, out.shape[0], step):
+
+        def product(lo: int) -> np.ndarray:
+            """Product of the operands' spectra over the block at row lo."""
             se, sf = (_spectrum(x[lo : lo + step], n) if s else w for x, s, w in zip((e, f), stacked, fixed))
-            out[lo : lo + step, ..., 1:] = _truncated_inverse(se * sf, n + 1)[..., 1:]
+            # into a block spectrum of the product's shape, as numpy does for
+            # two temporaries; both spectra are gone before the inverse transform
+            shape = np.broadcast_shapes(se.shape, sf.shape)
+            dest = next((w for w, s in zip((se, sf), stacked) if s and w.shape == shape), None)
+            return np.multiply(se, sf, out=dest)
+
+        for lo in range(0, out.shape[0], step):
+            out[lo : lo + step, ..., 1:] = _truncated_inverse(product(lo), n + 1)[..., 1:]
     out[..., 1:-1] -= c[..., 1:] * f[..., :1]
     return out
 

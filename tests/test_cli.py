@@ -188,9 +188,11 @@ def interior_cfg(**solver):
         ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [None]}}, "ml.z"),
         ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [[1, 2]]}}, "ml.z"),
         (sweep_cfg(["a", "b"]), "sweep.values"),
-        # no finite log-log slope: equal neighbours, or a negative value
+        # no finite log-log slope: equal neighbours, a negative or a non-finite value
         (sweep_cfg([64, 64]), "sweep.values"),
         (slope_sweep_cfg([-0.5, 0.5]), "sweep.values"),
+        (sweep_cfg([64, math.nan]), "sweep.values"),
+        (slope_sweep_cfg([0.5, math.inf]), "sweep.values"),
         (sweep_cfg([16, 32], metric="mode"), "sweep.metric"),
         ({"mode": ["forward"]}, "mode"),
         (interior_cfg(m_max=0), "solver.m_max"),
@@ -216,7 +218,7 @@ def interior_cfg(**solver):
     ],
     ids=[
         "ml-number", "z-null", "z-list", "sweep-strings", "sweep-equal-neighbours",
-        "sweep-negative", "metric-mode", "mode-list",
+        "sweep-negative", "sweep-nan", "sweep-inf", "metric-mode", "mode-list",
         "interior-m_max", "interior-K", "interior-beta", "interior-tol", "negative-seed",
         "N-null", "L-null", "n_steps-null", "alpha-null", "x0-null", "noise_level-null",
         "n_mesh-null", "m_max-null", "mode_k-fractional-k", "mode_k-bool-k",
