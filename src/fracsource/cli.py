@@ -79,41 +79,63 @@ def write_result(path: str, metadata: dict, columns: dict) -> None:
 # config access with validation
 
 
+def _walk(cfg: dict, key: str, make: bool = False) -> tuple[dict, str]:
+    """The object that holds the last part of the dotted key 'a.b.c', and that part.
+
+    A missing object on the way reads as empty, or is made when make is set.
+    """
+    *path, last = key.split(".")
+    node = cfg
+    for i, part in enumerate(path):
+        node = node.setdefault(part, {}) if make else node.get(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(path[: i + 1]), "expected an object")
+    return node, last
+
+
 def _get(cfg: dict, key: str, default=None, required: bool = False):
-    if key in cfg:
-        return cfg[key]
+    node, last = _walk(cfg, key)
+    if last in node:
+        return node[last]
     if required:
         raise ConfigError(key, "missing required key")
     return default
 
 
-def _num(cfg: dict, key: str, default, lo=None, required=False):
+def _num(cfg: dict, key: str, default, lo=None, above=None, integer=False, required=False):
     """The number at key; null only where the default is None, as for solver.K."""
     v = _get(cfg, key, default, required)
     if v is None and default is None and not required:
         return None
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        raise ConfigError(key, f"expected a finite number, got {v!r}")
+    ok = isinstance(v, int) or (isinstance(v, float) and math.isfinite(v) and not integer)
+    if not ok or isinstance(v, bool):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(key, f"expected {kind}, got {v!r}")
     if lo is not None and v < lo:
         raise ConfigError(key, f"must be >= {lo}, got {v}")
+    if above is not None and v <= above:
+        raise ConfigError(key, f"must be > {above}, got {v}")
     return v
 
 
-def _int(cfg: dict, key: str, default: int, lo=None):
-    v = _get(cfg, key, default)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(key, f"expected an integer, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(key, f"must be >= {lo}, got {v}")
+def _numbers(cfg: dict, key: str, default=None) -> list:
+    """The non-empty list of numbers at key, as given; a bare number reads as a list of one."""
+    v = _get(cfg, key, default, required=default is None)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        v = [v]
+    if not isinstance(v, list) or not v or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
+    ):
+        raise ConfigError(key, f"expected a non-empty list of numbers, got {v!r}")
     return v
 
 
 def _build_domain(cfg: dict) -> Domain1D:
-    return Domain1D(_num(cfg, "L", 1.0, lo=1e-12), _int(cfg, "N", 64, lo=1))
+    return Domain1D(_num(cfg, "L", 1.0, lo=1e-12), _num(cfg, "N", 64, lo=1, integer=True))
 
 
 def _build_grid(cfg: dict) -> TimeGrid:
-    return TimeGrid(_num(cfg, "T", 1.0, lo=1e-12), _int(cfg, "n_steps", 256, lo=2))
+    return TimeGrid(_num(cfg, "T", 1.0, lo=1e-12), _num(cfg, "n_steps", 256, lo=2, integer=True))
 
 
 def _build_alpha(cfg: dict) -> FractionalOrder:
@@ -141,43 +163,19 @@ def _interior_point(cfg: dict, domain: Domain1D) -> float:
     return x0
 
 
-def _solver(cfg: dict) -> dict:
-    """The `solver` object, keyed by dotted path so errors name 'solver.K'."""
-    s = _get(cfg, "solver", {})
-    if not isinstance(s, dict):
-        raise ConfigError("solver", "expected an object")
-    return {f"solver.{k}": v for k, v in s.items()}
-
-
-def _positive(cfg: dict, key: str, default):
-    v = _num(cfg, key, default)
-    if v is not None and v <= 0.0:
-        raise ConfigError(key, f"must be > 0, got {v}")
-    return v
-
-
 # ---------------------------------------------------------------------------
 # mode runners: each returns (metadata, columns)
 
 
 def _run_ml_eval(cfg: dict):
-    ml = _get(cfg, "ml", {})
-    if not isinstance(ml, dict):
-        raise ConfigError("ml", "expected an object")
-    a = _num(ml, "alpha", None, required=True)
-    b = _num(ml, "beta", None, required=True)
-    zs = ml.get("z", [0.0])
-    if isinstance(zs, (int, float)):
-        zs = [zs]
-    try:
-        zs = [float(z) for z in zs]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("ml.z", f"expected a list of numbers, got {zs!r}") from exc
+    a = _num(cfg, "ml.alpha", None, required=True)
+    b = _num(cfg, "ml.beta", None, required=True)
+    zs = np.asarray(_numbers(cfg, "ml.z", [0.0]), dtype=float)
     try:
         vals = ml_eval_array(a, b, zs)
     except ValueError as exc:
         raise ConfigError("ml", str(exc)) from exc
-    return {"alpha": a, "beta": b}, {"z": np.asarray(zs), "value": vals}
+    return {"alpha": a, "beta": b}, {"z": zs, "value": vals}
 
 
 def _synthesize(cfg: dict):
@@ -192,7 +190,7 @@ def _synthesize(cfg: dict):
 def _noisy(cfg: dict, clean: np.ndarray):
     """The clean data with the config's noise, the noise norm and the noise metadata."""
     level = _num(cfg, "noise_level", 0.0, lo=0.0)
-    seed = _int(cfg, "seed", 0, lo=0)
+    seed = _num(cfg, "seed", 0, lo=0, integer=True)
     return (*perturb(clean, level, seed), {"noise_level": level, "seed": seed})
 
 
@@ -212,18 +210,17 @@ def _run_invert_rho(cfg: dict, variant: str):
     # only the trace is observed: one convolution, not a solve of every mode
     c, d = forward.trace_weights(g, x0, alpha, grid)
     observed, _, noise = _noisy(cfg, product_rule_convolve(c, d, rho_true.values))
-    s = _solver(cfg)
     trace = TimeSeries(grid, observed)
     problem = inverse_t.TSourceProblem(g, x0, alpha, grid, trace, noise_level=noise["noise_level"])
-    width = _int(s, "solver.mollify_width", 5, lo=1)
+    width = _num(cfg, "solver.mollify_width", 5, lo=1, integer=True)
     if variant == "volterra":
         rep = inverse_t.solve_volterra(problem, mollify_width=width)
     else:
         rep = inverse_t.fixed_point_iterate(
             problem,
-            K=_num(s, "solver.K", None, lo=0.0),
-            m_max=_int(s, "solver.m_max", 50, lo=1),
-            tol=_num(s, "solver.tol", 1e-10, lo=0.0),
+            K=_num(cfg, "solver.K", None, lo=0.0),
+            m_max=_num(cfg, "solver.m_max", 50, lo=1, integer=True),
+            tol=_num(cfg, "solver.tol", 1e-10, lo=0.0),
             mollify_width=width,
         )
     err = relative_l2(rep.recovered.values, rho_true.values, skip_first=1)
@@ -251,10 +248,9 @@ def _run_invert_g_final(cfg: dict):
     # u(., T) has coefficients g_n B_n; the rest of the field is never observed
     b = inverse_x.modal_responses(rho, alpha, grid, domain)
     coeffs, noise_norm, noise = _noisy(cfg, g_true.coeffs * b)
-    s = _solver(cfg)
     final = SpectralField(domain, coeffs)
-    delta = _num(s, "solver.delta", 0.0, lo=0.0)
-    mu = _num(s, "solver.mu", None, lo=0.0)
+    delta = _num(cfg, "solver.delta", 0.0, lo=0.0)
+    mu = _num(cfg, "solver.mu", None, lo=0.0)
     if mu is None:
         mu = inverse_x.choose_mu_discrepancy(rho, alpha, grid, final, delta, noise_norm)
     problem = inverse_x.XSourceFinalProblem(rho, alpha, grid, final, delta, mu)
@@ -274,23 +270,18 @@ def _run_invert_g_final(cfg: dict):
 
 def _run_invert_g_interior(cfg: dict):
     domain, grid, alpha, g_true, rho = _synthesize(cfg)
-    omega = _get(cfg, "omega", None, required=True)
-    if (
-        not isinstance(omega, (list, tuple))
-        or len(omega) != 2
-        or not all(isinstance(v, (int, float)) for v in omega)
-    ):
-        raise ConfigError("omega", "expected a pair [lo, hi]")
-    n_mesh = _int(cfg, "n_mesh", 257, lo=8)
+    omega = _numbers(cfg, "omega")
+    if len(omega) != 2:
+        raise ConfigError("omega", f"expected a pair [lo, hi], got {omega!r}")
+    n_mesh = _num(cfg, "n_mesh", 257, lo=8, integer=True)
     u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
     clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
     observed, _, noise = _noisy(cfg, clean)
-    s = _solver(cfg)
     settings = {
-        "K": _positive(s, "solver.K", None),
-        "beta": _positive(s, "solver.beta", 1e-10),
-        "m_max": _int(s, "solver.m_max", 200, lo=1),
-        "tol": _num(s, "solver.tol", 0.0, lo=0.0),
+        "K": _num(cfg, "solver.K", None, above=0.0),
+        "beta": _num(cfg, "solver.beta", 1e-10, above=0.0),
+        "m_max": _num(cfg, "solver.m_max", 200, lo=1, integer=True),
+        "tol": _num(cfg, "solver.tol", 0.0, lo=0.0),
     }
     try:
         problem = inverse_x.XSourceInteriorProblem(
@@ -328,25 +319,18 @@ def _run_caputo_t2(cfg: dict):
 
 
 def _run_sweep(cfg: dict):
-    spec = _get(cfg, "sweep", None, required=True)
-    if not isinstance(spec, dict):
-        raise ConfigError("sweep", "expected an object")
-    key = spec.get("key")
-    values = spec.get("values")
-    inner = spec.get("inner")
-    metric = spec.get("metric", "rel_l2_error")
-    if not isinstance(key, str):
-        raise ConfigError("sweep.key", "expected a string")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sweep.values", "expected a non-empty list")
-    try:
-        vals = np.asarray([float(v) for v in values])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sweep.values", f"expected numbers, got {values!r}") from exc
+    key = _get(cfg, "sweep.key")
+    metric = _get(cfg, "sweep.metric", "rel_l2_error")
+    for name, v in (("sweep.key", key), ("sweep.metric", metric)):
+        if not isinstance(v, str):
+            raise ConfigError(name, "expected a string")
+    values = _numbers(cfg, "sweep.values")
+    vals = np.asarray(values, dtype=float)
     # the log-log slope between neighbours is finite only for distinct finite values >= 0
     if not np.all(np.isfinite(vals) & (vals >= 0.0)) or np.any(vals[1:] == vals[:-1]):
         msg = f"expected finite values >= 0, no two neighbours equal, got {values!r}"
         raise ConfigError("sweep.values", msg)
+    inner = _get(cfg, "sweep.inner")
     if not isinstance(inner, dict):
         raise ConfigError("sweep.inner", "expected an inner config object")
 
@@ -412,12 +396,7 @@ def dispatch(cfg: dict):
 
 def _set_path(cfg: dict, key: str, value) -> None:
     """Set cfg[a][b][c] = value for the dotted key 'a.b.c', making objects as needed."""
-    *path, last = key.split(".")
-    node = cfg
-    for part in path:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ConfigError(key, "path crosses a non-object value")
+    node, last = _walk(cfg, key, make=True)
     node[last] = value
 
 
@@ -444,7 +423,7 @@ def run(config_path: str, overrides=()) -> int:
     try:
         for item in overrides:
             _apply_override(cfg, item)
-        out_path = cfg.get("output")
+        out_path = _get(cfg, "output")
         if out_path is None:
             base, _ = os.path.splitext(config_path)
             out_path = base + ".csv"
@@ -454,13 +433,16 @@ def run(config_path: str, overrides=()) -> int:
         bad = _non_finite(meta, cols)
         if bad is not None:
             raise FracsourceError(f"non-finite value in result {bad!r}")
+        try:
+            write_result(out_path, meta, cols)
+        except OSError as exc:  # a missing directory, a directory, an empty path
+            raise ConfigError("output", str(exc)) from exc
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
     except (FracsourceError, MLConvergenceError) as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    write_result(out_path, meta, cols)
     print(out_path)
     return 0
 

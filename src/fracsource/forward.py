@@ -137,10 +137,13 @@ def solve_inhomogeneous(
     """Zero-initial-data solution driven by a modal time-series source."""
     if source.grid != grid:
         raise ValueError("source grid does not match the requested output grid")
-    modal = np.zeros_like(source.modal_values)
     c, d = modal_kernel_weights(source.domain, alpha, grid)
-    live = np.flatnonzero(np.any(source.modal_values, axis=1))
-    modal[live] = product_rule_convolve(c[live], d[live], source.modal_values[live])
+    f = source.modal_values
+    live = np.flatnonzero(np.any(f, axis=1))
+    if live.size == f.shape[0]:  # usual for projected profiles: no row copies
+        return EvolutionField(source.domain, grid, product_rule_convolve(c, d, f))
+    modal = np.zeros_like(f)
+    modal[live] = product_rule_convolve(c[live], d[live], f[live])
     return EvolutionField(source.domain, grid, modal)
 
 

@@ -110,4 +110,7 @@ def make_g(domain: Domain1D, profile: str, **params) -> SpectralField:
 def make_rho(grid: TimeGrid, profile: str, **params) -> TimeSeries:
     if profile not in RHO_PROFILES:
         raise ValueError(f"unknown rho profile {profile!r}; options: {sorted(RHO_PROFILES)}")
-    return RHO_PROFILES[profile](grid, **params)
+    rho = RHO_PROFILES[profile](grid, **params)
+    if not np.all(np.isfinite(rho.values)):
+        raise ValueError("rho values must be finite")
+    return rho

@@ -181,6 +181,9 @@ def interior_cfg(**solver):
             "omega": [0.1, 0.35], "solver": solver}
 
 
+NAN_RHO = {"profile": "constant", "params": {"value": math.nan}}
+
+
 @pytest.mark.parametrize(
     "cfg, key",
     [
@@ -215,6 +218,21 @@ def interior_cfg(**solver):
           "g": {"profile": "mode_k", "params": {"k": 1.5}}}, "g"),
         ({"mode": "forward", "alpha": 0.5, "N": 8, "n_steps": 16,
           "g": {"profile": "mode_k", "params": {"k": True}}}, "g"),
+        # a section that is not an object is named, whichever key is read through it
+        ({"mode": "invert-rho-fixedpoint", "alpha": 0.5, "N": 8, "n_steps": 16, "solver": 5},
+         "solver"),
+        ({"mode": "invert-g-final", "alpha": 0.5, "N": 8, "n_steps": 16, "solver": 5}, "solver"),
+        (dict(interior_cfg(), solver=5), "solver"),
+        ({"mode": "sweep", "sweep": 5}, "sweep"),
+        ({"mode": "ml-eval", "ml": {"beta": 1.0}}, "ml.alpha"),
+        ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": ["0.5"]}}, "ml.z"),
+        ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": []}}, "ml.z"),
+        (dict(interior_cfg(), omega=["0.1", 0.35]), "omega"),
+        (sweep_cfg([16, 32], metric=["rel_l2_error"]), "sweep.metric"),
+        ({"mode": "forward", "alpha": 0.5, "N": 8, "n_steps": 16, "rho": NAN_RHO}, "rho"),
+        ({"mode": "invert-g-final", "alpha": 0.5, "N": 8, "n_steps": 16, "rho": NAN_RHO}, "rho"),
+        (dict(interior_cfg(), rho=NAN_RHO), "rho"),
+        ({"mode": "caputo-t2", "alpha": 0.5, "output": "/nonexistent/dir/x.csv"}, "output"),
     ],
     ids=[
         "ml-number", "z-null", "z-list", "sweep-strings", "sweep-equal-neighbours",
@@ -222,6 +240,10 @@ def interior_cfg(**solver):
         "interior-m_max", "interior-K", "interior-beta", "interior-tol", "negative-seed",
         "N-null", "L-null", "n_steps-null", "alpha-null", "x0-null", "noise_level-null",
         "n_mesh-null", "m_max-null", "mode_k-fractional-k", "mode_k-bool-k",
+        "fixedpoint-solver-number", "final-solver-number", "interior-solver-number",
+        "sweep-number", "ml-alpha-missing", "z-string", "z-empty", "omega-string",
+        "metric-list", "forward-nan-rho", "final-nan-rho", "interior-nan-rho",
+        "output-missing-dir",
     ],
 )
 def test_exit_code_malformed_config_value(tmp_path, capsys, cfg, key):
@@ -324,6 +346,8 @@ def test_override_flag(tmp_path):
     meta = read_meta(str(tmp_path / "o.csv"))
     assert float(meta["alpha"]) == 0.3
     assert int(meta["n_steps"]) == 128
+    # a dotted key through a number is a validation error, not a traceback
+    assert main([cfg, "--override", "alpha.x=1"]) == 3
 
 
 def test_override_dotted_path(tmp_path):
