@@ -2,11 +2,13 @@
 """One sha256 per CLI output, to check that a change leaves the CSV bytes alone.
 
 Runs every CLI mode at the README defaults (N = 64, n_steps = 256,
-x0 = L/2, clean data), seeded noisy twins of the two g modes, `ml-eval` at
-two orders outside the solvers' range, the README example (noisy affine
-rho, Volterra solve) and that example's fixed-point twin, and the
-Volterra and noisy final-data solves at N = 64, n_steps = 2048 with every
-mode loaded (the benchmark's long grid), each in a fresh
+x0 = L/2, clean data), the forward solve of the single mode g = phi_3
+(the one config whose solve skips dead rows of the kernel table), seeded
+noisy twins of the two g modes, `ml-eval` at two orders outside the
+solvers' range, the README example (noisy affine rho, Volterra solve)
+and that example's fixed-point twin, and the Volterra and noisy
+final-data solves at N = 64, n_steps = 2048 with every mode loaded (the
+benchmark's long grid), each in a fresh
 `python -m fracsource.cli` process, and prints
 `<sha256>  <config>` per run.  The children import whichever
 `fracsource` the environment finds, so comparing two checkouts is one
@@ -50,6 +52,8 @@ README_EXAMPLE = {
 
 CONFIGS = {
     "forward": {"mode": "forward", "alpha": 0.5},
+    "forward-mode-k": {"mode": "forward", "alpha": 0.5,
+                       "g": {"profile": "mode_k", "params": {"k": 3}}},
     "invert-rho-volterra": {"mode": "invert-rho-volterra", "alpha": 0.5},
     "invert-rho-fixedpoint": {"mode": "invert-rho-fixedpoint", "alpha": 0.5},
     "invert-g-final": {"mode": "invert-g-final", "alpha": 0.5},

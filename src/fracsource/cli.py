@@ -24,7 +24,7 @@ from . import forward, inverse_t, inverse_x
 from .errors import FracsourceError, ParameterError
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
 from .mlf import MLConvergenceError, ml_eval_array
-from .profiles import make_g, make_rho
+from .profiles import _sample_mesh, make_g, make_rho
 from .report import relative_l2
 from .spectral import Domain1D, SpectralField, eval_on_mesh
 
@@ -102,13 +102,23 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return default
 
 
+def _is_number(x) -> bool:
+    """An int or float, not a bool, that float() takes: JSON reads a 401-digit integer as an int."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:  # an int is finite unless it is too large to convert
+        return isinstance(x, float) or math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _num(cfg: dict, key: str, default, lo=None, above=None, integer=False, required=False):
     """The number at key; null only where the default is None, as for solver.K."""
     v = _get(cfg, key, default, required)
     if v is None and default is None and not required:
         return None
-    ok = isinstance(v, int) or (isinstance(v, float) and math.isfinite(v) and not integer)
-    if not ok or isinstance(v, bool):
+    ok = _is_number(v) and (isinstance(v, int) if integer else math.isfinite(v))
+    if not ok:
         kind = "an integer" if integer else "a finite number"
         raise ConfigError(key, f"expected {kind}, got {v!r}")
     if lo is not None and v < lo:
@@ -121,11 +131,9 @@ def _num(cfg: dict, key: str, default, lo=None, above=None, integer=False, requi
 def _numbers(cfg: dict, key: str, default=None) -> list:
     """The non-empty list of numbers at key, as given; a bare number reads as a list of one."""
     v = _get(cfg, key, default, required=default is None)
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if _is_number(v):
         v = [v]
-    if not isinstance(v, list) or not v or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
+    if not isinstance(v, list) or not v or not all(map(_is_number, v)):
         raise ConfigError(key, f"expected a non-empty list of numbers, got {v!r}")
     return v
 
@@ -237,9 +245,8 @@ def _run_invert_rho(cfg: dict, variant: str):
 
 
 def _g_columns(recovered: SpectralField, g_true: SpectralField) -> dict:
-    """Recovered and true g on a mesh of at least 4N + 1 and 257 points."""
-    domain = g_true.domain
-    xs = domain.mesh(max(4 * domain.n_modes + 1, 257))
+    """Recovered and true g on the mesh the profiles are sampled on."""
+    xs = _sample_mesh(g_true.domain)
     return {"x": xs, "g_rec": eval_on_mesh(recovered, xs), "g_true": eval_on_mesh(g_true, xs)}
 
 

@@ -75,7 +75,7 @@ def ml_on_nodes(alpha: float, beta: float, lam: float, t: np.ndarray) -> np.ndar
 def modal_kernel_weights(
     domain: Domain1D, alpha: FractionalOrder, grid: TimeGrid
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Product-rule weights (C, D) of every mode, as read-only (N, n) tables.
+    """Product-rule weights (C, D) of every mode, as (N, n) tables, read-only once kept.
 
     Row n holds the weights of mode n with exact kernel moments: for
     piecewise-linear nodal data f,
@@ -95,8 +95,6 @@ def modal_kernel_weights(
         k2 = t_a1 * ml_eval_array(a, a + 2.0, z)
         d[i] = (tau * k0[1:] - np.diff(k2)) / tau
         c[i] = np.diff(k0) - d[i]
-    c.flags.writeable = False
-    d.flags.writeable = False
     return c, d
 
 

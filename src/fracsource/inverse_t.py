@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -161,8 +160,9 @@ class _RhoSetUp:
     telescope to t^a E_{a,a+1}(-lambda_n t^a), so v is g(x0) less their
     running sum, and its sup bounds K.  The first `solve_volterra` builds
     the resolvent's spectrum, which no fixed-point run pays for; a
-    fixed-point run builds the sweep table of its K.  A set-up whose
-    |g(x0)| lies below EPS_POINT raises PointDegenerateError.
+    fixed-point run builds the sweep table of its K.  Every array is
+    read-only once the memo keeps it.  A set-up whose |g(x0)| lies below
+    EPS_POINT raises PointDegenerateError.
     """
 
     def __init__(self, g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid):
@@ -176,16 +176,12 @@ class _RhoSetUp:
         self.c, self.d = _volterra_weights(g, x0, alpha, grid)
         self.v = self.gx0 - np.concatenate(([0.0], np.cumsum(self.c + self.d)))
         self.k_bound = float(np.max(np.abs(self.v)))
-        for a in (*self.trace_weights, self.c, self.d, self.v):
-            a.flags.writeable = False
 
-    @cached_property
+    @_by_value
     def resolvent(self) -> np.ndarray:
-        """Read-only `_spectrum` of the reciprocal series of the system's first column."""
+        """`_spectrum` of the reciprocal series of the system's first column, kept per set-up."""
         r = _series_reciprocal(np.concatenate(([self.gx0], -self.d[:-1])) - self.c)
-        spectrum = _spectrum(r, r.shape[0])
-        spectrum.flags.writeable = False
-        return spectrum
+        return _spectrum(r, r.shape[0])
 
     # sweeps(K): the sweep table of damping K, kept while the set-up and K repeat
     sweeps = _by_value(lambda self, K: _SweepTable(self, K))
@@ -194,6 +190,9 @@ class _RhoSetUp:
 @_by_value
 def _set_up(g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid) -> _RhoSetUp:
     """The set-up given by value, built once while it repeats."""
+    # the tables of the last set-up go with it: their memos hold it as their key
+    _RhoSetUp.resolvent.cache_clear()
+    _RhoSetUp.sweeps.cache_clear()
     return _RhoSetUp(g, x0, alpha, grid)
 
 
@@ -208,7 +207,7 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
     s = _set_up(problem.g, problem.x0, problem.alpha, problem.grid)
     psi = caputo_l1(_observed_trace(problem, mollify_width), problem.alpha).values
     n = problem.grid.n_steps
-    own = np.multiply(s.resolvent, _spectrum(psi[1:], n))  # not *: see `_l1_derivative`
+    own = np.multiply(s.resolvent(), _spectrum(psi[1:], n))  # not *: see `_l1_derivative`
     rho = np.concatenate(([0.0], _truncated_inverse(own, n)))
     # discrete residual of the original system: it checks the resolvent solve
     resid = float(np.max(np.abs(s.gx0 * rho - psi - product_rule_convolve(s.c, s.d, rho))[1:]))
@@ -241,9 +240,10 @@ class _SweepTable:
     q x q block A of M, and e . update i = (e^T A^i) delta[:q]: the sum is
     sum_l delta_l G_l[j] with G_l[j] = (1/K) sum_{i<j} (e^T A^i)_l
     nu^(j-1-i) * r, fixed per set-up.  The table holds the spectra of
-    nu^0 .. nu^B (built by doubling) and G_l[0..B] for l < q, read-only,
-    for B = `_SWEEP_BLOCK`, so a block of B sweeps is one rfft, one batched
-    irfft and q scaled subtractions.
+    nu^0 .. nu^B (built by doubling) and G_l[0..B] for l < q, for
+    B = `_SWEEP_BLOCK`, so a block of B sweeps is one rfft, one batched
+    irfft and q scaled subtractions.  Every array is read-only once the
+    memo keeps it.
     """
 
     def __init__(self, s: _RhoSetUp, K: float):
@@ -273,8 +273,6 @@ class _SweepTable:
         self.coupling = np.zeros((e.size, blk + 1, n))
         for j in range(1, blk + 1):
             self.coupling[:, j] = rows[j - 1 :: -1].T @ spread_r[:j]
-        for a in (self.powers, self.coupling):
-            a.flags.writeable = False
 
     def block(self, start: np.ndarray, count: int) -> np.ndarray:
         """Rows: the update `start` and the count updates that follow it."""

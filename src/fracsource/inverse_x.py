@@ -136,12 +136,10 @@ def observe_interior(
 def modal_responses(
     rho: TimeSeries, alpha: FractionalOrder, grid: TimeGrid, domain: Domain1D
 ) -> np.ndarray:
-    """All B_n, read-only: final-data coefficient n of the source g rho is g_n B_n."""
+    """All B_n, read-only once kept: final-data coefficient n of the source g rho is g_n B_n."""
     c, d = modal_kernel_weights(domain, alpha, grid)
     n = grid.n_steps
-    b = c @ rho.values[n:0:-1] + d @ rho.values[n - 1 :: -1]
-    b.flags.writeable = False
-    return b
+    return c @ rho.values[n:0:-1] + d @ rho.values[n - 1 :: -1]
 
 
 def _modal_responses(problem: XSourceFinalProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +236,8 @@ class _InteriorOperator:
     operator g -> vec(S_x diag(g) S_t^T) has the thin SVD
     `u` diag(`sigma`) `vt`; it has at most N columns, and fewer rows when
     omega holds few mesh points or the grid few nodes.  Every array is
-    read-only, since one operator serves every solve of its set-up.
+    read-only once the memo keeps it, since one operator serves every
+    solve of its set-up.
     """
 
     def __init__(
@@ -263,8 +262,6 @@ class _InteriorOperator:
         self._q_t, s_t = np.linalg.qr((self.response * self._sqrt_wt).T)
         reduced = np.einsum("ij,kj->ikj", s_x, s_t).reshape(-1, domain.n_modes)
         self.u, self.sigma, self.vt = np.linalg.svd(reduced, full_matrices=False)
-        for a in vars(self).values():
-            a.flags.writeable = False
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """A g, as a (points, time) array."""

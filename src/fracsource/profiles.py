@@ -12,10 +12,13 @@ from .spectral import Domain1D, SpectralField, project
 __all__ = ["G_PROFILES", "RHO_PROFILES", "make_g", "make_rho"]
 
 
-def _sampled_field(domain: Domain1D, func, n_mesh: int | None = None) -> SpectralField:
-    n = n_mesh if n_mesh is not None else max(4 * domain.n_modes + 1, 257)
-    xs = domain.mesh(n)
-    return project(func(xs), domain)
+def _sample_mesh(domain: Domain1D) -> np.ndarray:
+    """The mesh of at least 4N + 1 and 257 points that profiles are sampled on."""
+    return domain.mesh(max(4 * domain.n_modes + 1, 257))
+
+
+def _sampled_field(domain: Domain1D, func) -> SpectralField:
+    return project(func(_sample_mesh(domain)), domain)
 
 
 def _g_mode(domain: Domain1D, k: int = 1, amplitude: float = 1.0) -> SpectralField:

@@ -3,7 +3,8 @@
 A set-up (the operator an inverse problem reuses across re-solves with new
 data, or the kernel-weight table every solver reads) is identified by the
 value of its inputs, not by the objects that hold them: `_by_value`
-memoises its builder on that value, one entry deep.
+memoises its builder on that value, one entry deep, and makes the arrays
+of what it keeps read-only, since every caller shares them.
 """
 
 from __future__ import annotations
@@ -66,15 +67,26 @@ def _value_key(arg):
     return arg
 
 
+def _frozen(value):
+    """value, its arrays made read-only: itself, tuple items, attributes, tuple attributes' items."""
+    for part in vars(value).values() if hasattr(value, "__dict__") else (value,):
+        for item in part if isinstance(part, tuple) else (part,):
+            if isinstance(item, np.ndarray):
+                item.flags.writeable = False
+    return value
+
+
 def _by_value(build):
     """`build` memoised on the value of its arguments, keeping the last entry.
 
-    Arguments other than sampled data are compared by ==.  The entry is one
-    (key, value) tuple, replaced whole, so a concurrent caller sees the old
-    entry, the new one or none, never half of one; two callers may both
-    build, with equal results.  A miss drops the entry before it builds,
-    so a large stale value is not held while its successor is formed.
-    `cache_clear()` drops the entry.
+    Arguments other than sampled data are compared by ==.  Every caller
+    shares the kept value, so its arrays are made read-only (`_frozen`)
+    before any caller sees them.  The entry is one (key, value) tuple,
+    replaced whole, so a concurrent caller sees the old entry, the new one
+    or none, never half of one; two callers may both build, with equal
+    results.  A miss drops the entry before it builds, so a large stale
+    value is not held while its successor is formed.  `cache_clear()`
+    drops the entry.
     """
     last = {}
 
@@ -84,7 +96,7 @@ def _by_value(build):
         if hit is None or hit[0] != key:
             del hit  # with the entry, the last reference to a stale value
             last.clear()
-            hit = last["entry"] = (key, build(*args))
+            hit = last["entry"] = (key, _frozen(build(*args)))
         return hit[1]
 
     memo.cache_clear = last.clear

@@ -182,6 +182,8 @@ def interior_cfg(**solver):
 
 
 NAN_RHO = {"profile": "constant", "params": {"value": math.nan}}
+# a 401-digit JSON integer: the JSON reader keeps it as an int, which no double holds
+HUGE = 10**400
 
 
 @pytest.mark.parametrize(
@@ -233,6 +235,11 @@ NAN_RHO = {"profile": "constant", "params": {"value": math.nan}}
         ({"mode": "invert-g-final", "alpha": 0.5, "N": 8, "n_steps": 16, "rho": NAN_RHO}, "rho"),
         (dict(interior_cfg(), rho=NAN_RHO), "rho"),
         ({"mode": "caputo-t2", "alpha": 0.5, "output": "/nonexistent/dir/x.csv"}, "output"),
+        ({"mode": "caputo-t2", "alpha": 0.5, "T": HUGE}, "T"),
+        ({"mode": "caputo-t2", "alpha": HUGE}, "alpha"),
+        ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [0.0, -HUGE]}}, "ml.z"),
+        (sweep_cfg([16, HUGE]), "sweep.values"),
+        (dict(interior_cfg(), omega=[0.1, HUGE]), "omega"),
     ],
     ids=[
         "ml-number", "z-null", "z-list", "sweep-strings", "sweep-equal-neighbours",
@@ -243,7 +250,7 @@ NAN_RHO = {"profile": "constant", "params": {"value": math.nan}}
         "fixedpoint-solver-number", "final-solver-number", "interior-solver-number",
         "sweep-number", "ml-alpha-missing", "z-string", "z-empty", "omega-string",
         "metric-list", "forward-nan-rho", "final-nan-rho", "interior-nan-rho",
-        "output-missing-dir",
+        "output-missing-dir", "T-huge", "alpha-huge", "z-huge", "sweep-huge", "omega-huge",
     ],
 )
 def test_exit_code_malformed_config_value(tmp_path, capsys, cfg, key):

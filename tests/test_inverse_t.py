@@ -1,6 +1,8 @@
 """Tests of the temporal-factor reconstruction from a point trace."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -717,6 +719,21 @@ def test_degenerate_point_builds_no_resolvent(set_up_builds):
         with pytest.raises(PointDegenerateError):
             solver(p)
     assert set_up_builds["resolvent"] == 0
+
+
+@pytest.mark.parametrize("solver", (solve_volterra, fixed_point_iterate))
+def test_a_new_set_up_frees_the_last_ones_tables(solver):
+    # the resolvent and sweep tables are keyed by their set-up, so neither
+    # may hold a replaced set-up until the next solve of its own kind
+    import fracsource.inverse_t as inverse_t
+
+    old, new = sweep_case(96, True)[0], sweep_case(96, True, x0=0.45)[0]
+    solve_volterra(old)
+    fixed_point_iterate(old)
+    held = weakref.ref(inverse_t._set_up(old.g, old.x0, old.alpha, old.grid))
+    solver(new)
+    gc.collect()
+    assert held() is None
 
 
 def test_certificate_elsewhere_leaves_the_solvers_set_up_cached(set_up_builds):

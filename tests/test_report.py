@@ -102,6 +102,35 @@ def test_a_miss_frees_the_stale_value_before_it_builds():
     assert alive_while_building == [[], [False]]
 
 
+def test_kept_arrays_are_read_only():
+    # every caller shares what the memo keeps, so the memo, not the builder, freezes it
+    class Table:
+        def __init__(self):
+            self.array, self.pair, self.scale = np.zeros(3), (np.zeros(2), np.ones(2)), 2.0
+
+    bare = _by_value(lambda: np.zeros(3))()
+    pair = _by_value(lambda: (np.zeros(2), np.ones(2)))()
+    table = _by_value(Table)()
+    for a in (bare, *pair, table.array, *table.pair):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_served_set_ups_are_read_only():
+    grid, alpha = TimeGrid(1.0, 32), FractionalOrder(0.5)
+    dom = Domain1D(1.0, 8)
+    g = make_g(dom, "sine_bump")
+    rho = make_rho(grid, "affine")
+    s = inverse_t._set_up(g, 0.3, alpha, grid)
+    sweeps = s.sweeps(s.k_bound)
+    op = inverse_x._operator(rho, alpha, grid, dom, (0.1, 0.35), 65)
+    served = [*s.trace_weights, s.c, s.d, s.v, s.resolvent(), sweeps.powers, sweeps.coupling,
+              *vars(op).values()]
+    for a in served:
+        assert isinstance(a, np.ndarray) and not a.flags.writeable
+
+
 def test_memoised_names_stay_plain_functions():
     # the span tracer wraps only functions; the public name keeps its docstring
     assert inspect.isfunction(inverse_x.modal_responses)
