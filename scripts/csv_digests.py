@@ -8,8 +8,9 @@ noisy twins of the two g modes, `ml-eval` at two orders outside the
 solvers' range, the README example (noisy affine rho, Volterra solve)
 and that example's fixed-point twin, and the Volterra and noisy
 final-data solves at N = 64, n_steps = 2048 with every mode loaded (the
-benchmark's long grid), each in a fresh
-`python -m fracsource.cli` process, and prints
+benchmark's long grid), and the forward and interior solves at n_steps
+8192 and 4096, whose convolutions span several blocks of rows, each in
+a fresh `python -m fracsource.cli` process, and prints
 `<sha256>  <config>` per run.  The children import whichever
 `fracsource` the environment finds, so comparing two checkouts is one
 diff:
@@ -83,6 +84,12 @@ CONFIGS = {
                           "g": {"profile": "offset_bump",
                                 "params": {"center_frac": 0.62, "width_frac": 0.4}},
                           "rho": {"profile": "constant", "params": {"value": 1.0}}},
+    # stacks of more than one block of rows in `product_rule_convolve`: the
+    # forward solve's 64 modes in four blocks, and one rho against the
+    # interior operator's 64 weight rows in two
+    "forward-n8192": {"mode": "forward", "alpha": 0.5, "N": 64, "n_steps": 8192},
+    "invert-g-interior-n4096": {"mode": "invert-g-interior", "alpha": 0.5,
+                                "omega": [0.1, 0.35], "n_steps": 4096},
 }
 
 

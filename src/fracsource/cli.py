@@ -43,8 +43,8 @@ def perturb(x: np.ndarray, level: float, seed: int) -> tuple[np.ndarray, float]:
 
     A noise norm that overflows raises FracsourceError.
     """
-    if level < 0.0:
-        raise ValueError("noise level must be >= 0")
+    if not level >= 0.0:  # NaN fails too
+        raise ValueError(f"noise level must be >= 0, got {level}")
     if level == 0.0:
         return x, 0.0
     amp = level * float(np.max(np.abs(x), initial=0.0))

@@ -10,8 +10,10 @@ Every time convolution in the package goes through one primitive, row
 by row over the leading axes: `_spectrum`, the rfft at the power-of-two
 length that holds two n-term series, and `_truncated_inverse`, the first
 n terms of the inverse of a product of such spectra.  `product_rule_convolve`
-takes a long stack in blocks of rows, to bound the spectra it holds.  The
-spectrum of the L1 weights is cached per (alpha, grid).
+takes one series or one 2-D stack, which it convolves in blocks of rows;
+each block forms its own temporaries, so a long stack holds the result
+and about two blocks' spectra.  The spectrum of the L1 weights is cached
+per (alpha, grid).
 """
 
 from __future__ import annotations
@@ -144,44 +146,41 @@ def _interval_moments(p: float, t: np.ndarray, tau: float):
     return m0 - m1 / tau, m1 / tau
 
 
+def _product_spectrum(c: np.ndarray, d: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
+    """Spectrum of e_i = c_i + d_(i-1) times that of f, in e's spectrum unless only f is a stack."""
+    e = np.zeros(c.shape[:-1] + (n + 1,))
+    e[..., :-1] = c
+    e[..., 1:] += d
+    se, sf = _spectrum(e, n), _spectrum(f, n)
+    # e's spectrum first, the order numpy gives se * sf: see `_l1_derivative`
+    return np.multiply(se, sf, out=se if se.ndim >= sf.ndim else sf)
+
+
 def product_rule_convolve(c: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.ndarray:
     """out[k] = sum_{j<k} (c_j f_{k-j} + d_j f_{k-j-1}), with out[0] = 0.
 
     The product rule behind every convolution on the grid: c_j and d_j
-    weigh the two nodes of f that bound subinterval j of the kernel.  The
-    leading axes broadcast: f may hold one series per row, and c and d one
-    row of weights per row of f, or one series may meet a stack of rows.
+    weigh the two nodes of f that bound subinterval j of the kernel.  f is
+    one series or a 2-D stack of them, and c and d one row of weights or
+    one row per row of the stack; a weight stack against one series gives
+    one output row per weight row.
     """
     n = f.shape[-1] - 1
-    # one convolution with e_i = c_i + d_(i-1), less the c_k f_0 it adds at
-    # i = k; at the FFT length (>= 2n) only its term 2n wraps, onto term 0
-    e = np.zeros(c.shape[:-1] + (n + 1,))
-    e[..., :-1] = c
-    e[..., 1:] += d
-    out = np.zeros(np.broadcast_shapes(e.shape, f.shape))
-    if out.ndim < 2:
-        out[1:] = _truncated_inverse(_spectrum(e, n) * _spectrum(f, n), n + 1)[1:]
-    else:
-        # a stack goes in blocks along its first axis that span at most
-        # _BLOCK_POINTS FFT points; rows transform independently, so the bits
-        # are those of one block.  An operand that does not run along the
-        # first axis is transformed once.
-        step = max(1, _BLOCK_POINTS // (_fft_length(n) * (math.prod(out.shape[1:-1]) or 1)))
-        stacked = [x.ndim == out.ndim and x.shape[0] > 1 for x in (e, f)]
-        fixed = [None if s else _spectrum(x, n) for x, s in zip((e, f), stacked)]
-
-        def product(lo: int) -> np.ndarray:
-            """Product of the operands' spectra over the block at row lo."""
-            se, sf = (_spectrum(x[lo : lo + step], n) if s else w for x, s, w in zip((e, f), stacked, fixed))
-            # into a block spectrum of the product's shape, as numpy does for
-            # two temporaries; both spectra are gone before the inverse transform
-            shape = np.broadcast_shapes(se.shape, sf.shape)
-            dest = next((w for w, s in zip((se, sf), stacked) if s and w.shape == shape), None)
-            return np.multiply(se, sf, out=dest)
-
-        for lo in range(0, out.shape[0], step):
-            out[lo : lo + step, ..., 1:] = _truncated_inverse(product(lo), n + 1)[..., 1:]
-    out[..., 1:-1] -= c[..., 1:] * f[..., :1]
+    out = np.zeros(np.broadcast_shapes(c.shape[:-1], f.shape[:-1]) + (n + 1,))
+    # a stack goes in blocks of rows that span at most _BLOCK_POINTS FFT
+    # points; rows transform independently, so the bits are those of one
+    # block, and each block forms its own temporaries.  A single series is
+    # the one block
+    step = _BLOCK_POINTS // _fft_length(n) or 1
+    blocks = [(c, d, f, out)] if out.ndim == 1 else [
+        tuple(x[lo : lo + step] if x.ndim == 2 else x for x in (c, d, f, out))
+        for lo in range(0, out.shape[0], step)
+    ]
+    for cb, db, fb, ob in blocks:
+        # one convolution with e, less the c_k f_0 it adds at i = k; at the
+        # FFT length (>= 2n) only its term 2n wraps, onto term 0
+        ob[..., 1:] = _truncated_inverse(_product_spectrum(cb, db, fb, n), n + 1)[..., 1:]
+        ob[..., 1:-1] -= cb[..., 1:] * fb[..., :1]
     return out
 
 

@@ -82,8 +82,8 @@ class TSourceProblem:
             raise ValueError(f"x0 must lie inside (0, {self.g.domain.length})")
         if self.trace.grid != self.grid:
             raise ValueError("trace grid does not match the problem grid")
-        if self.noise_level < 0.0:
-            raise ValueError("noise_level must be >= 0")
+        if not self.noise_level >= 0.0:  # NaN fails too
+            raise ValueError(f"noise_level must be >= 0, got {self.noise_level}")
         scale = float(np.max(np.abs(self.trace.values)))
         tol = max(2.0 * self.noise_level, 1e-10) * scale
         if abs(self.trace.values[0]) > tol:

@@ -75,8 +75,8 @@ class XSourceFinalProblem:
     def __post_init__(self) -> None:
         if self.rho.grid != self.grid:
             raise ValueError("rho grid does not match the problem grid")
-        if self.cutoff < 0.0 or self.tikhonov < 0.0:
-            raise ValueError("cutoff and tikhonov must be >= 0")
+        if not (self.cutoff >= 0.0 and self.tikhonov >= 0.0):  # NaN fails too
+            raise ValueError(f"cutoff {self.cutoff} and tikhonov {self.tikhonov} must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +199,9 @@ def choose_mu_discrepancy(
     finds the weight at which the reconstruction stops fitting the noise.
     b, b u_T and b^2 do not depend on mu and are formed once.
     """
-    if noise_norm <= 0.0:
+    if not noise_norm >= 0.0:  # NaN fails too
+        raise ValueError(f"noise_norm must be >= 0, got {noise_norm}")
+    if noise_norm == 0.0:
         return 1e-10
     b, keep = _modal_responses(XSourceFinalProblem(rho, alpha, grid, final_data, cutoff))
     u = final_data.coeffs

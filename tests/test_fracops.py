@@ -1,6 +1,7 @@
 """Tests of the discrete fractional calculus operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,33 @@ def test_product_rule_blocks_give_the_row_by_row_bits():
         assert np.array_equal(own[i], product_rule_convolve(c[i], d[i], fs[i]))
         assert np.array_equal(spread[i], product_rule_convolve(c[i], d[i], f))
         assert np.array_equal(shared[i], product_rule_convolve(c[0], d[0], fs[i]))
+
+
+@pytest.mark.parametrize(
+    "form", ["weight rows, series rows", "weight rows, one series", "one weight row, series rows"]
+)
+def test_product_rule_temporaries_stay_per_block(form):
+    # 64 rows at n_steps 16384 go in eight blocks of eight rows.  Temporaries
+    # of the stack's size (the summed weights, the f_0 correction) would put
+    # the peak at twice the result or more; per block they add about half
+    rng = np.random.default_rng(11)
+    n, rows = 16384, 64
+    c, d = rng.standard_normal((rows, n)), rng.standard_normal((rows, n))
+    fs = rng.standard_normal((rows, n + 1))
+    args = {
+        "weight rows, series rows": (c, d, fs),
+        "weight rows, one series": (c, d, fs[0]),
+        "one weight row, series rows": (c[0], d[0], fs),
+    }[form]
+    product_rule_convolve(*args)  # FFT plans and the like, outside the count
+    tracemalloc.start()
+    try:
+        out = product_rule_convolve(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (rows, n + 1)
+    assert peak < 1.75 * out.nbytes
 
 
 def test_caputo_long_grid_matches_direct_convolution():
