@@ -9,7 +9,9 @@ solvers' range, the README example (noisy affine rho, Volterra solve)
 and that example's fixed-point twin, and the Volterra and noisy
 final-data solves at N = 64, n_steps = 2048 with every mode loaded (the
 benchmark's long grid), and the forward and interior solves at n_steps
-8192 and 4096, whose convolutions span several blocks of rows, each in
+8192 and 4096, whose convolutions span several blocks of rows, and
+noisy fixed-point and interior runs long enough to span several blocks
+of their closed-form sweeps, each in
 a fresh `python -m fracsource.cli` process, and prints
 `<sha256>  <config>` per run.  The children import whichever
 `fracsource` the environment finds, so comparing two checkouts is one
@@ -90,6 +92,14 @@ CONFIGS = {
     "forward-n8192": {"mode": "forward", "alpha": 0.5, "N": 64, "n_steps": 8192},
     "invert-g-interior-n4096": {"mode": "invert-g-interior", "alpha": 0.5,
                                 "omega": [0.1, 0.35], "n_steps": 4096},
+    # runs past one block of closed-form sweeps: 200 fixed-point sweeps are
+    # four blocks of the sweep table, 600 interior sweeps three blocks
+    "invert-rho-fixedpoint-m200": {"mode": "invert-rho-fixedpoint", "alpha": 0.5,
+                                   "noise_level": 0.01, "seed": 42,
+                                   "solver": {"m_max": 200, "tol": 0}},
+    "invert-g-interior-m600": {"mode": "invert-g-interior", "alpha": 0.5,
+                               "omega": [0.1, 0.35], "noise_level": 0.01, "seed": 42,
+                               "solver": {"m_max": 600, "tol": 1e-9}},
 }
 
 

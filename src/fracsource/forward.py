@@ -122,9 +122,7 @@ def solve_homogeneous(
     t_a = grid.nodes() ** alpha.alpha
     lam = a.domain.eigenvalues()
     modal = np.zeros((a.domain.n_modes, grid.n_steps + 1))
-    for i in range(a.domain.n_modes):
-        if a.coeffs[i] == 0.0:
-            continue
+    for i in np.flatnonzero(a.coeffs):
         modal[i] = a.coeffs[i] * ml_eval_array(alpha.alpha, 1.0, -lam[i] * t_a)
     return EvolutionField(a.domain, grid, modal)
 

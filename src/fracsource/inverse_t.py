@@ -93,7 +93,11 @@ class TSourceProblem:
 
 
 def mollify(f: TimeSeries, width: int) -> TimeSeries:
-    """Centered moving average with window shrinking near the ends."""
+    """Centered moving average with window shrinking near the ends.
+
+    The window spans 2 (width // 2) + 1 nodes, so an even width acts as
+    the next odd one: widths 4 and 5 give the same average.
+    """
     if width <= 1:
         return f
     v = f.values
@@ -108,6 +112,8 @@ def mollify(f: TimeSeries, width: int) -> TimeSeries:
 
 def _observed_trace(problem: TSourceProblem, mollify_width: int) -> TimeSeries:
     """The trace the solvers differentiate: premollified when the problem is noisy."""
+    if isinstance(mollify_width, bool) or not isinstance(mollify_width, (int, np.integer)):
+        raise ParameterError("mollify_width", f"mollify_width must be an integer, got {mollify_width!r}")
     if problem.noise_level == 0.0:
         return problem.trace
     if mollify_width // 2 >= problem.grid.n_steps:
@@ -300,8 +306,10 @@ def fixed_point_iterate(
     three rises in a row raise DivergenceError, and an update of at most
     `tol` ends the run, checked in that order at every sweep.
     """
-    if m_max < 1:
-        raise ParameterError("m_max", f"m_max must be >= 1, got {m_max}")
+    if isinstance(m_max, bool) or not isinstance(m_max, (int, np.integer)) or m_max < 1:
+        raise ParameterError("m_max", f"m_max must be an integer >= 1, got {m_max!r}")
+    if not tol >= 0.0:  # NaN fails too
+        raise ParameterError("tol", f"tol must be >= 0, got {tol}")
     s = _set_up(problem.g, problem.x0, problem.alpha, problem.grid)
     grid, k_bound = problem.grid, s.k_bound
     if K is None:

@@ -114,8 +114,10 @@ class XSourceInteriorProblem:
                 f"observed must have shape ({n_pts}, {self.grid.n_steps + 1}), got {obs.shape}"
             )
         object.__setattr__(self, "observed", obs)
-        if self.m_max < 1:
-            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
+        if isinstance(self.m_max, bool) or not isinstance(self.m_max, (int, np.integer)) or self.m_max < 1:
+            raise ValueError(f"m_max must be an integer >= 1, got {self.m_max!r}")
+        if not self.tol >= 0.0:  # NaN fails too
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 def _omega_mesh(domain: Domain1D, omega: tuple, n_mesh: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,8 +146,7 @@ def modal_responses(
 
 def _modal_responses(problem: XSourceFinalProblem) -> tuple[np.ndarray, np.ndarray]:
     """All B_n and the mask of modes the cutoff retains; mu plays no part."""
-    quarter = problem.rho.values[-(problem.grid.n_steps // 4 + 1) :]
-    if float(np.max(np.abs(quarter))) == 0.0:
+    if not np.any(problem.rho.values[-(problem.grid.n_steps // 4 + 1) :]):
         raise DegenerateRhoError("rho vanishes on the last quarter of the grid")
     dom = problem.final_data.domain
     b = modal_responses(problem.rho, problem.alpha, problem.grid, dom)
@@ -336,19 +337,13 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
     limit = sigma * y_s / (sigma**2 + beta)
     ratio = (K - sigma**2) / (K + beta)
     log_ratio = np.log1p(-(sigma**2 + beta) / (K + beta)) if np.all(ratio > 0.0) else None
-
-    def filled(m: np.ndarray) -> np.ndarray:
-        """1 - r^m, one column per sweep count."""
-        if log_ratio is not None:
-            return -np.expm1(log_ratio * m)
-        return 1.0 - ratio**m
-
     history: list[float] = []
     for first in range(1, problem.m_max + 1, _SWEEP_BLOCK):
         # iterates g_(first-1) .. g_last as columns, sweeps first .. last
         m = np.arange(first - 1, min(first - 1 + _SWEEP_BLOCK, problem.m_max) + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = filled(m) * limit
+            fill = -np.expm1(log_ratio * m) if log_ratio is not None else 1.0 - ratio**m  # 1 - r^m
+            g = fill * limit
             resid = np.sqrt(((sigma * g - y_s) ** 2).sum(axis=0)[:-1] + rest_sq)
             size = np.sqrt((g * g).sum(axis=0))
             grad = np.sqrt(((sigma**2 * g[:, :-1] - sigma * y_s) ** 2).sum(axis=0))
@@ -372,7 +367,7 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
         if done < n:
             break
     iterations = int(m[stop + 1])
-    filters = filled(np.array([iterations]))[:, 0] * op.sigma**2 / (op.sigma**2 + beta)
+    filters = fill[:, stop + 1] * op.sigma**2 / (op.sigma**2 + beta)
     filters.flags.writeable = False
     return ReconstructionReport(
         recovered=SpectralField(problem.domain, op.vt.T @ g[:, stop + 1]),

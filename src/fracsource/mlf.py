@@ -259,10 +259,7 @@ def _asymptotic_array(alpha: float, beta: float, eta: np.ndarray) -> tuple[np.nd
         log_e = np.log(e)
         best, last = _truncation(log_env, float(log_e[0]))
         w = 1.0 / e
-        p = np.full(e.shape, c[best])
-        for j in range(best - 1, -1, -1):
-            p = p * w + c[j]
-        val[idx] = p * w
+        val[idx] = np.polyval(c[best::-1], w) * w
         err[idx] = _envelope(log_env[last] - (last + 1) * log_e)
     if alpha >= 1.0:
         poles, size = _pole_terms(alpha, beta, eta ** (1.0 / alpha), 1.0 if alpha == 1.0 else 2.0)

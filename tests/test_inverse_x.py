@@ -504,6 +504,19 @@ def test_spectrum_diagnostics():
     assert np.allclose(filters, expect, rtol=1e-6, atol=0.0)
 
 
+def test_filter_factors_after_a_stop_in_a_later_block():
+    # tol stops the run inside a later block of sweeps; the factors must
+    # belong to the sweep the run stopped at, not to its neighbour
+    p = noisy_interior_problem(beta=1e-8, m_max=2000, tol=1e-4)
+    rep = iterative_thresholding(p)
+    d = rep.diagnostics
+    assert 256 < rep.iterations < 2000
+    sigma = d["singular_values"]
+    r = (d["K"] - sigma**2) / (d["K"] + d["beta"])
+    expect = (1.0 - r**rep.iterations) * sigma**2 / (sigma**2 + d["beta"])
+    assert np.allclose(d["filter_factors"], expect, rtol=1e-6, atol=0.0)
+
+
 @pytest.fixture
 def operator_builds(monkeypatch):
     """Count interior-operator builds from an empty cache."""
