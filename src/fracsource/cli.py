@@ -12,6 +12,7 @@ error, 4 solver error (including any non-finite result).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import math
@@ -77,6 +78,15 @@ def write_result(path: str, metadata: dict, columns: dict) -> None:
 
 # ---------------------------------------------------------------------------
 # config access with validation
+
+
+@contextlib.contextmanager
+def _blame(key: str, kinds=ValueError):
+    """Raise an error of `kinds` from the block as a ConfigError of key, chained to it."""
+    try:
+        yield
+    except kinds as exc:
+        raise ConfigError(key, str(exc)) from exc
 
 
 def _walk(cfg: dict, key: str, make: bool = False) -> tuple[dict, str]:
@@ -148,20 +158,16 @@ def _build_grid(cfg: dict) -> TimeGrid:
 
 def _build_alpha(cfg: dict) -> FractionalOrder:
     a = _num(cfg, "alpha", None, required=True)
-    try:
+    with _blame("alpha"):
         return FractionalOrder(a)
-    except ValueError as exc:
-        raise ConfigError("alpha", str(exc)) from exc
 
 
 def _build_profile(cfg: dict, key: str, default: str, make, on):
     spec = _get(cfg, key, {"profile": default})
     if not isinstance(spec, dict) or "profile" not in spec:
         raise ConfigError(key, "expected an object with a 'profile' key")
-    try:
+    with _blame(key, (ValueError, TypeError)):
         return make(on, spec["profile"], **spec.get("params", {}))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(key, str(exc)) from exc
 
 
 def _interior_point(cfg: dict, domain: Domain1D) -> float:
@@ -179,10 +185,8 @@ def _run_ml_eval(cfg: dict):
     a = _num(cfg, "ml.alpha", None, required=True)
     b = _num(cfg, "ml.beta", None, required=True)
     zs = np.asarray(_numbers(cfg, "ml.z", [0.0]), dtype=float)
-    try:
+    with _blame("ml"):
         vals = ml_eval_array(a, b, zs)
-    except ValueError as exc:
-        raise ConfigError("ml", str(exc)) from exc
     return {"alpha": a, "beta": b}, {"z": zs, "value": vals}
 
 
@@ -196,9 +200,14 @@ def _synthesize(cfg: dict):
 
 
 def _noisy(cfg: dict, clean: np.ndarray):
-    """The clean data with the config's noise, the noise norm and the noise metadata."""
+    """The clean data with the config's noise, the noise norm and the noise metadata.
+
+    Clean data that are not finite (the synthesis overflowed) raise FracsourceError.
+    """
     level = _num(cfg, "noise_level", 0.0, lo=0.0)
     seed = _num(cfg, "seed", 0, lo=0, integer=True)
+    if not np.all(np.isfinite(clean)):
+        raise FracsourceError("the synthesized data are not finite")
     return (*perturb(clean, level, seed), {"noise_level": level, "seed": seed})
 
 
@@ -290,12 +299,10 @@ def _run_invert_g_interior(cfg: dict):
         "m_max": _num(cfg, "solver.m_max", 200, lo=1, integer=True),
         "tol": _num(cfg, "solver.tol", 0.0, lo=0.0),
     }
-    try:
+    with _blame("omega"):
         problem = inverse_x.XSourceInteriorProblem(
             rho, alpha, grid, domain, (omega[0], omega[1]), observed, n_mesh, **settings
         )
-    except ValueError as exc:
-        raise ConfigError("omega", str(exc)) from exc
     rep = inverse_x.iterative_thresholding(problem)
     err = relative_l2(rep.recovered.coeffs, g_true.coeffs)
     meta = {
@@ -357,9 +364,7 @@ def _run_sweep(cfg: dict):
     # slope of log(error) against log(parameter) between consecutive runs
     slope = np.full(vals.shape[0], math.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope[1:] = -(np.log(errs_arr[1:]) - np.log(errs_arr[:-1])) / (
-            np.log(vals[1:]) - np.log(vals[:-1])
-        )
+        slope[1:] = -np.diff(np.log(errs_arr)) / np.diff(np.log(vals))
     return {"key": key, "metric": metric}, {key: vals, metric: errs_arr, "slope": slope}
 
 
@@ -440,10 +445,8 @@ def run(config_path: str, overrides=()) -> int:
         bad = _non_finite(meta, cols)
         if bad is not None:
             raise FracsourceError(f"non-finite value in result {bad!r}")
-        try:
+        with _blame("output", OSError):  # a missing directory, a directory, an empty path
             write_result(out_path, meta, cols)
-        except OSError as exc:  # a missing directory, a directory, an empty path
-            raise ConfigError("output", str(exc)) from exc
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3

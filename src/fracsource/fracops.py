@@ -46,6 +46,13 @@ class FractionalOrder:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as a Python int; a count is an int or NumPy integer, not a bool, and at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [0, total_time] into n_steps steps."""
@@ -56,8 +63,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.total_time) and self.total_time > 0.0):
             raise ValueError(f"total_time must be positive, got {self.total_time}")
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 2):
-            raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps, 2))
 
     @property
     def tau(self) -> float:

@@ -85,6 +85,8 @@ class TSourceProblem:
         if not self.noise_level >= 0.0:  # NaN fails too
             raise ValueError(f"noise_level must be >= 0, got {self.noise_level}")
         scale = float(np.max(np.abs(self.trace.values)))
+        if not math.isfinite(scale):  # a NaN or an inf reaches the max
+            raise ValueError("trace values must be finite")
         tol = max(2.0 * self.noise_level, 1e-10) * scale
         if abs(self.trace.values[0]) > tol:
             raise NonZeroInitialTraceError(
@@ -310,12 +312,14 @@ def fixed_point_iterate(
         raise ParameterError("m_max", f"m_max must be an integer >= 1, got {m_max!r}")
     if not tol >= 0.0:  # NaN fails too
         raise ParameterError("tol", f"tol must be >= 0, got {tol}")
+    if truth is not None and truth.grid != problem.grid:
+        raise ValueError("truth grid does not match the problem grid")
     s = _set_up(problem.g, problem.x0, problem.alpha, problem.grid)
     grid, k_bound = problem.grid, s.k_bound
     if K is None:
         K = k_bound
-    if not (K > 0.0) or K < k_bound * (1.0 - 1e-12):
-        raise ParameterError("K", f"K = {K} is below the homogeneous-trace bound {k_bound}")
+    if not (0.0 < K < math.inf) or K < k_bound * (1.0 - 1e-12):
+        raise ParameterError("K", f"K = {K} must be positive and finite, and >= the trace bound {k_bound}")
     trace = _observed_trace(problem, mollify_width)
     sweeps = s.sweeps(K)
     start = _l1_derivative(trace.values, problem.alpha, grid)[1:] / K

@@ -41,7 +41,7 @@ from .errors import (
     NonPositiveParamsError,
 )
 from .forward import EvolutionField, modal_kernel_weights
-from .fracops import FractionalOrder, TimeGrid, TimeSeries, product_rule_convolve
+from .fracops import FractionalOrder, TimeGrid, TimeSeries, _count, product_rule_convolve
 from .report import ReconstructionReport, _by_value, first_index, third_rises
 from .spectral import Domain1D, SpectralField, simpson_weights
 
@@ -113,9 +113,10 @@ class XSourceInteriorProblem:
             raise ValueError(
                 f"observed must have shape ({n_pts}, {self.grid.n_steps + 1}), got {obs.shape}"
             )
+        if not np.all(np.isfinite(obs)):
+            raise ValueError("observed values must be finite")
         object.__setattr__(self, "observed", obs)
-        if isinstance(self.m_max, bool) or not isinstance(self.m_max, (int, np.integer)) or self.m_max < 1:
-            raise ValueError(f"m_max must be an integer >= 1, got {self.m_max!r}")
+        object.__setattr__(self, "m_max", _count("m_max", self.m_max, 1))
         if not self.tol >= 0.0:  # NaN fails too
             raise ValueError(f"tol must be >= 0, got {self.tol}")
 
@@ -139,6 +140,8 @@ def modal_responses(
     rho: TimeSeries, alpha: FractionalOrder, grid: TimeGrid, domain: Domain1D
 ) -> np.ndarray:
     """All B_n, read-only once kept: final-data coefficient n of the source g rho is g_n B_n."""
+    if not np.all(np.isfinite(rho.values)):
+        raise ValueError("rho values must be finite")
     c, d = modal_kernel_weights(domain, alpha, grid)
     n = grid.n_steps
     return c @ rho.values[n:0:-1] + d @ rho.values[n - 1 :: -1]
@@ -234,13 +237,14 @@ class _InteriorOperator:
     transpose of A in it.
 
     With the QR factors sqrt(w) Phi^T = Q_x S_x and sqrt(w_t) R^T = Q_t S_t,
-    W^(1/2) A g W_t^(1/2) = Q_x S_x diag(g) S_t^T Q_t^T, so residual norms
-    are taken in the reduced coordinates of `reduce`.  The reduced
+    W^(1/2) A g W_t^(1/2) = Q_x S_x diag(g) S_t^T Q_t^T.  The reduced
     operator g -> vec(S_x diag(g) S_t^T) has the thin SVD
     `u` diag(`sigma`) `vt`; it has at most N columns, and fewer rows when
-    omega holds few mesh points or the grid few nodes.  Every array is
-    read-only once the memo keeps it, since one operator serves every
-    solve of its set-up.
+    omega holds few mesh points or the grid few nodes.  Residual norms are
+    taken in the singular coordinates of data that `coordinates` returns.
+    Every array is read-only once the memo keeps it, since one operator
+    serves every solve of its set-up.  A rho that is not finite is refused
+    here, once per set-up.
     """
 
     def __init__(
@@ -252,6 +256,8 @@ class _InteriorOperator:
         omega: tuple,
         n_mesh: int,
     ):
+        if not np.all(np.isfinite(rho.values)):
+            raise ValueError("rho values must be finite")
         xs, mask = _omega_mesh(domain, omega, n_mesh)
         # sharp indicator: quadrature weights of the full mesh, zeroed off omega
         self.w_omega = simpson_weights(n_mesh, domain.length / (n_mesh - 1))[mask]
@@ -274,17 +280,21 @@ class _InteriorOperator:
         """A^T W r for a (points, time) array r."""
         return (((self.phi * self.w_omega) @ r) * self.response) @ self.t_weights
 
-    def reduce(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """Coordinates Y_c of data y in the range of A, and ||y - P y||_W^2.
+    def coordinates(self, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """Coordinates y_s of data y along the columns of `u`, and the squared W-norm of the rest.
 
-        P y = Q_x Y_c Q_t^T is the orthogonal projection onto that range;
-        the second term is the norm of an explicit difference, so nothing
-        cancels.
+        With Y_c = Q_x^T W^(1/2) y W_t^(1/2) Q_t, the coordinates of y in
+        the factors' ranges, y_s = u^T vec(Y_c).  The rest, the part of y
+        that no g reaches, is the part outside those ranges plus the part
+        of vec(Y_c) off the columns of `u`; each norm is that of an
+        explicit difference, so nothing cancels.
         """
         y_w = self._sqrt_w[:, None] * y * self._sqrt_wt
         y_c = self._q_x.T @ y_w @ self._q_t
         outside = y_w - self._q_x @ y_c @ self._q_t.T
-        return y_c, float(np.vdot(outside, outside))
+        y_s = self.u.T @ y_c.ravel()
+        left = y_c.ravel() - self.u @ y_s
+        return y_s, float(left @ left) + float(np.vdot(outside, outside))
 
 
 @_by_value
@@ -315,8 +325,9 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
     summed as an explicit difference in a fixed order, so it cannot rise
     through cancellation.  At every sweep the triangle-inequality bound on
     the update norm is asserted, three consecutive residual rises (or a
-    non-finite value) raise DivergenceError, and a step of at most `tol`
-    ends the run.  The diagnostics add the singular values and the filter
+    non-finite value) raise DivergenceError, and a positive `tol` ends the
+    run at the first step of at most `tol` (the default 0 runs all `m_max`
+    sweeps).  The diagnostics add the singular values and the filter
     factors (1 - r^m) s^2/(s^2 + beta) of the run.
     """
     # the rho(0) != 0 hypothesis backs identifiability of the iteration target
@@ -325,15 +336,10 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
     op = _operator_of(problem)
     K = problem.K if problem.K is not None else 1.1 * float(op.sigma[0] ** 2)
     beta = problem.beta
-    if not (K > 0.0 and beta > 0.0):
-        raise NonPositiveParamsError(f"K and beta must be positive, got K={K}, beta={beta}")
-    y_c, outside_sq = op.reduce(problem.observed)
-    y_c = y_c.ravel()
-    sigma = op.sigma[:, None]
-    y_s = op.u.T @ y_c
-    left = y_c - op.u @ y_s
-    rest_sq = float(left @ left) + outside_sq  # the part no iterate reaches
-    y_s = y_s[:, None]
+    if not (0.0 < K < math.inf and 0.0 < beta < math.inf):
+        raise NonPositiveParamsError(f"K and beta must be positive and finite, got K={K}, beta={beta}")
+    y_s, rest_sq = op.coordinates(problem.observed)
+    sigma, y_s = op.sigma[:, None], y_s[:, None]
     limit = sigma * y_s / (sigma**2 + beta)
     ratio = (K - sigma**2) / (K + beta)
     log_ratio = np.log1p(-(sigma**2 + beta) / (K + beta)) if np.all(ratio > 0.0) else None

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fracops import _count
+
 __all__ = [
     "Domain1D",
     "SpectralField",
@@ -33,8 +35,7 @@ class Domain1D:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise ValueError(f"length must be positive, got {self.length}")
-        if not (isinstance(self.n_modes, int) and self.n_modes >= 1):
-            raise ValueError(f"n_modes must be an integer >= 1, got {self.n_modes}")
+        object.__setattr__(self, "n_modes", _count("n_modes", self.n_modes, 1))
 
     def eigenvalues(self) -> np.ndarray:
         n = np.arange(1, self.n_modes + 1, dtype=float)

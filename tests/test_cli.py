@@ -371,6 +371,21 @@ def test_override_dotted_path(tmp_path):
     assert float(meta["alpha"]) == 0.5
 
 
+def test_bare_number_list_and_raw_string_override(tmp_path):
+    # a bare number reads as a list of one, and an override value that is
+    # not JSON is taken as the string it is
+    ml = {"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0}}
+    bare = write_cfg(tmp_path, "bare.json", {**ml, "ml": {**ml["ml"], "z": -1.0}})
+    listed = write_cfg(tmp_path, "listed.json", {**ml, "ml": {**ml["ml"], "z": [-1.0]}})
+    assert main([bare]) == 0 and main([listed]) == 0
+    assert open(tmp_path / "bare.csv", "rb").read() == open(tmp_path / "listed.csv", "rb").read()
+    fwd = {"mode": "forward", "alpha": 0.5, "N": 8, "n_steps": 32}
+    raw = write_cfg(tmp_path, "raw.json", fwd)
+    quoted = write_cfg(tmp_path, "quoted.json", {**fwd, "rho": {"profile": "sine"}})
+    assert main([raw, "--override", "rho.profile=sine"]) == 0 and main([quoted]) == 0
+    assert open(tmp_path / "raw.csv", "rb").read() == open(tmp_path / "quoted.csv", "rb").read()
+
+
 def test_output_override_and_newlines(tmp_path):
     out = str(tmp_path / "custom_name.csv")
     cfg = write_cfg(
@@ -463,6 +478,23 @@ def test_exit_code_final_fit_overflow(tmp_path, capsys):
     assert run(write_cfg(tmp_path, "o.json", cfg)) == 4
     assert "noise norm of noise_level 1e+308 overflows" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
+
+
+# the synthesis overflows on the way to the check, so numpy warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "mode",
+    ["invert-rho-volterra", "invert-rho-fixedpoint", "invert-g-final", "invert-g-interior"],
+)
+def test_exit_code_synthesized_data_overflow(tmp_path, capsys, mode):
+    # g rho of about 1e300 * 1e300 overflows the data each mode synthesises:
+    # a solver error named for the data, not a traceback or a NaN metric
+    cfg = {"mode": mode, "alpha": 0.5, "N": 16, "n_steps": 64, "omega": [0.1, 0.35],
+           "g": {"profile": "hat", "params": {"amplitude": 1e300}},
+           "rho": {"profile": "constant", "params": {"value": 1e300}}}
+    assert run(write_cfg(tmp_path, "big.json", cfg)) == 4
+    assert "synthesized data are not finite" in capsys.readouterr().err
+    assert not (tmp_path / "big.csv").exists()
 
 
 def test_write_result_float_columns_match_per_value_format(tmp_path):

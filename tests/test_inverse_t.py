@@ -795,6 +795,15 @@ def test_lipschitz_validation():
         lipschitz_certificate(mode(1), 0.5, a, grid, [make_rho(grid, "affine")])
 
 
+@pytest.mark.parametrize("n_steps", [16, 64])
+def test_lipschitz_refuses_a_member_on_another_grid(n_steps):
+    grid = TimeGrid(1.0, 32)
+    g = make_g(DOM, "sine_bump")
+    family = [make_rho(grid, "affine"), make_rho(TimeGrid(1.0, n_steps), "affine")]
+    with pytest.raises(ValueError, match="on the given grid"):
+        lipschitz_certificate(g, 0.3, FractionalOrder(0.5), grid, family)
+
+
 def smooth_family(grid, count, seed=0):
     rng = np.random.default_rng(seed)
     t = grid.nodes()

@@ -321,6 +321,18 @@ def test_interior_problem_validation():
         XSourceInteriorProblem(rho, a, grid, DOM, (0.1, 0.35), np.zeros((3, 3)), 65)
 
 
+@pytest.mark.parametrize("kind", ["final", "interior"])
+def test_x_problems_reject_rho_on_another_grid(kind):
+    grid = TimeGrid(1.0, 32)
+    rho = make_rho(TimeGrid(1.0, 16), "constant")
+    a = FractionalOrder(0.5)
+    with pytest.raises(ValueError, match="rho grid does not match"):
+        if kind == "final":
+            XSourceFinalProblem(rho, a, grid, SpectralField(DOM, np.ones(8)))
+        else:
+            XSourceInteriorProblem(rho, a, grid, DOM, (0.1, 0.35), np.zeros((8, 33)), 33)
+
+
 @pytest.mark.parametrize("k", [None, 1.0])
 def test_interior_problem_rejects_omega_without_mesh_points(k):
     # (0.501, 0.502) falls between the points 0.5 and 0.50390625 of a
@@ -656,7 +668,7 @@ def test_warm_solves_evaluate_no_mittag_leffler(monkeypatch):
     ],
 )
 def test_reduced_residual_matches_explicit(n_modes, omega, n_mesh, n_steps):
-    # residual_history[m] is ||A g_m - y||_W, taken in reduced coordinates;
+    # residual_history[m] is ||A g_m - y||_W, taken in singular coordinates;
     # g_m is what a run of m sweeps returns
     dom = Domain1D(1.0, n_modes)
     grid = TimeGrid(1.0, n_steps)
@@ -667,8 +679,8 @@ def test_reduced_residual_matches_explicit(n_modes, omega, n_mesh, n_steps):
     rng = np.random.default_rng(23)
     noisy = p.observed + 1e-3 * rng.standard_normal(p.observed.shape)
     for y in (p.observed, noisy):
-        y_c, outside_sq = op.reduce(y)
-        assert math.sqrt(float(np.vdot(y_c, y_c)) + outside_sq) == pytest.approx(
+        y_s, rest_sq = op.coordinates(y)
+        assert math.sqrt(float(y_s @ y_s) + rest_sq) == pytest.approx(
             w_norm(op, y), rel=1e-12, abs=0.0
         )
         history = iterative_thresholding(

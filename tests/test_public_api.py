@@ -1,15 +1,18 @@
 """Every name a fracsource module exports must exist, the arguments
-that must be >= 0 refuse NaN, and the iteration parameters refuse what
-the solvers cannot use."""
+that must be >= 0 refuse NaN, the iteration parameters and data refuse
+what the solvers cannot use, and counts follow one rule."""
 
 import importlib
 import pkgutil
+
+import math
 
 import numpy as np
 import pytest
 
 import fracsource
 from fracsource.cli import perturb
+from fracsource.errors import NonPositiveParamsError, ParameterError
 from fracsource.forward import trace_weights
 from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries, product_rule_convolve
 from fracsource.inverse_t import TSourceProblem, fixed_point_iterate, solve_volterra
@@ -18,6 +21,8 @@ from fracsource.inverse_x import (
     XSourceInteriorProblem,
     choose_mu_discrepancy,
     iterative_thresholding,
+    modal_responses,
+    reconstruct_final,
 )
 from fracsource.spectral import Domain1D, SpectralField
 
@@ -109,3 +114,92 @@ def test_numpy_integer_iteration_parameters_stay_accepted():
     assert solve_volterra(noisy, mollify_width=np.int64(3)).recovered.values.shape == (33,)
     rep = iterative_thresholding(XSourceInteriorProblem(*interior, m_max=np.int64(300)))
     assert rep.iterations == 300
+
+
+def _with_nan(values: np.ndarray, index: int) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out[index] = math.nan
+    return out
+
+
+def _non_finite_data_calls():
+    noisy, _, interior = _iteration_problems()
+    rho, a, grid, dom, omega, obs, n_mesh = interior
+    bad_rho = TimeSeries(grid, _with_nan(rho.values, 5))  # rho(0) stays nonzero
+    bad_trace = TimeSeries(grid, _with_nan(noisy.trace.values, 5))
+    final = SpectralField(dom, np.ones(dom.n_modes))
+    return {
+        "trace": lambda: TSourceProblem(noisy.g, noisy.x0, a, grid, bad_trace, noise_level=0.01),
+        "interior-observed": lambda: XSourceInteriorProblem(
+            rho, a, grid, dom, omega, _with_nan(obs, (0, 5)), n_mesh
+        ),
+        "final-rho": lambda: reconstruct_final(XSourceFinalProblem(bad_rho, a, grid, final)),
+        "modal-responses-rho": lambda: modal_responses(bad_rho, a, grid, dom),
+        "interior-rho": lambda: iterative_thresholding(
+            XSourceInteriorProblem(bad_rho, a, grid, dom, omega, obs, n_mesh)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_non_finite_data_calls()))
+def test_non_finite_data_are_refused(name):
+    # a NaN in the data or in rho must not reach the solvers, where it gave
+    # an all-NaN rho, a misleading solver error or numpy's LinAlgError
+    with pytest.raises(ValueError, match="must be finite"):
+        _non_finite_data_calls()[name]()
+
+
+def _non_finite_parameter_calls():
+    noisy, _, interior = _iteration_problems()
+    inf = math.inf
+    return {
+        "fixedpoint-K": (lambda: fixed_point_iterate(noisy, K=inf), ParameterError),
+        "interior-K": (
+            lambda: iterative_thresholding(XSourceInteriorProblem(*interior, K=inf)),
+            NonPositiveParamsError,
+        ),
+        "interior-beta": (
+            lambda: iterative_thresholding(XSourceInteriorProblem(*interior, beta=inf)),
+            NonPositiveParamsError,
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_non_finite_parameter_calls()))
+def test_infinite_iteration_parameters_are_refused(name):
+    # an infinite damping makes every update 0: the run would return rho = 0 or g = 0
+    call, error = _non_finite_parameter_calls()[name]
+    with pytest.raises(error, match="positive and finite"):
+        call()
+
+
+def test_fixed_point_truth_on_another_grid_is_refused_before_the_set_up(monkeypatch):
+    import fracsource.inverse_t as inverse_t
+
+    noisy, _, _ = _iteration_problems()
+    truth = TimeSeries(TimeGrid(1.0, 16), np.ones(17))
+
+    def no_set_up(*args):
+        raise AssertionError("the set-up was built")
+
+    monkeypatch.setattr(inverse_t, "_set_up", no_set_up)
+    with pytest.raises(ValueError, match="truth grid"):
+        fixed_point_iterate(noisy, truth=truth)
+
+
+def test_counts_refuse_bools():
+    # Domain1D(1.0, True) must not read as a domain of one mode
+    for make, least in ((TimeGrid, 2), (Domain1D, 1)):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"an integer >= {least}"):
+                make(1.0, flag)
+
+
+def test_counts_take_numpy_integers_as_ints():
+    # a NumPy integer count builds the object an int builds, repr and hash included
+    for make, n in ((TimeGrid, 16), (Domain1D, 8)):
+        built = make(1.0, np.int64(n))
+        assert built == make(1.0, n) and hash(built) == hash(make(1.0, n))
+        assert repr(built) == repr(make(1.0, n))
+    assert type(TimeGrid(1.0, np.int64(16)).n_steps) is int
+    assert type(Domain1D(1.0, np.int32(8)).n_modes) is int

@@ -12,7 +12,7 @@ import fracsource.inverse_x as inverse_x
 from fracsource.forward import observe_point, separated_source, solve_inhomogeneous
 from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries
 from fracsource.profiles import make_g, make_rho
-from fracsource.report import _by_value
+from fracsource.report import _by_value, relative_l2
 from fracsource.spectral import Domain1D, SpectralField
 
 GRID = TimeGrid(1.0, 8)
@@ -37,6 +37,15 @@ def set_up(values=None, coeffs=None, alpha=0.5, x0=0.3, grid=GRID, dom=DOM):
     coeffs = np.array([1.0, 0.5, 0.0, -0.25]) if coeffs is None else coeffs
     return (TimeSeries(grid, values.copy()), SpectralField(dom, coeffs.copy()),
             FractionalOrder(alpha), x0, [0.1, 0.35])
+
+
+@pytest.mark.parametrize(
+    "recovered, truth, skip_first, expected",
+    [([3.0, 4.0], [0.0, 0.0], 0, 5.0), ([9.0, 3.0, 4.0], [1.0, 0.0, 0.0], 1, 5.0)],
+)
+def test_relative_l2_of_a_zero_truth_is_the_absolute_error(recovered, truth, skip_first, expected):
+    # no norm to divide by: the error is the norm of what was recovered
+    assert relative_l2(np.array(recovered), np.array(truth), skip_first) == expected
 
 
 def test_equal_values_in_other_objects_hit():
