@@ -34,8 +34,16 @@ Usage: python3 scripts/csv_digests.py [DIR]
        python3 scripts/csv_digests.py --compare OLD_DIR NEW_DIR
 The CSVs are written to DIR when given (kept for a closer look), else to
 a temporary directory.  A run that does not exit 0 stops the script.
+The listing starts with a `# blas_threads=<n>` line: the thread count of
+the OpenBLAS that NumPy loaded here ("unknown" where none is found), which
+the children inherit with the environment.  Set it with
+OPENBLAS_NUM_THREADS=1 for listings that compare across hosts.  Listings
+from before that line differ from newer ones only there, and `--compare`
+reads only the CSVs.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -103,6 +111,20 @@ CONFIGS = {
 }
 
 
+def blas_threads() -> str:
+    """Threads of the OpenBLAS bundled with NumPy, as the library reports them."""
+    base = os.path.dirname(np.__file__)
+    for lib in glob.glob(os.path.join(base, "..", "numpy.libs", "*openblas*")) + glob.glob(
+        os.path.join(base, ".dylibs", "*openblas*")
+    ):
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            getter = getattr(ctypes.CDLL(lib), name, None)
+            if getter is not None:
+                return str(getter())
+    return "unknown"
+
+
 def digest(work: str, name: str, cfg: dict) -> str:
     config = os.path.join(work, f"{name}.json")
     with open(config, "w", encoding="utf-8") as fh:
@@ -165,6 +187,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = sys.argv[1] if len(sys.argv) > 1 else tmp
         os.makedirs(work, exist_ok=True)
+        print(f"# blas_threads={blas_threads()}", flush=True)
         for name, cfg in CONFIGS.items():
             print(f"{digest(work, name, cfg)}  {name}", flush=True)
 

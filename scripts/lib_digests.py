@@ -22,12 +22,14 @@ environment finds, so comparing two checkouts is one diff:
     diff old.txt new.txt
 
 Usage: python3 scripts/lib_digests.py
-It takes about 3 s with one BLAS thread (OPENBLAS_NUM_THREADS=1).
+It takes about 3 s with one BLAS thread (OPENBLAS_NUM_THREADS=1).  The
+listing starts with the `# blas_threads=<n>` line of `csv_digests.py`.
 """
 
 import hashlib
 
 import numpy as np
+from csv_digests import blas_threads
 
 from fracsource.forward import (
     duhamel_residual,
@@ -165,6 +167,7 @@ def duhamel_digests() -> None:
 
 
 def main() -> None:
+    print(f"# blas_threads={blas_threads()}", flush=True)
     ml_digests()
     interior_digests()
     rho_digests()

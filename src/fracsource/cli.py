@@ -7,6 +7,12 @@ live here.  Output files use '.' as decimal separator, '\\n' line
 endings and UTF-8, and re-running the same config reproduces them byte
 for byte.  Exit codes: 0 success, 2 config parse error, 3 validation
 error, 4 solver error (including any non-finite result).
+
+A mode loads only the solver modules it uses: `forward`, `profiles`,
+`inverse_t` and `inverse_x` are registered in sys.modules when this
+module is imported, but their code is compiled and run on first use, so
+`ml-eval` runs none of them, a rho mode no `inverse_x` and a g mode no
+`inverse_t`.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import importlib.util
 import json
 import math
 import os
@@ -21,15 +28,38 @@ import sys
 
 import numpy as np
 
-from . import forward, inverse_t, inverse_x
 from .errors import FracsourceError, ParameterError
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
 from .mlf import MLConvergenceError, ml_eval_array
-from .profiles import _sample_mesh, make_g, make_rho
 from .report import relative_l2
 from .spectral import Domain1D, SpectralField, eval_on_mesh
 
 __all__ = ["main", "run", "perturb"]
+
+
+def _on_first_use(name: str):
+    """The submodule `name` of this package, whose code runs at its first attribute access.
+
+    It is in sys.modules from now on, as an eager import would leave it, so
+    code that imports this module and then looks the solver modules up
+    there (perfbench/tracer.py wraps their functions) still finds them.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+forward = _on_first_use("forward")
+inverse_t = _on_first_use("inverse_t")
+inverse_x = _on_first_use("inverse_x")
+profiles = _on_first_use("profiles")
+
 
 class ConfigError(ValueError):
     """Invalid configuration value; carries the offending key."""
@@ -194,8 +224,8 @@ def _synthesize(cfg: dict):
     domain = _build_domain(cfg)
     grid = _build_grid(cfg)
     alpha = _build_alpha(cfg)
-    g = _build_profile(cfg, "g", "sine_bump", make_g, domain)
-    rho = _build_profile(cfg, "rho", "constant", make_rho, grid)
+    g = _build_profile(cfg, "g", "sine_bump", profiles.make_g, domain)
+    rho = _build_profile(cfg, "rho", "constant", profiles.make_rho, grid)
     return domain, grid, alpha, g, rho
 
 
@@ -214,9 +244,11 @@ def _noisy(cfg: dict, clean: np.ndarray):
 def _run_forward(cfg: dict):
     domain, grid, alpha, g, rho = _synthesize(cfg)
     x0 = _interior_point(cfg, domain)
-    u = forward.solve_inhomogeneous(forward.separated_source(g, rho), alpha, grid)
-    trace = forward.observe_point(u, x0)
-    l2 = np.linalg.norm(u.modal_values, axis=0)
+    # a result that overflowed is refused by _non_finite, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = forward.solve_inhomogeneous(forward.separated_source(g, rho), alpha, grid)
+        trace = forward.observe_point(u, x0)
+        l2 = np.linalg.norm(u.modal_values, axis=0)
     meta = {"alpha": alpha.alpha, "x0": x0, "n_steps": grid.n_steps}
     return meta, {"t": grid.nodes(), "u_x0": trace.values, "l2_norm": l2}
 
@@ -226,7 +258,9 @@ def _run_invert_rho(cfg: dict, variant: str):
     x0 = _interior_point(cfg, domain)
     # only the trace is observed: one convolution, not a solve of every mode
     c, d = forward.trace_weights(g, x0, alpha, grid)
-    observed, _, noise = _noisy(cfg, product_rule_convolve(c, d, rho_true.values))
+    with np.errstate(over="ignore", invalid="ignore"):  # _noisy refuses overflowed data
+        clean = product_rule_convolve(c, d, rho_true.values)
+    observed, _, noise = _noisy(cfg, clean)
     trace = TimeSeries(grid, observed)
     problem = inverse_t.TSourceProblem(g, x0, alpha, grid, trace, noise_level=noise["noise_level"])
     width = _num(cfg, "solver.mollify_width", 5, lo=1, integer=True)
@@ -255,7 +289,7 @@ def _run_invert_rho(cfg: dict, variant: str):
 
 def _g_columns(recovered: SpectralField, g_true: SpectralField) -> dict:
     """Recovered and true g on the mesh the profiles are sampled on."""
-    xs = _sample_mesh(g_true.domain)
+    xs = profiles._sample_mesh(g_true.domain)
     return {"x": xs, "g_rec": eval_on_mesh(recovered, xs), "g_true": eval_on_mesh(g_true, xs)}
 
 
@@ -263,7 +297,9 @@ def _run_invert_g_final(cfg: dict):
     domain, grid, alpha, g_true, rho = _synthesize(cfg)
     # u(., T) has coefficients g_n B_n; the rest of the field is never observed
     b = inverse_x.modal_responses(rho, alpha, grid, domain)
-    coeffs, noise_norm, noise = _noisy(cfg, g_true.coeffs * b)
+    with np.errstate(over="ignore"):  # _noisy refuses overflowed data
+        clean = g_true.coeffs * b
+    coeffs, noise_norm, noise = _noisy(cfg, clean)
     final = SpectralField(domain, coeffs)
     delta = _num(cfg, "solver.delta", 0.0, lo=0.0)
     mu = _num(cfg, "solver.mu", None, lo=0.0)
@@ -290,8 +326,9 @@ def _run_invert_g_interior(cfg: dict):
     if len(omega) != 2:
         raise ConfigError("omega", f"expected a pair [lo, hi], got {omega!r}")
     n_mesh = _num(cfg, "n_mesh", 257, lo=8, integer=True)
-    u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
-    clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
+    with np.errstate(over="ignore", invalid="ignore"):  # _noisy refuses overflowed data
+        u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
+        clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
     observed, _, noise = _noisy(cfg, clean)
     settings = {
         "K": _num(cfg, "solver.K", None, above=0.0),

@@ -15,6 +15,10 @@ that are linear in time and stays accurate even when lambda tau^alpha
 is of order one, where sampling the kernel on the nodes would not be.
 The weights of all modes form one (N, n) table per (domain, alpha, grid),
 which every solver indexes (one mode) or contracts (a sum over modes).
+The table takes one Mittag-Leffler call per beta for each block of rows
+spanning at most _ML_STEPS time steps (two calls at N = 64, n_steps =
+256); a row of such a call is evaluated as its own call would be, so the
+table does not depend on the block size.
 Like the solvers' set-ups, the table is memoised on the value of its
 inputs by `report._by_value`: one table is kept, and it is dropped
 before the table of new inputs is built.
@@ -49,6 +53,20 @@ __all__ = [
     "trace_weights",
     "ml_on_nodes",
 ]
+
+
+# time steps (rows x n_steps) per Mittag-Leffler call when the modes of a
+# table are evaluated together: 64 modes at n_steps 256 in one call, and a
+# call's temporaries near 128 KiB, which the allocator reuses; at twice
+# that, a call at n_steps 8192 mapped fresh pages for each temporary and
+# the table took longer than one call per mode
+_ML_STEPS = 1 << 14
+
+
+def _row_blocks(rows: int, n_steps: int):
+    """Slices of the rows, each spanning at most _ML_STEPS time steps (one row at least)."""
+    step = max(1, _ML_STEPS // n_steps)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,15 +105,16 @@ def modal_kernel_weights(
     """
     a, t, tau = alpha.alpha, grid.nodes(), grid.tau
     t_a, t_a1 = t**a, t ** (a + 1.0)
+    lam = domain.eigenvalues()
     c = np.empty((domain.n_modes, grid.n_steps))
     d = np.empty_like(c)
-    for i, lam in enumerate(domain.eigenvalues()):
+    for rows in _row_blocks(lam.size, grid.n_steps):
         # antiderivative of the kernel and its own antiderivative at the nodes
-        z = -lam * t_a
+        z = -lam[rows, None] * t_a
         k0 = t_a * ml_eval_array(a, a + 1.0, z)
         k2 = t_a1 * ml_eval_array(a, a + 2.0, z)
-        d[i] = (tau * k0[1:] - np.diff(k2)) / tau
-        c[i] = np.diff(k0) - d[i]
+        d[rows] = (tau * k0[:, 1:] - np.diff(k2, axis=1)) / tau
+        c[rows] = np.diff(k0, axis=1) - d[rows]
     return c, d
 
 
@@ -115,16 +134,19 @@ def trace_weights(
 def solve_homogeneous(
     a: SpectralField, alpha: FractionalOrder, grid: TimeGrid
 ) -> EvolutionField:
-    """Solution with initial datum a and no source, mode by mode.
+    """Solution with initial datum a and no source.
 
     modal_values(n, k) = E_{alpha,1}(-lambda_n t_k^alpha) (a, phi_n); there
-    is no time-stepping error, only Mittag-Leffler evaluation error.
+    is no time-stepping error, only Mittag-Leffler evaluation error.  The
+    nonzero modes are evaluated like the kernel table, in blocks of rows.
     """
     t_a = grid.nodes() ** alpha.alpha
     lam = a.domain.eigenvalues()
     modal = np.zeros((a.domain.n_modes, grid.n_steps + 1))
-    for i in np.flatnonzero(a.coeffs):
-        modal[i] = a.coeffs[i] * ml_eval_array(alpha.alpha, 1.0, -lam[i] * t_a)
+    live = np.flatnonzero(a.coeffs)
+    for rows in _row_blocks(live.size, grid.n_steps):
+        i = live[rows]
+        modal[i] = a.coeffs[i, None] * ml_eval_array(alpha.alpha, 1.0, -lam[i, None] * t_a)
     return EvolutionField(a.domain, grid, modal)
 
 

@@ -2,15 +2,18 @@
 
 E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) for every order 0 < a < 2, b > 0,
 evaluated on whole arrays by `ml_eval_array` (`ml_eval` is its one-element
-form).  With the cancellation scale x = |z|^(1/a), each value comes from
-the first of
+form).  Each row of an argument of two or more dimensions is evaluated as
+its own call would be, bit for bit: a kernel table of many modes is one
+call per beta.  With the cancellation scale x = |z|^(1/a), each value
+comes from the first of
 
 * z = 0: 1/Gamma(b); 0 < z <= 1: the compensated power series, which for
   a >= 1 or b > 3 is tried at z < 0 too, where at most one digit cancels,
 * the asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k) at envelope-based
-  optimal truncation, by Horner's rule over sorted blocks of arguments,
-  plus for a >= 1 the residues at the poles s = x e^(+-i pi/a), where it
-  meets its target (for a < 1 from x = 35 on),
+  optimal truncation per sorted block of a row's arguments, summed by one
+  Horner loop over a group of blocks of any rows, plus for a >= 1 the
+  residues at the poles s = x e^(+-i pi/a), where it meets its target
+  (for a < 1 from x = 35 on),
 * for b > 3, the recurrence E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z,
 * the trapezoid rule for the inverse Laplace transform of s^(a-b)/(s^a - z)
   on the parabola s(u) = mu (1 + iu)^2 (Garrappa, SIAM J. Numer. Anal.
@@ -73,6 +76,12 @@ _POLE_MARGIN = 0.5
 _CONTOUR_MAX_ETA = 1e150
 # arguments per block: the (block, 32 nodes) float temporaries stay at 512 KiB
 _BLOCK = 2048
+# sorted asymptotic arguments summed at once: whole blocks, until a group
+# spans _GROUP_POINTS points or holds _GROUP_BLOCKS blocks, so its
+# point-sized temporaries stay near 80 KiB and its (blocks, terms) ones
+# near 1.6 MiB whatever the length of the call
+_GROUP_POINTS = 8192
+_GROUP_BLOCKS = 512
 
 
 class MLConvergenceError(ArithmeticError):
@@ -94,13 +103,11 @@ class MLParams:
 
 
 def _rgamma(x: float) -> float:
-    """1 / Gamma(x) for real x, with zeros at the poles x = 0, -1, -2, ..."""
+    """1 / Gamma(x) for real x off the poles x = 0, -1, -2, ... (callers snap those)."""
     if x > 0.0:
         if x > 171.0:
             return 0.0  # Gamma overflows; reciprocal underflows
         return 1.0 / math.gamma(x)
-    if x == math.floor(x):
-        return 0.0
     # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
     log_mag = math.lgamma(1.0 - x)
     s = math.sin(math.pi * x)
@@ -197,24 +204,25 @@ def _envelope(e):
     return np.where(e < 700.0, np.exp(np.minimum(e, 700.0)), math.inf)
 
 
-def _truncation(log_env: np.ndarray, log_eta: float) -> tuple[int, int]:
-    """Optimal truncation of the expansion at one eta.
+def _truncation(log_env: np.ndarray, log_eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal truncation of the expansion at each eta of an array.
 
-    Returns (index of the last kept term, index of the term whose envelope
-    estimates the error), both 0-based.  The envelope is scanned until it
-    rises tenfold above its running minimum or falls below 1e-25 times the
-    leading term's, and the terms up to its first global minimum are kept:
-    the reflection formula makes |Gamma(beta - alpha*k)| oscillate, so the
-    first local increase is not the optimum.  The error term is the next
-    envelope scanned, or the minimum itself when the scan ended there.
+    Returns, per eta, (index of the last kept term, index of the term whose
+    envelope estimates the error), both 0-based.  The envelope is scanned
+    until it rises tenfold above its running minimum or falls below 1e-25
+    times the leading term's, and the terms up to its first global minimum
+    are kept: the reflection formula makes |Gamma(beta - alpha*k)|
+    oscillate, so the first local increase is not the optimum.  The error
+    term is the next envelope scanned, or the minimum itself when the scan
+    ended there.
     """
-    e = log_env - np.arange(1, log_env.size + 1) * log_eta
+    e = log_env - np.arange(1, log_env.size + 1) * log_eta[:, None]
     env = _envelope(e)
     # the floor is compared in logarithms: near eta = 1e300 envelopes underflow
-    stops = np.flatnonzero((env > 10.0 * np.minimum.accumulate(env)) | (e < e[0] + _LOG_FLOOR))
-    n = int(stops[0]) + 1 if stops.size else env.size
-    best = int(np.argmin(env[:n]))
-    return best, best + 1 if best + 1 < n else best
+    stop = (env > 10.0 * np.minimum.accumulate(env, axis=1)) | (e < e[:, :1] + _LOG_FLOOR)
+    n = np.where(stop.any(axis=1), stop.argmax(axis=1) + 1, env.shape[1])
+    best = np.where(np.arange(env.shape[1]) < n[:, None], env, math.inf).argmin(axis=1)
+    return best, np.where(best + 1 < n, best + 1, best)
 
 
 def _pole_terms(alpha: float, beta: float, x: np.ndarray, weight: float):
@@ -229,14 +237,46 @@ def _pole_terms(alpha: float, beta: float, x: np.ndarray, weight: float):
     return size * np.cos(x * math.sin(ang) + (1.0 - beta) * ang), size
 
 
-def _asymptotic_array(alpha: float, beta: float, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expansion(
+    c: np.ndarray, log_env: np.ndarray, eta: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The algebraic terms at ascending eta cut into blocks at `starts`: (values, error estimates).
+
+    Each block is truncated where the scan puts the optimum for its
+    smallest eta.  A larger eta shrinks every term, so the kept terms stay
+    accurate for the whole block; each point's error estimate is the
+    envelope of its own first omitted term.  One Horner loop in 1/eta sums
+    every block: it runs from the highest kept term down, over the points
+    whose block keeps that term, each starting from its own last kept term
+    as `np.polyval` would.
+    """
+    sizes = np.diff(np.append(starts, eta.size))
+    log_e = np.log(eta)
+    best, last = _truncation(log_env, log_e[starts])
+    err = _envelope(np.repeat(log_env[last], sizes) - np.repeat(last + 1.0, sizes) * log_e)
+    kept = np.repeat(best, sizes)
+    # points that keep more terms first, so those that keep term k lead
+    point = np.argsort(-kept, kind="stable")
+    reach = np.cumsum(np.bincount(kept, minlength=c.size)[::-1])[::-1]
+    w = 1.0 / eta[point]
+    y = np.zeros(w.size)
+    for k in range(int(best.max(initial=-1)), -1, -1):
+        y[: reach[k]] *= w[: reach[k]]
+        y[: reach[k]] += c[k]
+    val = np.empty(eta.size)
+    val[point] = y * w
+    return val, err
+
+
+def _asymptotic_array(
+    alpha: float, beta: float, eta: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Algebraic expansion at every eta = -z > 0, at optimal truncation.
 
-    Returns (values, absolute error estimates).  The arguments are sorted
-    and summed by Horner's rule in 1/eta in blocks, each truncated where the
-    scan puts the optimum for its smallest eta.  A larger eta shrinks every
-    term, so the kept terms stay accurate for the whole block; each point's
-    error estimate is the envelope of its own first omitted term.
+    Returns (values, absolute error estimates).  The arguments of each row,
+    row r being eta[bounds[r]:bounds[r + 1]], are sorted and cut into
+    blocks of up to _BLOCK, which `_expansion` truncates and sums a group
+    of blocks at a time.
 
     For alpha >= 1 the exponentially damped pole terms are added explicitly,
     since near alpha = 2 they decay too slowly to ignore; at alpha = 1 the
@@ -245,22 +285,31 @@ def _asymptotic_array(alpha: float, beta: float, eta: np.ndarray) -> tuple[np.nd
     alpha = 1 the algebraic terms nearly vanish), so the estimate adds it.
     """
     c, log_env = _asymptotic_coeffs(alpha, beta)
-    order = np.argsort(eta)
+    bounds = bounds.tolist()
+    rows = list(zip(bounds[:-1], bounds[1:]))
+    order = np.empty(eta.size, dtype=np.intp)
+    for lo, hi in rows:
+        order[lo:hi] = np.argsort(eta[lo:hi])
+        order[lo:hi] += lo
     ascending = eta[order]
+    starts, groups = [], []  # the first block of each group
+    for lo, hi in rows:
+        while lo < hi:
+            if not (groups and len(starts) - groups[-1] < _GROUP_BLOCKS
+                    and lo - starts[groups[-1]] < _GROUP_POINTS):
+                groups.append(len(starts))
+            starts.append(lo)
+            # for alpha >= 1 the expansion is tried down to x -> 0, where the
+            # optimum moves fast: a block there spans one octave of x at most
+            top = ascending[lo] * 2.0**alpha
+            octave = hi if alpha < 1.0 else lo + np.searchsorted(ascending[lo:hi], top, "right")
+            lo = min(lo + _BLOCK, int(octave))
+    starts = np.array(starts + [eta.size], dtype=np.intp)
     val, err = np.empty(eta.shape), np.empty(eta.shape)
-    lo = 0
-    while lo < eta.size:
-        # for alpha >= 1 the expansion is tried down to x -> 0, where the
-        # optimum moves fast: a block there spans one octave of x at most
-        octave = eta.size if alpha < 1.0 else np.searchsorted(ascending, ascending[lo] * 2.0**alpha, "right")
-        idx = order[lo : min(lo + _BLOCK, int(octave))]
-        lo += idx.size
-        e = eta[idx]
-        log_e = np.log(e)
-        best, last = _truncation(log_env, float(log_e[0]))
-        w = 1.0 / e
-        val[idx] = np.polyval(c[best::-1], w) * w
-        err[idx] = _envelope(log_env[last] - (last + 1) * log_e)
+    for first, end in zip(groups, groups[1:] + [starts.size - 1]):
+        lo, hi = starts[first], starts[end]
+        idx = order[lo:hi]
+        val[idx], err[idx] = _expansion(c, log_env, ascending[lo:hi], starts[first:end] - lo)
     if alpha >= 1.0:
         poles, size = _pole_terms(alpha, beta, eta ** (1.0 / alpha), 1.0 if alpha == 1.0 else 2.0)
         val, err = val + poles, err + size if alpha > 1.0 else err
@@ -340,8 +389,15 @@ def _contour_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
     """E_{alpha,beta}(z) elementwise for real z <= 0 (z <= 1 is tolerated).
 
-    Returns a float array of the shape of z.  Raises ValueError for an
-    order pair outside MLParams' range or a non-finite or too large z.
+    Returns a float array of the shape of z.  Each row along the last axis
+    of an argument of two or more dimensions is evaluated as its own call
+    would be, bit for bit.  Each row is sorted and cut into blocks in a
+    Python loop, and each block gets a truncation scan of its own, so many
+    short rows cost far more per value than their flat form: at (0.5, 1.5)
+    an (M, 1) argument takes about 20 us per row on one core of an Intel
+    Xeon, one flat row of M arguments 0.15 us per value.  Raises ValueError
+    for an order pair outside MLParams' range or a non-finite or too
+    large z.
     """
     MLParams(alpha, beta)
     z = np.asarray(z, dtype=float)
@@ -352,6 +408,12 @@ def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
     flat = z.ravel()
     if alpha == 1.0 and beta == 1.0:
         return np.exp(flat).reshape(z.shape)
+    width = z.shape[-1] if z.ndim > 1 else flat.size
+    return _eval(alpha, beta, flat, np.arange(0, flat.size + 1, max(width, 1))).reshape(z.shape)
+
+
+def _eval(alpha: float, beta: float, flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """`ml_eval_array` at a flat argument whose row r is flat[bounds[r]:bounds[r + 1]]."""
     out = np.full(flat.shape, _rgamma(beta))
     todo = flat != 0.0
     # the series serves 0 < z <= 1, and z < 0 outside the solvers' orders
@@ -361,12 +423,14 @@ def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
         ok = (flat[idx] > 0.0) | (biggest / _SERIES_MAX_CANCEL <= np.abs(val))
         out[idx[ok]], todo[idx[ok]] = val[ok], False
     far = np.flatnonzero(todo & ((flat <= -(_ASYMPTOTIC_MIN_X**alpha)) | (alpha >= 1.0)))
-    val, err = _asymptotic_array(alpha, beta, -flat[far])
+    # the bounds of a subset's rows are the counts of its indices below each bound
+    val, err = _asymptotic_array(alpha, beta, -flat[far], np.searchsorted(far, bounds))
     ok = err <= _ASYMPTOTIC_REL_TOL * np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 - flat[far]))
     out[far[ok]], todo[far[ok]] = val[ok], False
     zr = flat[todo]
     if zr.size and beta > _CONTOUR_MAX_BETA:
-        out[todo] = (ml_eval_array(alpha, beta - alpha, zr) - _rgamma(beta - alpha)) / zr
+        rows = np.searchsorted(np.flatnonzero(todo), bounds)
+        out[todo] = (_eval(alpha, beta - alpha, zr, rows) - _rgamma(beta - alpha)) / zr
     elif zr.size:
         if -zr.min() > _CONTOUR_MAX_ETA:
             raise MLConvergenceError(
@@ -374,7 +438,7 @@ def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
                 f"at z = {float(zr.min())}"
             )
         out[todo] = _contour_array(alpha, beta, zr)
-    return out.reshape(z.shape)
+    return out
 
 
 def ml_eval(p: MLParams, z: float) -> float:

@@ -480,8 +480,6 @@ def test_exit_code_final_fit_overflow(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
-# the synthesis overflows on the way to the check, so numpy warns
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "mode",
     ["invert-rho-volterra", "invert-rho-fixedpoint", "invert-g-final", "invert-g-interior"],
@@ -495,6 +493,75 @@ def test_exit_code_synthesized_data_overflow(tmp_path, capsys, mode):
     assert run(write_cfg(tmp_path, "big.json", cfg)) == 4
     assert "synthesized data are not finite" in capsys.readouterr().err
     assert not (tmp_path / "big.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mode",
+    ["forward", "invert-rho-volterra", "invert-rho-fixedpoint", "invert-g-final",
+     "invert-g-interior"],
+)
+def test_overflowing_synthesis_exits_4_without_warnings(tmp_path, mode):
+    # the clean data overflow; the CLI refuses them with one message, and
+    # numpy's overflow and invalid-value warnings stay off stderr
+    import warnings
+
+    cfg = {"mode": mode, "alpha": 0.5, "N": 16, "n_steps": 32, "omega": [0.1, 0.35],
+           "g": {"profile": "hat", "params": {"amplitude": 1e300}},
+           "rho": {"profile": "constant", "params": {"value": 1e300}}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(write_cfg(tmp_path, "big.json", cfg)) == 4
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+# run in a fresh interpreter: one config through the CLI, then the names of
+# the fracsource modules whose code ran, from the interpreter's exec events
+MODULES_RUN = """
+import os, sys
+ran = set()
+
+def hook(event, args):
+    name = getattr(args[0], "co_filename", "") if event == "exec" else ""
+    if os.sep + "fracsource" + os.sep in name:
+        ran.add(os.path.splitext(os.path.basename(name))[0])
+
+sys.addaudithook(hook)
+from fracsource.cli import main
+assert main([sys.argv[1]]) == 0
+print(" ".join(sorted(ran)))
+"""
+
+
+@pytest.mark.parametrize(
+    "cfg, needed, unused",
+    [
+        ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [-1.0]}},
+         {"cli", "mlf"}, {"forward", "profiles", "inverse_t", "inverse_x"}),
+        ({"mode": "invert-rho-volterra", "alpha": 0.5, "N": 4, "n_steps": 8},
+         {"forward", "profiles", "inverse_t"}, {"inverse_x"}),
+        ({"mode": "invert-g-final", "alpha": 0.5, "N": 4, "n_steps": 8},
+         {"forward", "profiles", "inverse_x"}, {"inverse_t"}),
+    ],
+    ids=["ml-eval", "rho", "g"],
+)
+def test_a_mode_loads_only_its_solver(tmp_path, cfg, needed, unused):
+    import os
+    import subprocess
+    import sys
+
+    import fracsource
+
+    src = os.path.dirname(os.path.dirname(fracsource.__file__))
+    res = subprocess.run(
+        [sys.executable, "-c", MODULES_RUN, write_cfg(tmp_path, "m.json", cfg)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    ran = set(res.stdout.splitlines()[-1].split())
+    assert needed <= ran and not unused & ran, ran
 
 
 def test_write_result_float_columns_match_per_value_format(tmp_path):

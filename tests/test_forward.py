@@ -112,6 +112,10 @@ def per_mode_weights(lam, alpha, grid):
         (DOM, 0.5, TimeGrid(1.0, 64)),
         (Domain1D(2.5, 5), 0.15, TimeGrid(0.3, 17)),
         (Domain1D(1.0, 33), 0.93, TimeGrid(2.0, 256)),
+        (Domain1D(1.0, 32), 0.5, TimeGrid(1.0, 64)),
+        (Domain1D(1.0, 64), 0.5, TimeGrid(1.0, 256)),
+        # four rows per Mittag-Leffler call, two truncation blocks per row
+        (Domain1D(1.0, 64), 0.5, TimeGrid(1.0, 4096)),
     ],
 )
 def test_kernel_table_rows_are_the_per_mode_weights(dom, alpha, grid):
@@ -139,6 +143,32 @@ def test_one_kernel_table_is_kept():
     modal_kernel_weights.cache_clear()
     gc.collect()
     assert second() is None
+
+
+@pytest.mark.parametrize("n_modes,n_steps", [(32, 64), (64, 256), (64, 4096)])
+def test_homogeneous_solve_is_the_per_mode_loop(n_modes, n_steps):
+    dom, grid, alpha = Domain1D(1.0, n_modes), TimeGrid(1.0, n_steps), 0.5
+    coeffs = np.where(np.arange(n_modes) % 3 == 1, 0.0, 1.0 / np.arange(1.0, n_modes + 1))
+    modal = solve_homogeneous(SpectralField(dom, coeffs), FractionalOrder(alpha), grid).modal_values
+    for i, lam in enumerate(dom.eigenvalues()):
+        one = coeffs[i] * ml_on_nodes(alpha, 1.0, lam, grid.nodes()) if coeffs[i] else 0.0
+        assert np.array_equal(modal[i], np.broadcast_to(one, modal[i].shape)), i
+
+
+def test_a_table_at_the_readme_defaults_is_two_calls(monkeypatch):
+    import fracsource.forward as forward
+
+    calls = []
+    original = forward.ml_eval_array
+
+    def counting(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(forward, "ml_eval_array", counting)
+    modal_kernel_weights.cache_clear()
+    modal_kernel_weights(Domain1D(1.0, 64), FractionalOrder(0.5), TimeGrid(1.0, 256))
+    assert calls == [(0.5, 1.5), (0.5, 2.5)]
 
 
 def test_duhamel_zero_rho():

@@ -118,7 +118,8 @@ def test_evaluation_regimes_agree_on_overlap():
             z = -(x**a)
             fixed = mlf._contour(a, b, mlf._CONTOUR_MU, mlf._CONTOUR_H, mlf._CONTOUR_NODES)
             contour = float(mlf._contour_eval(fixed, np.array([z]))[0])
-            asym, err = (float(v[0]) for v in mlf._asymptotic_array(a, b, np.array([-z])))
+            one_row = mlf._asymptotic_array(a, b, np.array([-z]), np.array([0, 1]))
+            asym, err = (float(v[0]) for v in one_row)
             assert err <= 1e-9 * abs(contour)
             assert asym == pytest.approx(contour, rel=1e-9)
 
@@ -323,3 +324,71 @@ def test_asymptotic_route_just_above_alpha_one(a):
     z = -(34.0**a)
     ref = float(ml_reference.ml_series(a, 1.0, z))
     assert abs(ml_eval(MLParams(a, 1.0), z) - ref) <= 1e-13 * abs(ref) + 1e-16
+
+
+def regime_rows(width: int = 2500) -> np.ndarray:
+    """Rows of arguments that, at the orders below, reach every route of the evaluator."""
+    rng = np.random.default_rng(31)
+    logs = -np.logspace(-3.0, 4.0, width)
+    return np.stack(
+        (
+            np.resize([0.0, 0.25, 1.0, -0.5, -2.0], width),  # z = 0 and 0 < z <= 1
+            logs,  # every band, sorted
+            rng.permutation(logs),  # and unsorted
+            -np.logspace(0.8, 6.0, width),  # more than 2048 far arguments: two blocks
+            np.resize([-40.0, -40.0, -3e3], width),  # ties across the edge of a block
+            -rng.uniform(0.0, 60.0, width),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "a, b, routes",
+    [
+        (0.5, 1.0, {"series", "asymptotic", "contour"}),
+        (0.9, 0.9, {"series", "asymptotic", "contour"}),
+        (1.0, 0.5, {"series", "asymptotic", "poles", "contour"}),
+        # 1 < alpha < 2: octave blocks and the contour that follows the poles
+        (1.5, 1.0, {"series", "asymptotic", "poles", "contour"}),
+        (1.9, 1.2, {"series", "asymptotic", "poles", "contour"}),
+        (0.9, 10.0, {"series", "asymptotic", "recurrence", "contour"}),
+    ],
+)
+def test_rows_of_a_2d_argument_equal_their_own_calls(monkeypatch, a, b, routes):
+    import fracsource.mlf as mlf
+
+    reached = set()
+
+    def spy(name, fn):
+        def wrapped(*args):
+            reached.add(name)
+            return fn(*args)
+
+        monkeypatch.setattr(mlf, fn.__name__, wrapped)
+
+    for name, fn in [
+        ("series", mlf._series_double),
+        ("asymptotic", mlf._asymptotic_array),
+        ("poles", mlf._pole_terms),
+        ("contour", mlf._contour_array),
+    ]:
+        spy(name, fn)
+    evaluate = mlf._eval
+
+    def recurring(alpha, beta, *args):
+        if beta != b:
+            reached.add("recurrence")
+        return evaluate(alpha, beta, *args)
+
+    monkeypatch.setattr(mlf, "_eval", recurring)
+    z = regime_rows()
+    whole = ml_eval_array(a, b, z)
+    assert routes <= reached
+    for i, row in enumerate(z):
+        assert np.array_equal(whole[i], ml_eval_array(a, b, row)), (a, b, i)
+    # short rows, in groups of at most 16 blocks
+    monkeypatch.setattr(mlf, "_GROUP_BLOCKS", 16)
+    short = z[:, :2400].reshape(600, 24)
+    whole = ml_eval_array(a, b, short)
+    for i, row in enumerate(short):
+        assert np.array_equal(whole[i], ml_eval_array(a, b, row)), (a, b, i)
