@@ -6,6 +6,10 @@ g, x0 = 0.3, sine rho, T = 1, clean data) it prints:
 
 * the set-up time: the kernel-weight table and the trace u(x0, .),
   synthesised as one product-rule convolution with the trace weights;
+* the kernel-weight table alone, built cold in a fresh interpreter (the
+  median of TABLE_RUNS children): its wall time and the minor page faults
+  it took (`resource.getrusage`), which count the fresh memory its
+  temporaries touched;
 * the wall time of `solve_volterra` on the warm table: cold, the first
   call, which builds the rho set-up (g(x0), the Volterra weights and the
   spectrum of the discrete resolvent), and warm, a second call on the
@@ -60,6 +64,29 @@ PEAK_OF_CHILD = (
     " stdout=subprocess.DEVNULL)\n"
     "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
 )
+# builds the table of argv[1] steps (N = 64, alpha = 0.5) after the imports
+# and prints its wall time in seconds and the minor page faults it took
+TABLE_IN_CHILD = (
+    "import resource, sys, time\n"
+    "from fracsource.forward import modal_kernel_weights\n"
+    "from fracsource.fracops import FractionalOrder, TimeGrid\n"
+    "from fracsource.spectral import Domain1D\n"
+    "args = Domain1D(1.0, 64), FractionalOrder(0.5), TimeGrid(1.0, int(sys.argv[1]))\n"
+    "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+    "t0 = time.perf_counter()\n"
+    "modal_kernel_weights(*args)\n"
+    "t = time.perf_counter() - t0\n"
+    "print(t, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)\n"
+)
+TABLE_RUNS = 5
+
+
+def table_cold(n_steps: int) -> tuple[float, int]:
+    """Median wall time and minor page faults of a cold kernel-weight table over TABLE_RUNS children."""
+    runs = [subprocess.run([sys.executable, "-c", TABLE_IN_CHILD, str(n_steps)], check=True,
+                           capture_output=True, text=True).stdout.split() for _ in range(TABLE_RUNS)]
+    times, faults = sorted(float(r[0]) for r in runs), sorted(int(r[1]) for r in runs)
+    return times[TABLE_RUNS // 2], faults[TABLE_RUNS // 2]
 
 
 def sweep_peak_mib() -> float:
@@ -83,11 +110,13 @@ def main() -> None:
     g = make_g(dom, "sine_bump")
     ones = SpectralField(dom, np.ones(dom.n_modes))
     print(
-        f"{'n_steps':>8} {'set-up s':>9} {'cold s':>9} {'warm s':>9} {'rel. error':>11}"
+        f"{'n_steps':>8} {'set-up s':>9} {'table s':>8} {'faults':>7}"
+        f" {'cold s':>9} {'warm s':>9} {'rel. error':>11}"
         f" {'residual':>10}"
         f" {'fp cold s':>10} {'fp warm s':>10} {'fp error':>10} {'inhom s':>9} {'peak MiB':>9}"
     )
     for n in (256, 2048, 8192, 32768):
+        table, faults = table_cold(n)
         grid = TimeGrid(1.0, n)
         rho = make_rho(grid, "sine")
         t0 = time.perf_counter()
@@ -113,7 +142,8 @@ def main() -> None:
         inhom = time.perf_counter() - t0
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         print(
-            f"{n:>8} {setup:9.3f} {solve[0]:9.4f} {solve[1]:9.4f} {err:11.3e}"
+            f"{n:>8} {setup:9.3f} {table:8.4f} {faults:7d}"
+            f" {solve[0]:9.4f} {solve[1]:9.4f} {err:11.3e}"
             f" {rep.residual_history[0]:10.2e}"
             f" {fp[0]:10.4f} {fp[1]:10.4f} {fp_err:10.3e} {inhom:9.4f} {peak:9.1f}"
         )

@@ -99,9 +99,10 @@ def write_result(path: str, metadata: dict, columns: dict) -> None:
         names = list(columns)
         arrays = [np.atleast_1d(np.asarray(columns[n])) for n in names]
         lines.append(",".join(names))
-        # tolist() yields Python scalars, so no value is indexed as a numpy scalar
-        for row in zip(*(a.tolist() for a in arrays)):
-            lines.append(",".join(_fmt(v) for v in row))
+        # one %-format per row, whose cells are those of _fmt: "%.17g" % x is
+        # format(x, ".17g") for every float; tolist() yields Python scalars
+        row = ",".join("%.17g" if a.dtype.kind == "f" else "%s" for a in arrays)
+        lines += [row % cells for cells in zip(*(a.tolist() for a in arrays))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

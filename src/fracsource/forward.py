@@ -15,10 +15,11 @@ that are linear in time and stays accurate even when lambda tau^alpha
 is of order one, where sampling the kernel on the nodes would not be.
 The weights of all modes form one (N, n) table per (domain, alpha, grid),
 which every solver indexes (one mode) or contracts (a sum over modes).
-The table takes one Mittag-Leffler call per beta for each block of rows
-spanning at most _ML_STEPS time steps (two calls at N = 64, n_steps =
-256); a row of such a call is evaluated as its own call would be, so the
-table does not depend on the block size.
+The table takes one Mittag-Leffler call for both betas for each block of
+rows spanning at most _ML_STEPS time steps (one call at N = 64, n_steps =
+256, eight at 2048); the rows ascend in lambda t^alpha, so the call needs
+no sort, and each row is evaluated as its own one-beta call would be, so
+the table does not depend on the block size.
 Like the solvers' set-ups, the table is memoised on the value of its
 inputs by `report._by_value`: one table is kept, and it is dropped
 before the table of new inputs is built.
@@ -38,7 +39,7 @@ from .fracops import (
     _interval_moments,
     product_rule_convolve,
 )
-from .mlf import ml_eval_array
+from .mlf import _ML_STEPS, _ml_eval_betas, ml_eval_array
 from .report import _by_value
 from .spectral import Domain1D, SpectralField
 
@@ -53,14 +54,6 @@ __all__ = [
     "trace_weights",
     "ml_on_nodes",
 ]
-
-
-# time steps (rows x n_steps) per Mittag-Leffler call when the modes of a
-# table are evaluated together: 64 modes at n_steps 256 in one call, and a
-# call's temporaries near 128 KiB, which the allocator reuses; at twice
-# that, a call at n_steps 8192 mapped fresh pages for each temporary and
-# the table took longer than one call per mode
-_ML_STEPS = 1 << 14
 
 
 def _row_blocks(rows: int, n_steps: int):
@@ -110,9 +103,9 @@ def modal_kernel_weights(
     d = np.empty_like(c)
     for rows in _row_blocks(lam.size, grid.n_steps):
         # antiderivative of the kernel and its own antiderivative at the nodes
-        z = -lam[rows, None] * t_a
-        k0 = t_a * ml_eval_array(a, a + 1.0, z)
-        k2 = t_a1 * ml_eval_array(a, a + 2.0, z)
+        k0, k2 = _ml_eval_betas(a, (a + 1.0, a + 2.0), -lam[rows, None] * t_a)
+        k0 *= t_a
+        k2 *= t_a1
         d[rows] = (tau * k0[:, 1:] - np.diff(k2, axis=1)) / tau
         c[rows] = np.diff(k0, axis=1) - d[rows]
     return c, d

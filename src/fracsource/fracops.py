@@ -46,10 +46,16 @@ class FractionalOrder:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
-def _count(name: str, value, least: int) -> int:
-    """value as a Python int; a count is an int or NumPy integer, not a bool, and at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _count(name: str, value, least: int | None = None, most: int | None = None, error=ValueError) -> int:
+    """value as a Python int; a count is an int or NumPy integer, not a bool, in [least, most].
+
+    Any other value raises error(message); the message names `name` and
+    whichever bounds are given.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least) or (most is not None and value > most)):
+        bound = f" in [{least}, {most}]" if most is not None else "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .fracops import (
     FractionalOrder,
     TimeGrid,
     TimeSeries,
+    _count,
     _l1_derivative,
     _spectrum,
     _truncated_inverse,
@@ -114,8 +116,7 @@ def mollify(f: TimeSeries, width: int) -> TimeSeries:
 
 def _observed_trace(problem: TSourceProblem, mollify_width: int) -> TimeSeries:
     """The trace the solvers differentiate: premollified when the problem is noisy."""
-    if isinstance(mollify_width, bool) or not isinstance(mollify_width, (int, np.integer)):
-        raise ParameterError("mollify_width", f"mollify_width must be an integer, got {mollify_width!r}")
+    _count("mollify_width", mollify_width, error=partial(ParameterError, "mollify_width"))
     if problem.noise_level == 0.0:
         return problem.trace
     if mollify_width // 2 >= problem.grid.n_steps:
@@ -308,8 +309,7 @@ def fixed_point_iterate(
     three rises in a row raise DivergenceError, and an update of at most
     `tol` ends the run, checked in that order at every sweep.
     """
-    if isinstance(m_max, bool) or not isinstance(m_max, (int, np.integer)) or m_max < 1:
-        raise ParameterError("m_max", f"m_max must be an integer >= 1, got {m_max!r}")
+    _count("m_max", m_max, 1, error=partial(ParameterError, "m_max"))
     if not tol >= 0.0:  # NaN fails too
         raise ParameterError("tol", f"tol must be >= 0, got {tol}")
     if truth is not None and truth.grid != problem.grid:

@@ -2,18 +2,21 @@
 
 E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) for every order 0 < a < 2, b > 0,
 evaluated on whole arrays by `ml_eval_array` (`ml_eval` is its one-element
-form).  Each row of an argument of two or more dimensions is evaluated as
-its own call would be, bit for bit: a kernel table of many modes is one
-call per beta.  With the cancellation scale x = |z|^(1/a), each value
-comes from the first of
+form), which is the one-beta case of `_ml_eval_betas`.  Each row of an
+argument of two or more dimensions is evaluated as its own call would be,
+bit for bit.  A kernel table's rows ascend strictly in -z, so they are cut
+into blocks where they lie, with no sort, gather or scatter, and the
+argument side (the split of z, log(-z), 1/(-z) and the blocks) serves every
+beta of a call: a block of table rows is one call for both betas.  With
+the cancellation scale x = |z|^(1/a), each value comes from the first of
 
 * z = 0: 1/Gamma(b); 0 < z <= 1: the compensated power series, which for
   a >= 1 or b > 3 is tried at z < 0 too, where at most one digit cancels,
 * the asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k) at envelope-based
-  optimal truncation per sorted block of a row's arguments, summed by one
-  Horner loop over a group of blocks of any rows, plus for a >= 1 the
-  residues at the poles s = x e^(+-i pi/a), where it meets its target
-  (for a < 1 from x = 35 on),
+  optimal truncation per block of a row's arguments in ascending -z,
+  summed by one Horner loop over a group of blocks of any rows, plus for
+  a >= 1 the residues at the poles s = x e^(+-i pi/a), where it meets its
+  target (for a < 1 from x = 35 on),
 * for b > 3, the recurrence E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z,
 * the trapezoid rule for the inverse Laplace transform of s^(a-b)/(s^a - z)
   on the parabola s(u) = mu (1 + iu)^2 (Garrappa, SIAM J. Numer. Anal.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +65,10 @@ _ASYMPTOTIC_REL_TOL = 1e-13
 _ASYMPTOTIC_MAX_TERMS = 399
 # the truncation scan stops at terms below 1e-25 times the leading one
 _LOG_FLOOR = math.log(1e-25)
+# terms the truncation scan looks at first; all of them only where a scan
+# has not ended by then (near the expansion's smallest eta at alpha < 0.6
+# and beta <= 1, or alpha < 0.06)
+_SCAN_TERMS = 128
 # parabolic contour s(u) = mu (1 + iu)^2 sampled at u = 0, h, ..., (n-1) h;
 # with mu fixed, e^s s^(-beta) cancels too much beyond beta = 3 (rel. error
 # 7e-13 at beta = 3.5 against 7e-14 at 3).  h = 0.15 with the singularities
@@ -76,11 +84,14 @@ _POLE_MARGIN = 0.5
 _CONTOUR_MAX_ETA = 1e150
 # arguments per block: the (block, 32 nodes) float temporaries stay at 512 KiB
 _BLOCK = 2048
-# sorted asymptotic arguments summed at once: whole blocks, until a group
-# spans _GROUP_POINTS points or holds _GROUP_BLOCKS blocks, so its
-# point-sized temporaries stay near 80 KiB and its (blocks, terms) ones
-# near 1.6 MiB whatever the length of the call
-_GROUP_POINTS = 8192
+# sorted asymptotic arguments summed at once: whole blocks, a group of
+# them starting within _ML_STEPS points and holding at most _GROUP_BLOCKS,
+# so its point-sized temporaries stay near 128 KiB and its (blocks, terms)
+# ones at most 1.6 MiB whatever the length of the call.  `forward` hands
+# its tables over in row blocks of as many points: at twice that, a table
+# at n_steps 8192 took longer than one call per mode, its temporaries
+# mapped fresh each time
+_ML_STEPS = 1 << 14
 _GROUP_BLOCKS = 512
 
 
@@ -214,14 +225,19 @@ def _truncation(log_env: np.ndarray, log_eta: np.ndarray) -> tuple[np.ndarray, n
     are kept: the reflection formula makes |Gamma(beta - alpha*k)|
     oscillate, so the first local increase is not the optimum.  The error
     term is the next envelope scanned, or the minimum itself when the scan
-    ended there.
+    ended there.  The scan looks at the first _SCAN_TERMS terms, and at
+    all of them only if some scan has not ended there.
     """
-    e = log_env - np.arange(1, log_env.size + 1) * log_eta[:, None]
-    env = _envelope(e)
-    # the floor is compared in logarithms: near eta = 1e300 envelopes underflow
-    stop = (env > 10.0 * np.minimum.accumulate(env, axis=1)) | (e < e[:, :1] + _LOG_FLOOR)
-    n = np.where(stop.any(axis=1), stop.argmax(axis=1) + 1, env.shape[1])
-    best = np.where(np.arange(env.shape[1]) < n[:, None], env, math.inf).argmin(axis=1)
+    for width in (min(_SCAN_TERMS, log_env.size), log_env.size):
+        e = log_env[:width] - np.arange(1, width + 1) * log_eta[:, None]
+        # the floor is compared in logarithms: near eta = 1e300 envelopes underflow
+        env = _envelope(e)
+        stop = (env > 10.0 * np.minimum.accumulate(env, axis=1)) | (e < e[:, :1] + _LOG_FLOOR)
+        ended = stop.any(axis=1)
+        if ended.all():
+            break
+    n = np.where(ended, stop.argmax(axis=1) + 1, width)
+    best = np.where(np.arange(width) < n[:, None], env, math.inf).argmin(axis=1)
     return best, np.where(best + 1 < n, best + 1, best)
 
 
@@ -237,10 +253,54 @@ def _pole_terms(alpha: float, beta: float, x: np.ndarray, weight: float):
     return size * np.cos(x * math.sin(ang) + (1.0 - beta) * ang), size
 
 
+class _Far(NamedTuple):
+    """The asymptotic arguments of a call, sorted within each row, cut into blocks and groups."""
+
+    order: np.ndarray | None  # the sorting permutation, None where every row ascended strictly
+    eta: np.ndarray
+    log_eta: np.ndarray
+    w: np.ndarray  # 1/eta
+    starts: np.ndarray  # the first point of each block, then eta.size
+    groups: np.ndarray  # the first block of each group, then the number of blocks
+
+
+def _far_side(alpha: float, eta: np.ndarray, bounds: np.ndarray) -> _Far:
+    """The argument side of the expansion at eta > 0, row r being eta[bounds[r]:bounds[r + 1]].
+
+    Rows whose eta strictly ascends, as those of a kernel table do, are
+    neither sorted nor gathered; otherwise each row is sorted on its own.
+    Each row is cut into blocks of up to _BLOCK from its smallest eta; for
+    alpha >= 1 the expansion is tried down to x -> 0, where the optimum
+    moves fast, so a block spans one octave of x at most.  Groups of whole
+    blocks start within a window of _ML_STEPS points and hold at most
+    _GROUP_BLOCKS blocks.
+    """
+    # ties go through np.argsort as well: where a block edge splits them,
+    # which of them the next block gets depends on its order
+    down = eta[1:] <= eta[:-1]
+    down[bounds[(bounds > 0) & (bounds < eta.size)] - 1] = False
+    order = None
+    if down.any():
+        rows = zip(bounds[:-1], bounds[1:])
+        order = np.concatenate([np.argsort(eta[lo:hi]) + lo for lo, hi in rows])
+        eta = eta[order]
+    cuts = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        while lo < hi:
+            cuts.append(lo)
+            top = eta[lo] * 2.0**alpha
+            octave = hi if alpha < 1.0 else lo + np.searchsorted(eta[lo:hi], top, "right")
+            lo = min(lo + _BLOCK, int(octave))
+    starts = np.array(cuts, dtype=np.intp)
+    cut = np.diff(starts // _ML_STEPS) | np.diff(np.arange(starts.size) // _GROUP_BLOCKS)
+    groups = np.concatenate(([0], np.flatnonzero(cut) + 1, [starts.size]))
+    return _Far(order, eta, np.log(eta), 1.0 / eta, np.append(starts, eta.size), groups)
+
+
 def _expansion(
-    c: np.ndarray, log_env: np.ndarray, eta: np.ndarray, starts: np.ndarray
+    c: np.ndarray, log_env: np.ndarray, log_eta: np.ndarray, w: np.ndarray, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The algebraic terms at ascending eta cut into blocks at `starts`: (values, error estimates).
+    """The algebraic terms at ascending eta = 1/w cut into blocks at `starts`: (values, error estimates).
 
     Each block is truncated where the scan puts the optimum for its
     smallest eta.  A larger eta shrinks every term, so the kept terms stay
@@ -250,33 +310,33 @@ def _expansion(
     whose block keeps that term, each starting from its own last kept term
     as `np.polyval` would.
     """
-    sizes = np.diff(np.append(starts, eta.size))
-    log_e = np.log(eta)
-    best, last = _truncation(log_env, log_e[starts])
-    err = _envelope(np.repeat(log_env[last], sizes) - np.repeat(last + 1.0, sizes) * log_e)
-    kept = np.repeat(best, sizes)
-    # points that keep more terms first, so those that keep term k lead
-    point = np.argsort(-kept, kind="stable")
-    reach = np.cumsum(np.bincount(kept, minlength=c.size)[::-1])[::-1]
-    w = 1.0 / eta[point]
+    sizes = np.diff(np.append(starts, log_eta.size))
+    best, last = _truncation(log_env, log_eta[starts])
+    err = _envelope(np.repeat(log_env[last], sizes) - np.repeat(last + 1.0, sizes) * log_eta)
+    # blocks that keep more terms first, so the points that keep term k lead
+    point = None
+    if np.any(best[1:] > best[:-1]):
+        blocks = np.argsort(-best, kind="stable")
+        best, sizes = best[blocks], sizes[blocks]
+        point = np.repeat(starts[blocks] - (np.cumsum(sizes) - sizes), sizes) + np.arange(w.size)
+        w = w[point]
+    reach = np.cumsum(np.bincount(best, sizes, c.size)[::-1])[::-1].astype(np.intp)
     y = np.zeros(w.size)
     for k in range(int(best.max(initial=-1)), -1, -1):
         y[: reach[k]] *= w[: reach[k]]
         y[: reach[k]] += c[k]
-    val = np.empty(eta.size)
-    val[point] = y * w
-    return val, err
+    y *= w
+    if point is not None:
+        w[point] = y  # the gathered 1/eta is spent: it takes the values back in place
+        y = w
+    return y, err
 
 
-def _asymptotic_array(
-    alpha: float, beta: float, eta: np.ndarray, bounds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Algebraic expansion at every eta = -z > 0, at optimal truncation.
+def _asymptotic_array(alpha: float, beta: float, far: _Far) -> tuple[np.ndarray, np.ndarray]:
+    """Algebraic expansion at the sorted eta = -z > 0 of `far`, at optimal truncation.
 
-    Returns (values, absolute error estimates).  The arguments of each row,
-    row r being eta[bounds[r]:bounds[r + 1]], are sorted and cut into
-    blocks of up to _BLOCK, which `_expansion` truncates and sums a group
-    of blocks at a time.
+    Returns (values, absolute error estimates) in the order of far.eta.
+    `_expansion` truncates and sums each group of blocks.
 
     For alpha >= 1 the exponentially damped pole terms are added explicitly,
     since near alpha = 2 they decay too slowly to ignore; at alpha = 1 the
@@ -285,33 +345,14 @@ def _asymptotic_array(
     alpha = 1 the algebraic terms nearly vanish), so the estimate adds it.
     """
     c, log_env = _asymptotic_coeffs(alpha, beta)
-    bounds = bounds.tolist()
-    rows = list(zip(bounds[:-1], bounds[1:]))
-    order = np.empty(eta.size, dtype=np.intp)
-    for lo, hi in rows:
-        order[lo:hi] = np.argsort(eta[lo:hi])
-        order[lo:hi] += lo
-    ascending = eta[order]
-    starts, groups = [], []  # the first block of each group
-    for lo, hi in rows:
-        while lo < hi:
-            if not (groups and len(starts) - groups[-1] < _GROUP_BLOCKS
-                    and lo - starts[groups[-1]] < _GROUP_POINTS):
-                groups.append(len(starts))
-            starts.append(lo)
-            # for alpha >= 1 the expansion is tried down to x -> 0, where the
-            # optimum moves fast: a block there spans one octave of x at most
-            top = ascending[lo] * 2.0**alpha
-            octave = hi if alpha < 1.0 else lo + np.searchsorted(ascending[lo:hi], top, "right")
-            lo = min(lo + _BLOCK, int(octave))
-    starts = np.array(starts + [eta.size], dtype=np.intp)
-    val, err = np.empty(eta.shape), np.empty(eta.shape)
-    for first, end in zip(groups, groups[1:] + [starts.size - 1]):
-        lo, hi = starts[first], starts[end]
-        idx = order[lo:hi]
-        val[idx], err[idx] = _expansion(c, log_env, ascending[lo:hi], starts[first:end] - lo)
+    parts = []
+    for first, end in zip(far.groups[:-1].tolist(), far.groups[1:].tolist()):
+        lo, hi = far.starts[first], far.starts[end]
+        blocks = far.starts[first:end] - lo
+        parts.append(_expansion(c, log_env, far.log_eta[lo:hi], far.w[lo:hi], blocks))
+    val, err = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     if alpha >= 1.0:
-        poles, size = _pole_terms(alpha, beta, eta ** (1.0 / alpha), 1.0 if alpha == 1.0 else 2.0)
+        poles, size = _pole_terms(alpha, beta, far.eta ** (1.0 / alpha), 1.0 if alpha == 1.0 else 2.0)
         val, err = val + poles, err + size if alpha > 1.0 else err
     return val, err
 
@@ -347,9 +388,13 @@ def _contour_eval(contour: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
     ar, ai, wr, wi = contour
     out = np.empty(z.shape)
     for lo in range(0, z.size, _BLOCK):
-        # Im(w / (s^alpha - z)) in real arithmetic
+        # Im(w / (s^alpha - z)) in real arithmetic, in two (block, nodes) arrays
         dr = ar - z[lo : lo + _BLOCK, None]
-        out[lo : lo + _BLOCK] = ((wi * dr - wr * ai) / (dr * dr + ai * ai)).sum(axis=1)
+        im = wi * dr
+        im -= wr * ai
+        dr *= dr
+        dr += ai * ai
+        out[lo : lo + _BLOCK] = np.divide(im, dr, out=im).sum(axis=1)
     return out
 
 
@@ -391,53 +436,80 @@ def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
 
     Returns a float array of the shape of z.  Each row along the last axis
     of an argument of two or more dimensions is evaluated as its own call
-    would be, bit for bit.  Each row is sorted and cut into blocks in a
-    Python loop, and each block gets a truncation scan of its own, so many
-    short rows cost far more per value than their flat form: at (0.5, 1.5)
-    an (M, 1) argument takes about 20 us per row on one core of an Intel
-    Xeon, one flat row of M arguments 0.15 us per value.  Raises ValueError
-    for an order pair outside MLParams' range or a non-finite or too
-    large z.
+    would be, bit for bit.  Rows are cut into blocks in a Python loop, after
+    a sort of each row unless every row already ascends strictly in -z,
+    and each block gets a truncation scan of its own, so many short rows
+    cost more per value than their flat form: at (0.5, 1.5) a (4096, 1)
+    argument takes about 14 ms on one core of an Intel Xeon, one flat row
+    of 4096 arguments 1.3 ms.  Raises ValueError for an order pair outside
+    MLParams' range or a non-finite or too large z.
     """
-    MLParams(alpha, beta)
+    return _ml_eval_betas(alpha, (beta,), z)[0]
+
+
+def _ml_eval_betas(alpha: float, betas: tuple, z) -> np.ndarray:
+    """`ml_eval_array` at each beta of `betas`, stacked along a new first axis.
+
+    The argument side (the split of z, the sorted asymptotic arguments,
+    their logarithms and reciprocals, and their blocks) is formed once for
+    every beta that sends the same arguments to the expansion.
+    """
+    for beta in betas:
+        MLParams(alpha, beta)
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("arguments must be finite")
     if np.any(z > 1.0):
         raise ValueError(f"only z <= 1 is supported, got {float(np.max(z))}")
     flat = z.ravel()
-    if alpha == 1.0 and beta == 1.0:
-        return np.exp(flat).reshape(z.shape)
     width = z.shape[-1] if z.ndim > 1 else flat.size
-    return _eval(alpha, beta, flat, np.arange(0, flat.size + 1, max(width, 1))).reshape(z.shape)
+    bounds = np.arange(0, flat.size + 1, max(width, 1))
+    return _eval(alpha, tuple(betas), flat, bounds).reshape((len(betas),) + z.shape)
 
 
-def _eval(alpha: float, beta: float, flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """`ml_eval_array` at a flat argument whose row r is flat[bounds[r]:bounds[r + 1]]."""
-    out = np.full(flat.shape, _rgamma(beta))
-    todo = flat != 0.0
-    # the series serves 0 < z <= 1, and z < 0 outside the solvers' orders
-    idx = np.flatnonzero((flat > 0.0) | (todo & (alpha >= 1.0 or beta > _CONTOUR_MAX_BETA)))
-    if idx.size:
-        val, biggest = _series_double(alpha, beta, flat[idx])
-        ok = (flat[idx] > 0.0) | (biggest / _SERIES_MAX_CANCEL <= np.abs(val))
-        out[idx[ok]], todo[idx[ok]] = val[ok], False
-    far = np.flatnonzero(todo & ((flat <= -(_ASYMPTOTIC_MIN_X**alpha)) | (alpha >= 1.0)))
-    # the bounds of a subset's rows are the counts of its indices below each bound
-    val, err = _asymptotic_array(alpha, beta, -flat[far], np.searchsorted(far, bounds))
-    ok = err <= _ASYMPTOTIC_REL_TOL * np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 - flat[far]))
-    out[far[ok]], todo[far[ok]] = val[ok], False
-    zr = flat[todo]
-    if zr.size and beta > _CONTOUR_MAX_BETA:
-        rows = np.searchsorted(np.flatnonzero(todo), bounds)
-        out[todo] = (_eval(alpha, beta - alpha, zr, rows) - _rgamma(beta - alpha)) / zr
-    elif zr.size:
-        if -zr.min() > _CONTOUR_MAX_ETA:
-            raise MLConvergenceError(
-                f"no evaluation regime reaches the accuracy target for E_({alpha},{beta})(z) "
-                f"at z = {float(zr.min())}"
-            )
-        out[todo] = _contour_array(alpha, beta, zr)
+def _eval(alpha: float, betas: tuple, flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """`_ml_eval_betas` at a flat argument whose row r is flat[bounds[r]:bounds[r + 1]]."""
+    out = np.empty((len(betas), flat.size))
+    nonzero, positive = flat != 0.0, flat > 0.0
+    reach = nonzero & (flat <= -(_ASYMPTOTIC_MIN_X**alpha)) if alpha < 1.0 else nonzero
+    shared = far = None
+    for beta, row in zip(betas, out):
+        if alpha == 1.0 and beta == 1.0:
+            row[:] = np.exp(flat)
+            continue
+        row.fill(_rgamma(beta))
+        todo = nonzero.copy()
+        # the series serves 0 < z <= 1, and z < 0 outside the solvers' orders
+        idx = np.flatnonzero(todo if alpha >= 1.0 or beta > _CONTOUR_MAX_BETA else positive)
+        if idx.size:
+            val, biggest = _series_double(alpha, beta, flat[idx])
+            ok = positive[idx] | (biggest / _SERIES_MAX_CANCEL <= np.abs(val))
+            row[idx[ok]], todo[idx[ok]] = val[ok], False
+        subset = todo & reach
+        if far is None or not np.array_equal(subset, shared):
+            shared = subset
+            # the bounds of a subset's rows are the counts of its indices below each bound
+            far = _far_side(alpha, -flat[subset], np.searchsorted(np.flatnonzero(subset), bounds))
+        val, err = _asymptotic_array(alpha, beta, far)
+        ok = err <= _ASYMPTOTIC_REL_TOL * np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 + far.eta))
+        if far.order is None and ok.all():  # a kernel table's rows: masks, no indices
+            row[subset] = val
+            todo ^= subset
+        else:
+            at = np.flatnonzero(subset)
+            at = at[ok] if far.order is None else at[far.order[ok]]
+            row[at], todo[at] = val[ok], False
+        zr = flat[todo]
+        if zr.size and beta > _CONTOUR_MAX_BETA:
+            rows = np.searchsorted(np.flatnonzero(todo), bounds)
+            row[todo] = (_eval(alpha, (beta - alpha,), zr, rows)[0] - _rgamma(beta - alpha)) / zr
+        elif zr.size:
+            if -zr.min() > _CONTOUR_MAX_ETA:
+                raise MLConvergenceError(
+                    f"no evaluation regime reaches the accuracy target for E_({alpha},{beta})(z) "
+                    f"at z = {float(zr.min())}"
+                )
+            row[todo] = _contour_array(alpha, beta, zr)
     return out
 
 

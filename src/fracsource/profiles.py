@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .fracops import TimeGrid, TimeSeries
+from .fracops import TimeGrid, TimeSeries, _count
 from .spectral import Domain1D, SpectralField, project
 
 __all__ = ["G_PROFILES", "RHO_PROFILES", "make_g", "make_rho"]
@@ -23,8 +23,7 @@ def _sampled_field(domain: Domain1D, func) -> SpectralField:
 
 def _g_mode(domain: Domain1D, k: int = 1, amplitude: float = 1.0) -> SpectralField:
     """Single eigenmode phi_k."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= domain.n_modes:
-        raise ValueError(f"mode index k must be an integer in [1, {domain.n_modes}], got {k!r}")
+    _count("mode index k", k, 1, domain.n_modes)
     coeffs = np.zeros(domain.n_modes)
     coeffs[k - 1] = amplitude
     return SpectralField(domain, coeffs)

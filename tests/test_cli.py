@@ -581,3 +581,19 @@ def test_write_result_float_columns_match_per_value_format(tmp_path):
     # an integer column keeps its integer text
     write_result(path, {}, {"n": np.arange(3), "v": np.array([1.0, -0.0, math.nan])})
     assert open(path, encoding="utf-8").read() == "n,v\n0,1\n1,-0\n2,nan\n"
+
+
+def test_write_result_rows_are_the_cells_of_fmt(tmp_path):
+    # each row is one %-format string; its bytes are those of _fmt per cell
+    cols = {
+        "f": np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.5e-310, 1.0 / 3.0]),
+        "n": np.array([0, -1, 2**62, 7, 3, -(2**40), 1, 0]),
+        "ok": np.array([True, False, True, True, False, False, True, False]),
+        "h": np.array([0.1, 1e-5, -2.0, 65504.0, 1.0, 0.0, -0.0, 3.0], dtype=np.float32),
+    }
+    path = str(tmp_path / "cells.csv")
+    write_result(path, {}, cols)
+    lines = [",".join(cols)]
+    lines += [",".join(_fmt(v) for v in row) for row in zip(*(c.tolist() for c in cols.values()))]
+    assert open(path, "rb").read() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert open(path, encoding="utf-8").read().splitlines()[1] == "0,0,True,0.10000000149011612"

@@ -116,6 +116,8 @@ def per_mode_weights(lam, alpha, grid):
         (Domain1D(1.0, 64), 0.5, TimeGrid(1.0, 256)),
         # four rows per Mittag-Leffler call, two truncation blocks per row
         (Domain1D(1.0, 64), 0.5, TimeGrid(1.0, 4096)),
+        # modes 1-7 reach no argument of the asymptotic expansion
+        (Domain1D(10.0, 8), 0.5, TimeGrid(1.0, 64)),
     ],
 )
 def test_kernel_table_rows_are_the_per_mode_weights(dom, alpha, grid):
@@ -155,20 +157,25 @@ def test_homogeneous_solve_is_the_per_mode_loop(n_modes, n_steps):
         assert np.array_equal(modal[i], np.broadcast_to(one, modal[i].shape)), i
 
 
-def test_a_table_at_the_readme_defaults_is_two_calls(monkeypatch):
+@pytest.mark.parametrize("n_steps, calls", [(256, 1), (2048, 8), (8192, 32)])
+def test_a_table_is_one_call_per_row_block(monkeypatch, n_steps, calls):
+    # both betas in each call, over blocks of rows of at most _ML_STEPS points
     import fracsource.forward as forward
 
-    calls = []
-    original = forward.ml_eval_array
+    seen = []
+    original = forward._ml_eval_betas
 
-    def counting(*args):
-        calls.append(args[:2])
-        return original(*args)
+    def counting(alpha, betas, z):
+        seen.append((alpha, betas, z.shape))
+        return original(alpha, betas, z)
 
-    monkeypatch.setattr(forward, "ml_eval_array", counting)
+    monkeypatch.setattr(forward, "_ml_eval_betas", counting)
+    monkeypatch.setattr(forward, "ml_eval_array", None)  # no one-beta call is left
     modal_kernel_weights.cache_clear()
-    modal_kernel_weights(Domain1D(1.0, 64), FractionalOrder(0.5), TimeGrid(1.0, 256))
-    assert calls == [(0.5, 1.5), (0.5, 2.5)]
+    modal_kernel_weights(Domain1D(1.0, 64), FractionalOrder(0.5), TimeGrid(1.0, n_steps))
+    modal_kernel_weights.cache_clear()
+    rows = 64 // calls
+    assert seen == [(0.5, (1.5, 2.5), (rows, n_steps + 1))] * calls
 
 
 def test_duhamel_zero_rho():

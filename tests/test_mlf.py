@@ -118,7 +118,8 @@ def test_evaluation_regimes_agree_on_overlap():
             z = -(x**a)
             fixed = mlf._contour(a, b, mlf._CONTOUR_MU, mlf._CONTOUR_H, mlf._CONTOUR_NODES)
             contour = float(mlf._contour_eval(fixed, np.array([z]))[0])
-            one_row = mlf._asymptotic_array(a, b, np.array([-z]), np.array([0, 1]))
+            far = mlf._far_side(a, np.array([-z]), np.array([0, 1]))
+            one_row = mlf._asymptotic_array(a, b, far)
             asym, err = (float(v[0]) for v in one_row)
             assert err <= 1e-9 * abs(contour)
             assert asym == pytest.approx(contour, rel=1e-9)
@@ -375,10 +376,10 @@ def test_rows_of_a_2d_argument_equal_their_own_calls(monkeypatch, a, b, routes):
         spy(name, fn)
     evaluate = mlf._eval
 
-    def recurring(alpha, beta, *args):
-        if beta != b:
+    def recurring(alpha, betas, *args):
+        if betas != (b,):
             reached.add("recurrence")
-        return evaluate(alpha, beta, *args)
+        return evaluate(alpha, betas, *args)
 
     monkeypatch.setattr(mlf, "_eval", recurring)
     z = regime_rows()
@@ -392,3 +393,81 @@ def test_rows_of_a_2d_argument_equal_their_own_calls(monkeypatch, a, b, routes):
     whole = ml_eval_array(a, b, short)
     for i, row in enumerate(short):
         assert np.array_equal(whole[i], ml_eval_array(a, b, row)), (a, b, i)
+
+
+@pytest.mark.parametrize(
+    "a, betas",
+    [
+        (0.5, (1.5, 2.5, 0.5, 1.0)),  # the contour and the series at 0 < z <= 1
+        (0.9, (1.9, 10.0, 2.9)),  # the beta > 3 recurrence beside orders without it
+        (0.3, (3.5, 3.3)),  # the series at z < 0 for both
+        # the exponential beside alpha = 1, where the series leaves each
+        # beta other arguments for the expansion
+        (1.0, (1.0, 0.5, 2.0)),
+        (1.5, (1.0, 2.5)),  # octave blocks and the contour that follows the poles
+    ],
+)
+def test_several_betas_equal_their_one_beta_calls(a, betas):
+    import fracsource.mlf as mlf
+
+    z = regime_rows()
+    whole = mlf._ml_eval_betas(a, betas, z)
+    assert whole.shape == (len(betas),) + z.shape
+    for b, values in zip(betas, whole):
+        for i, row in enumerate(z):
+            assert np.array_equal(values[i], ml_eval_array(a, b, row)), (a, b, i)
+
+
+def table_rows(lam, n_steps: int, a: float) -> np.ndarray:
+    """The kernel table's arguments -lambda t^a at t = 0, 1/n_steps, ..., 1."""
+    return -np.asarray(lam)[:, None] * np.linspace(0.0, 1.0, n_steps + 1) ** a
+
+
+@pytest.mark.parametrize(
+    "a, b, lam, n_steps",
+    [
+        (0.5, 1.5, [9.87, 39.5, 355.3, 4e4], 4096),  # rows of two blocks
+        (0.5, 2.5, [0.01, 3.0, 1e3], 64),  # the first two reach no far argument
+        (0.6, 1.0, [1e-3, 1e2, 1e5, 1e7], 300),
+        (0.9, 10.0, [5.0, 1e3], 512),  # the recurrence's rows
+        (1.5, 1.0, [2.0, 50.0, 3e3], 2500),  # alpha >= 1: octave blocks
+    ],
+)
+def test_ascending_rows_need_no_sort(monkeypatch, a, b, lam, n_steps):
+    # a kernel table's rows ascend strictly in -z, so they are evaluated in
+    # place; reversed, each row is sorted first, which must give the same bits
+    import fracsource.mlf as mlf
+
+    orders = []
+    far_side = mlf._far_side
+
+    def spy(*args):
+        far = far_side(*args)
+        orders.append(far.order)
+        return far
+
+    monkeypatch.setattr(mlf, "_far_side", spy)
+    z = table_rows(lam, n_steps, a)
+    whole = ml_eval_array(a, b, z)
+    assert orders and all(order is None for order in orders)
+    for i, row in enumerate(z):
+        assert np.array_equal(whole[i], ml_eval_array(a, b, row[::-1])[::-1]), (a, b, i)
+    assert any(order is not None for order in orders)
+
+
+def test_tied_rows_go_through_the_sort(monkeypatch):
+    # ties go through np.argsort, like unsorted rows: a block edge inside a
+    # run of ties makes the values depend on their order
+    import fracsource.mlf as mlf
+
+    orders = []
+    far_side = mlf._far_side
+
+    def spy(*args):
+        far = far_side(*args)
+        orders.append(far.order)
+        return far
+
+    monkeypatch.setattr(mlf, "_far_side", spy)
+    ml_eval_array(0.5, 1.0, -np.array([[40.0, 40.0, 50.0], [36.0, 37.0, 38.0]]))
+    assert orders[0] is not None
