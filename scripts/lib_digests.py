@@ -21,12 +21,26 @@ environment finds, so comparing two checkouts is one diff:
     PYTHONPATH=new/src python3 scripts/lib_digests.py > new.txt
     diff old.txt new.txt
 
-Usage: python3 scripts/lib_digests.py
+When the digests differ, keep the values of both checkouts and compare
+them: given DIR, the script also writes every output's values to
+DIR/lib_digests.npz, and the second form prints for each label the
+largest difference of a value relative to its old magnitude
+("identical" when the bytes are, "inf" where a zero moved and "nan"
+where a NaN came or went):
+
+    PYTHONPATH=old/src python3 scripts/lib_digests.py old_npz > old.txt
+    PYTHONPATH=new/src python3 scripts/lib_digests.py new_npz > new.txt
+    PYTHONPATH=new/src python3 scripts/lib_digests.py --compare old_npz new_npz
+
+Usage: python3 scripts/lib_digests.py [DIR]
+       python3 scripts/lib_digests.py --compare OLD_DIR NEW_DIR
 It takes about 3 s with one BLAS thread (OPENBLAS_NUM_THREADS=1).  The
 listing starts with the `# blas_threads=<n>` line of `csv_digests.py`.
 """
 
 import hashlib
+import os
+import sys
 
 import numpy as np
 from csv_digests import blas_threads
@@ -66,16 +80,15 @@ ML_ARGS = np.concatenate((np.linspace(0.0, 1.0, 51), -np.logspace(-3.0, 4.0, 300
 ML_SINGLE = [0.5, -0.5, -20.0, -300.0]
 
 
-def sha(*parts) -> str:
-    """sha256 of the float64 bytes of each part, a scalar, a list or an array."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(np.asarray(part, dtype=float).tobytes())
-    return h.hexdigest()
+# the values behind each label, in the order they were hashed
+VALUES: dict[str, np.ndarray] = {}
 
 
 def show(label: str, *parts) -> None:
-    print(f"{sha(*parts)}  {label}", flush=True)
+    """Print the sha256 of the float64 bytes of each part, a scalar, a list or an array."""
+    values = np.concatenate([np.asarray(part, dtype=float).ravel() for part in parts])
+    VALUES[label] = values
+    print(f"{hashlib.sha256(values.tobytes()).hexdigest()}  {label}", flush=True)
 
 
 def ml_digests() -> None:
@@ -166,13 +179,35 @@ def duhamel_digests() -> None:
         show(label, duhamel_residual(g, rho, FractionalOrder(a), grid))
 
 
+def compare(old_dir: str, new_dir: str) -> None:
+    with np.load(os.path.join(old_dir, "lib_digests.npz")) as old, \
+            np.load(os.path.join(new_dir, "lib_digests.npz")) as new:
+        for label in old.files:
+            a, b = old[label], new[label]
+            if a.tobytes() == b.tobytes():
+                print(f"{label}: identical")
+            elif a.shape != b.shape:
+                print(f"{label}: {a.size} values against {b.size}")
+            else:
+                same = (a == b) | (np.isnan(a) & np.isnan(b))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rel = np.where(same, 0.0, np.abs(b - a) / np.abs(a))
+                print(f"{label}: {np.max(rel):.1e}")
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
+        compare(sys.argv[2], sys.argv[3])
+        return
     print(f"# blas_threads={blas_threads()}", flush=True)
     ml_digests()
     interior_digests()
     rho_digests()
     final_digests()
     duhamel_digests()
+    if len(sys.argv) > 1:
+        os.makedirs(sys.argv[1], exist_ok=True)
+        np.savez(os.path.join(sys.argv[1], "lib_digests.npz"), **VALUES)
 
 
 if __name__ == "__main__":

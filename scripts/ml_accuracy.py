@@ -6,8 +6,7 @@ Prints two tables:
 1. microseconds per value on 2000 log-spaced arguments in [-1e4, -1e-3]
    for four orders outside the solvers' range (alpha >= 1 or beta > 3),
    the best of five calls after one warm-up call, as one row and as 2000
-   rows of one argument each, which `ml_eval_array` truncates one row at
-   a time;
+   rows of one argument each (the same values, in another shape);
 2. the worst relative error of `ml_eval_array` against the independent
    mpmath reference in tests/ml_reference.py, per (alpha band, beta band),
    on seeded points over alpha 0.1-1.99 and beta 0.1-30: eight orders per

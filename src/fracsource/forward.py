@@ -17,9 +17,8 @@ The weights of all modes form one (N, n) table per (domain, alpha, grid),
 which every solver indexes (one mode) or contracts (a sum over modes).
 The table takes one Mittag-Leffler call for both betas for each block of
 rows spanning at most _ML_STEPS time steps (one call at N = 64, n_steps =
-256, eight at 2048); the rows ascend in lambda t^alpha, so the call needs
-no sort, and each row is evaluated as its own one-beta call would be, so
-the table does not depend on the block size.
+256, eight at 2048); a value depends on its argument alone, so the table
+does not depend on the block size.
 Like the solvers' set-ups, the table is memoised on the value of its
 inputs by `report._by_value`: one table is kept, and it is dropped
 before the table of new inputs is built.
@@ -39,7 +38,7 @@ from .fracops import (
     _interval_moments,
     product_rule_convolve,
 )
-from .mlf import _ML_STEPS, _ml_eval_betas, ml_eval_array
+from .mlf import _ml_eval_betas, ml_eval_array
 from .report import _by_value
 from .spectral import Domain1D, SpectralField
 
@@ -54,6 +53,12 @@ __all__ = [
     "trace_weights",
     "ml_on_nodes",
 ]
+
+# the Mittag-Leffler call of a table takes whole rows spanning at most this
+# many time steps, so its point-sized temporaries stay near 128 KiB: at twice
+# that, a table at n_steps 8192 took longer than one call per mode, its
+# temporaries mapped fresh each time
+_ML_STEPS = 1 << 14
 
 
 def _row_blocks(rows: int, n_steps: int):

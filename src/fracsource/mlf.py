@@ -2,21 +2,18 @@
 
 E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) for every order 0 < a < 2, b > 0,
 evaluated on whole arrays by `ml_eval_array` (`ml_eval` is its one-element
-form), which is the one-beta case of `_ml_eval_betas`.  Each row of an
-argument of two or more dimensions is evaluated as its own call would be,
-bit for bit.  A kernel table's rows ascend strictly in -z, so they are cut
-into blocks where they lie, with no sort, gather or scatter, and the
-argument side (the split of z, log(-z), 1/(-z) and the blocks) serves every
-beta of a call: a block of table rows is one call for both betas.  With
-the cancellation scale x = |z|^(1/a), each value comes from the first of
+form), which is the one-beta case of `_ml_eval_betas`.  A value depends on
+its argument and order alone, so it has the same bits in any call, shape
+or order.  With the cancellation scale x = |z|^(1/a), each value comes
+from the first of
 
 * z = 0: 1/Gamma(b); 0 < z <= 1: the compensated power series, which for
   a >= 1 or b > 3 is tried at z < 0 too, where at most one digit cancels,
-* the asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k) at envelope-based
-  optimal truncation per block of a row's arguments in ascending -z,
-  summed by one Horner loop over a group of blocks of any rows, plus for
-  a >= 1 the residues at the poles s = x e^(+-i pi/a), where it meets its
-  target (for a < 1 from x = 35 on),
+* the asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k), truncated where
+  the term envelope is least at the lower edge of the argument's octave
+  of x (memoised per order and octave), plus for a >= 1 the residues at
+  the poles s = x e^(+-i pi/a), where it meets its target (for a < 1 from
+  x = 35 on),
 * for b > 3, the recurrence E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z,
 * the trapezoid rule for the inverse Laplace transform of s^(a-b)/(s^a - z)
   on the parabola s(u) = mu (1 + iu)^2 (Garrappa, SIAM J. Numer. Anal.
@@ -59,16 +56,15 @@ _SERIES_CHUNK = 32
 # (rel. error 1.7e-11 against 9e-13 on 1800 points, x < 40)
 _SERIES_MAX_CANCEL = 10.0
 # below this x the omitted exponentially small part of the asymptotic
-# expansion for alpha < 1 (~ exp(-0.9 x)) is not negligible
+# expansion for alpha < 1 (~ exp(-0.9 x)) is not negligible.  Its lowest
+# octave keeps the terms optimal here, where its arguments start: with those
+# of x = 32, values at (0.99, 0.99) differed from a scan at their own x by
+# up to 2.4e-11, against 4.2e-12
 _ASYMPTOTIC_MIN_X = 35.0
 _ASYMPTOTIC_REL_TOL = 1e-13
 _ASYMPTOTIC_MAX_TERMS = 399
 # the truncation scan stops at terms below 1e-25 times the leading one
 _LOG_FLOOR = math.log(1e-25)
-# terms the truncation scan looks at first; all of them only where a scan
-# has not ended by then (near the expansion's smallest eta at alpha < 0.6
-# and beta <= 1, or alpha < 0.06)
-_SCAN_TERMS = 128
 # parabolic contour s(u) = mu (1 + iu)^2 sampled at u = 0, h, ..., (n-1) h;
 # with mu fixed, e^s s^(-beta) cancels too much beyond beta = 3 (rel. error
 # 7e-13 at beta = 3.5 against 7e-14 at 3).  h = 0.15 with the singularities
@@ -82,17 +78,8 @@ _CONTOUR_NODES = 32
 _POLE_MARGIN = 0.5
 # the contour rule squares s^alpha - z, which must not overflow
 _CONTOUR_MAX_ETA = 1e150
-# arguments per block: the (block, 32 nodes) float temporaries stay at 512 KiB
+# contour arguments per block: the (block, 32 nodes) float temporaries stay at 512 KiB
 _BLOCK = 2048
-# sorted asymptotic arguments summed at once: whole blocks, a group of
-# them starting within _ML_STEPS points and holding at most _GROUP_BLOCKS,
-# so its point-sized temporaries stay near 128 KiB and its (blocks, terms)
-# ones at most 1.6 MiB whatever the length of the call.  `forward` hands
-# its tables over in row blocks of as many points: at twice that, a table
-# at n_steps 8192 took longer than one call per mode, its temporaries
-# mapped fresh each time
-_ML_STEPS = 1 << 14
-_GROUP_BLOCKS = 512
 
 
 class MLConvergenceError(ArithmeticError):
@@ -180,12 +167,13 @@ def _series_double(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray
 
 
 @lru_cache(maxsize=256)
-def _asymptotic_coeffs(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the expansion in 1/eta, eta = -z, and their envelopes.
+def _asymptotic_coeffs(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Coefficients of the expansion in 1/eta, eta = -z, their envelopes, and a memo.
 
     Term k = 1, 2, ... is c[k-1] eta^-k with c[k-1] = (-1)^(k+1) / Gamma(beta -
     alpha*k); its smooth size envelope is exp(log_env[k-1] - k log eta).  The
-    arrays end before the first coefficient that overflows.
+    arrays end before the first coefficient that overflows.  The memo, which
+    `_octave_terms` fills, maps an octave of x to the terms it keeps.
     """
     c: list[float] = []
     log_env: list[float] = []
@@ -207,12 +195,15 @@ def _asymptotic_coeffs(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarra
             log_env.append(math.lgamma(1.0 - x) - math.log(math.pi))
         else:
             log_env.append(math.log(r) if r > 0.0 else -math.inf)
-    return _readonly(np.array(c)), _readonly(np.array(log_env))
+    return _readonly(np.array(c)), _readonly(np.array(log_env)), {}
 
 
 def _envelope(e):
-    """exp(e) for e = log_env - k log_eta, infinite once e reaches 700."""
-    return np.where(e < 700.0, np.exp(np.minimum(e, 700.0)), math.inf)
+    """exp(e) for e = log_env - k log_eta, infinite once e reaches 700, in place of e."""
+    over = ~(e < 700.0)
+    np.exp(np.minimum(e, 700.0, out=e), out=e)
+    e[over] = math.inf
+    return e
 
 
 def _truncation(log_env: np.ndarray, log_eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,20 +216,32 @@ def _truncation(log_env: np.ndarray, log_eta: np.ndarray) -> tuple[np.ndarray, n
     are kept: the reflection formula makes |Gamma(beta - alpha*k)|
     oscillate, so the first local increase is not the optimum.  The error
     term is the next envelope scanned, or the minimum itself when the scan
-    ended there.  The scan looks at the first _SCAN_TERMS terms, and at
-    all of them only if some scan has not ended there.
+    ended there.
     """
-    for width in (min(_SCAN_TERMS, log_env.size), log_env.size):
-        e = log_env[:width] - np.arange(1, width + 1) * log_eta[:, None]
-        # the floor is compared in logarithms: near eta = 1e300 envelopes underflow
-        env = _envelope(e)
-        stop = (env > 10.0 * np.minimum.accumulate(env, axis=1)) | (e < e[:, :1] + _LOG_FLOOR)
-        ended = stop.any(axis=1)
-        if ended.all():
-            break
-    n = np.where(ended, stop.argmax(axis=1) + 1, width)
-    best = np.where(np.arange(width) < n[:, None], env, math.inf).argmin(axis=1)
+    e = log_env - np.arange(1, log_env.size + 1) * log_eta[:, None]
+    # the floor is compared in logarithms: near eta = 1e300 envelopes underflow
+    env = _envelope(e.copy())
+    stop = (env > 10.0 * np.minimum.accumulate(env, axis=1)) | (e < e[:, :1] + _LOG_FLOOR)
+    n = np.where(stop.any(axis=1), stop.argmax(axis=1) + 1, log_env.size)
+    best = np.where(np.arange(log_env.size) < n[:, None], env, math.inf).argmin(axis=1)
     return best, np.where(best + 1 < n, best + 1, best)
+
+
+def _octave_terms(alpha: float, log_env: np.ndarray, memo: dict, octaves: list) -> np.ndarray:
+    """The `_truncation` of the expansion at the lower edge of each octave j, x in [2^j, 2^(j+1)).
+
+    Returns one row (best, last) per octave.  For alpha < 1 the edge is
+    x = 35 at the least, where the expansion's arguments start.  Each octave
+    is scanned once per order pair and kept in its memo from
+    `_asymptotic_coeffs`; only the octaves asked for are filled, and
+    threads that fill one at once store the same terms.
+    """
+    new = [j for j in octaves if j not in memo]
+    if new:
+        least = math.log(_ASYMPTOTIC_MIN_X) if alpha < 1.0 else -math.inf
+        best, last = _truncation(log_env, alpha * np.maximum(np.array(new) * math.log(2.0), least))
+        memo.update(zip(new, zip(best.tolist(), last.tolist())))
+    return np.array([memo[j] for j in octaves], dtype=np.intp).reshape(-1, 2)
 
 
 def _pole_terms(alpha: float, beta: float, x: np.ndarray, weight: float):
@@ -254,71 +257,60 @@ def _pole_terms(alpha: float, beta: float, x: np.ndarray, weight: float):
 
 
 class _Far(NamedTuple):
-    """The asymptotic arguments of a call, sorted within each row, cut into blocks and groups."""
+    """The asymptotic arguments of a call, as they came, and their runs of one octave of x."""
 
-    order: np.ndarray | None  # the sorting permutation, None where every row ascended strictly
     eta: np.ndarray
     log_eta: np.ndarray
     w: np.ndarray  # 1/eta
-    starts: np.ndarray  # the first point of each block, then eta.size
-    groups: np.ndarray  # the first block of each group, then the number of blocks
+    starts: np.ndarray  # the first point of each run, then eta.size
+    octaves: list  # the octaves floor(log2 x) of the runs, each once
+    which: np.ndarray  # the index in `octaves` of each run's octave
 
 
-def _far_side(alpha: float, eta: np.ndarray, bounds: np.ndarray) -> _Far:
-    """The argument side of the expansion at eta > 0, row r being eta[bounds[r]:bounds[r + 1]].
+def _far_side(alpha: float, eta: np.ndarray) -> _Far:
+    """The argument side of the expansion at eta > 0, which every beta of a call shares."""
+    log_eta = np.log(eta)
+    # below alpha ~ 1e-305 the octave of a large eta overflows to inf, which is one octave too
+    with np.errstate(over="ignore"):
+        octave = log_eta / (alpha * math.log(2.0))
+    np.floor(octave, out=octave)
+    # runs start at the first point, if any, and wherever the octave changes
+    starts = np.concatenate(([0], np.flatnonzero(octave[1:] != octave[:-1]) + 1))[: eta.size]
+    octaves = sorted(set(octave[starts].tolist()))
+    which = np.searchsorted(octaves, octave[starts])
+    return _Far(eta, log_eta, 1.0 / eta, np.append(starts, eta.size), octaves, which)
 
-    Rows whose eta strictly ascends, as those of a kernel table do, are
-    neither sorted nor gathered; otherwise each row is sorted on its own.
-    Each row is cut into blocks of up to _BLOCK from its smallest eta; for
-    alpha >= 1 the expansion is tried down to x -> 0, where the optimum
-    moves fast, so a block spans one octave of x at most.  Groups of whole
-    blocks start within a window of _ML_STEPS points and hold at most
-    _GROUP_BLOCKS blocks.
+
+def _asymptotic_array(alpha: float, beta: float, far: _Far) -> tuple[np.ndarray, np.ndarray]:
+    """Algebraic expansion at the eta = -z > 0 of `far`: (values, absolute error estimates).
+
+    Each run keeps the terms `_octave_terms` finds for its octave.  A larger
+    eta shrinks every term, so they stay accurate for the whole octave; each
+    point's error estimate is the envelope of its own first omitted term.
+    One Horner loop in 1/eta sums every run: it runs from the highest kept
+    term down, over the points whose run keeps that term, each starting
+    from its own last kept term as `np.polyval` would, so a value depends
+    on its argument alone.
+
+    For alpha >= 1 the exponentially damped pole terms are added explicitly,
+    since near alpha = 2 they decay too slowly to ignore; at alpha = 1 the
+    two poles are one.  For alpha > 1 the expansion's own error has a part
+    as large as the pole terms, which the envelope misses (just above
+    alpha = 1 the algebraic terms nearly vanish), so the estimate adds it.
     """
-    # ties go through np.argsort as well: where a block edge splits them,
-    # which of them the next block gets depends on its order
-    down = eta[1:] <= eta[:-1]
-    down[bounds[(bounds > 0) & (bounds < eta.size)] - 1] = False
-    order = None
-    if down.any():
-        rows = zip(bounds[:-1], bounds[1:])
-        order = np.concatenate([np.argsort(eta[lo:hi]) + lo for lo, hi in rows])
-        eta = eta[order]
-    cuts = []
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        while lo < hi:
-            cuts.append(lo)
-            top = eta[lo] * 2.0**alpha
-            octave = hi if alpha < 1.0 else lo + np.searchsorted(eta[lo:hi], top, "right")
-            lo = min(lo + _BLOCK, int(octave))
-    starts = np.array(cuts, dtype=np.intp)
-    cut = np.diff(starts // _ML_STEPS) | np.diff(np.arange(starts.size) // _GROUP_BLOCKS)
-    groups = np.concatenate(([0], np.flatnonzero(cut) + 1, [starts.size]))
-    return _Far(order, eta, np.log(eta), 1.0 / eta, np.append(starts, eta.size), groups)
-
-
-def _expansion(
-    c: np.ndarray, log_env: np.ndarray, log_eta: np.ndarray, w: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The algebraic terms at ascending eta = 1/w cut into blocks at `starts`: (values, error estimates).
-
-    Each block is truncated where the scan puts the optimum for its
-    smallest eta.  A larger eta shrinks every term, so the kept terms stay
-    accurate for the whole block; each point's error estimate is the
-    envelope of its own first omitted term.  One Horner loop in 1/eta sums
-    every block: it runs from the highest kept term down, over the points
-    whose block keeps that term, each starting from its own last kept term
-    as `np.polyval` would.
-    """
-    sizes = np.diff(np.append(starts, log_eta.size))
-    best, last = _truncation(log_env, log_eta[starts])
-    err = _envelope(np.repeat(log_env[last], sizes) - np.repeat(last + 1.0, sizes) * log_eta)
-    # blocks that keep more terms first, so the points that keep term k lead
-    point = None
+    c, log_env, memo = _asymptotic_coeffs(alpha, beta)
+    best, last = _octave_terms(alpha, log_env, memo, far.octaves)[far.which].T
+    starts, sizes = far.starts[:-1], np.diff(far.starts)
+    e = np.repeat(last + 1.0, sizes)
+    e *= far.log_eta
+    err = _envelope(np.subtract(np.repeat(log_env[last], sizes), e, out=e))
+    # runs that keep more terms first, so the points that keep term k lead
+    w, point = far.w, None
     if np.any(best[1:] > best[:-1]):
-        blocks = np.argsort(-best, kind="stable")
-        best, sizes = best[blocks], sizes[blocks]
-        point = np.repeat(starts[blocks] - (np.cumsum(sizes) - sizes), sizes) + np.arange(w.size)
+        runs = np.argsort(-best, kind="stable")
+        best, sizes = best[runs], sizes[runs]
+        point = np.arange(w.size)
+        point += np.repeat(starts[runs] - (np.cumsum(sizes) - sizes), sizes)
         w = w[point]
     reach = np.cumsum(np.bincount(best, sizes, c.size)[::-1])[::-1].astype(np.intp)
     y = np.zeros(w.size)
@@ -329,32 +321,10 @@ def _expansion(
     if point is not None:
         w[point] = y  # the gathered 1/eta is spent: it takes the values back in place
         y = w
-    return y, err
-
-
-def _asymptotic_array(alpha: float, beta: float, far: _Far) -> tuple[np.ndarray, np.ndarray]:
-    """Algebraic expansion at the sorted eta = -z > 0 of `far`, at optimal truncation.
-
-    Returns (values, absolute error estimates) in the order of far.eta.
-    `_expansion` truncates and sums each group of blocks.
-
-    For alpha >= 1 the exponentially damped pole terms are added explicitly,
-    since near alpha = 2 they decay too slowly to ignore; at alpha = 1 the
-    two poles are one.  For alpha > 1 the expansion's own error has a part
-    as large as the pole terms, which the envelope misses (just above
-    alpha = 1 the algebraic terms nearly vanish), so the estimate adds it.
-    """
-    c, log_env = _asymptotic_coeffs(alpha, beta)
-    parts = []
-    for first, end in zip(far.groups[:-1].tolist(), far.groups[1:].tolist()):
-        lo, hi = far.starts[first], far.starts[end]
-        blocks = far.starts[first:end] - lo
-        parts.append(_expansion(c, log_env, far.log_eta[lo:hi], far.w[lo:hi], blocks))
-    val, err = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     if alpha >= 1.0:
         poles, size = _pole_terms(alpha, beta, far.eta ** (1.0 / alpha), 1.0 if alpha == 1.0 else 2.0)
-        val, err = val + poles, err + size if alpha > 1.0 else err
-    return val, err
+        y, err = y + poles, err + size if alpha > 1.0 else err
+    return y, err
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +404,10 @@ def _contour_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
     """E_{alpha,beta}(z) elementwise for real z <= 0 (z <= 1 is tolerated).
 
-    Returns a float array of the shape of z.  Each row along the last axis
-    of an argument of two or more dimensions is evaluated as its own call
-    would be, bit for bit.  Rows are cut into blocks in a Python loop, after
-    a sort of each row unless every row already ascends strictly in -z,
-    and each block gets a truncation scan of its own, so many short rows
-    cost more per value than their flat form: at (0.5, 1.5) a (4096, 1)
-    argument takes about 14 ms on one core of an Intel Xeon, one flat row
-    of 4096 arguments 1.3 ms.  Raises ValueError for an order pair outside
-    MLParams' range or a non-finite or too large z.
+    Returns a float array of the shape of z.  Each value is that of its own
+    one-element call, bit for bit, whatever the shape of z and the order of
+    its elements.  Raises ValueError for an order pair outside MLParams'
+    range or a non-finite or too large z.
     """
     return _ml_eval_betas(alpha, (beta,), z)[0]
 
@@ -450,9 +415,8 @@ def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
 def _ml_eval_betas(alpha: float, betas: tuple, z) -> np.ndarray:
     """`ml_eval_array` at each beta of `betas`, stacked along a new first axis.
 
-    The argument side (the split of z, the sorted asymptotic arguments,
-    their logarithms and reciprocals, and their blocks) is formed once for
-    every beta that sends the same arguments to the expansion.
+    The argument side of the expansion (log(-z), 1/(-z) and the runs of one
+    octave) is formed once for every beta that sends it the same arguments.
     """
     for beta in betas:
         MLParams(alpha, beta)
@@ -461,14 +425,11 @@ def _ml_eval_betas(alpha: float, betas: tuple, z) -> np.ndarray:
         raise ValueError("arguments must be finite")
     if np.any(z > 1.0):
         raise ValueError(f"only z <= 1 is supported, got {float(np.max(z))}")
-    flat = z.ravel()
-    width = z.shape[-1] if z.ndim > 1 else flat.size
-    bounds = np.arange(0, flat.size + 1, max(width, 1))
-    return _eval(alpha, tuple(betas), flat, bounds).reshape((len(betas),) + z.shape)
+    return _eval(alpha, tuple(betas), z.ravel()).reshape((len(betas),) + z.shape)
 
 
-def _eval(alpha: float, betas: tuple, flat: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """`_ml_eval_betas` at a flat argument whose row r is flat[bounds[r]:bounds[r + 1]]."""
+def _eval(alpha: float, betas: tuple, flat: np.ndarray) -> np.ndarray:
+    """`_ml_eval_betas` at a flat argument."""
     out = np.empty((len(betas), flat.size))
     nonzero, positive = flat != 0.0, flat > 0.0
     reach = nonzero & (flat <= -(_ASYMPTOTIC_MIN_X**alpha)) if alpha < 1.0 else nonzero
@@ -487,22 +448,14 @@ def _eval(alpha: float, betas: tuple, flat: np.ndarray, bounds: np.ndarray) -> n
             row[idx[ok]], todo[idx[ok]] = val[ok], False
         subset = todo & reach
         if far is None or not np.array_equal(subset, shared):
-            shared = subset
-            # the bounds of a subset's rows are the counts of its indices below each bound
-            far = _far_side(alpha, -flat[subset], np.searchsorted(np.flatnonzero(subset), bounds))
+            shared, far = subset, _far_side(alpha, -flat[subset])
         val, err = _asymptotic_array(alpha, beta, far)
         ok = err <= _ASYMPTOTIC_REL_TOL * np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 + far.eta))
-        if far.order is None and ok.all():  # a kernel table's rows: masks, no indices
-            row[subset] = val
-            todo ^= subset
-        else:
-            at = np.flatnonzero(subset)
-            at = at[ok] if far.order is None else at[far.order[ok]]
-            row[at], todo[at] = val[ok], False
+        # the values the expansion misses are overwritten below
+        row[subset], todo[subset] = val, ~ok
         zr = flat[todo]
         if zr.size and beta > _CONTOUR_MAX_BETA:
-            rows = np.searchsorted(np.flatnonzero(todo), bounds)
-            row[todo] = (_eval(alpha, (beta - alpha,), zr, rows)[0] - _rgamma(beta - alpha)) / zr
+            row[todo] = (_eval(alpha, (beta - alpha,), zr)[0] - _rgamma(beta - alpha)) / zr
         elif zr.size:
             if -zr.min() > _CONTOUR_MAX_ETA:
                 raise MLConvergenceError(

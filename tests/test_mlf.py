@@ -118,9 +118,8 @@ def test_evaluation_regimes_agree_on_overlap():
             z = -(x**a)
             fixed = mlf._contour(a, b, mlf._CONTOUR_MU, mlf._CONTOUR_H, mlf._CONTOUR_NODES)
             contour = float(mlf._contour_eval(fixed, np.array([z]))[0])
-            far = mlf._far_side(a, np.array([-z]), np.array([0, 1]))
-            one_row = mlf._asymptotic_array(a, b, far)
-            asym, err = (float(v[0]) for v in one_row)
+            far = mlf._far_side(a, np.array([-z]))
+            asym, err = (float(v[0]) for v in mlf._asymptotic_array(a, b, far))
             assert err <= 1e-9 * abs(contour)
             assert asym == pytest.approx(contour, rel=1e-9)
 
@@ -242,25 +241,28 @@ def test_array_argument_validation():
 
 def test_gamma_tables_shared_between_threads():
     # beta > 3 takes the series, the beta recurrence and the contour, with
-    # their cached tables; a fresh interpreter evaluates it from four
-    # threads at once and must agree with the serial values
+    # their cached tables, and far arguments at beta 1 fill the memo of the
+    # terms each octave of x keeps, two threads at each octave; a fresh
+    # interpreter evaluates them from four threads at once and must agree
+    # with the serial values
     import subprocess
     import sys
 
     import fracsource
 
-    zs = [-3.0 - 0.01 * k for k in range(8)]
+    cases = [(0.5, 10.0, -3.0 - 0.01 * k) for k in range(8)]
+    cases += [(0.5, 1.0, -(2.0 ** (0.25 * k))) for k in range(24, 88)]  # x = 2^12 .. 2^43.5
     code = f"""
 import json, sys, threading
 from fracsource.mlf import MLParams, ml_eval
 sys.setswitchinterval(1e-6)
-zs = {zs!r}
-out = [None] * len(zs)
+cases = {cases!r}
+out = [None] * len(cases)
 start = threading.Barrier(4)
 def work(i):
     start.wait()
-    for k in range(i, len(zs), 4):
-        out[k] = ml_eval(MLParams(0.5, 10.0), zs[k])
+    for k in range(i, len(cases), 4):
+        out[k] = ml_eval(MLParams(*cases[k][:2]), cases[k][2])
 threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
 for t in threads:
     t.start()
@@ -278,8 +280,18 @@ print(json.dumps(out))
         timeout=300,
         check=True,
     )
-    serial = [ml_eval(MLParams(0.5, 10.0), z) for z in zs]
+    serial = [ml_eval(MLParams(a, b), z) for a, b, z in cases]
     assert json.loads(res.stdout) == serial
+
+
+def test_octave_memo_holds_only_the_octaves_of_its_arguments():
+    # at alpha 0.05 these arguments span about 2e4 octaves of x; the three
+    # far ones fall in three of them, and only those are scanned and kept
+    import fracsource.mlf as mlf
+
+    mlf._asymptotic_coeffs.cache_clear()
+    ml_eval_array(0.05, 0.7, -np.array([1e300, 5e150, 1e300, 40.0, 1e-3]))
+    assert len(mlf._asymptotic_coeffs(0.05, 0.7)[2]) == 3
 
 
 @pytest.mark.parametrize(
@@ -336,26 +348,26 @@ def regime_rows(width: int = 2500) -> np.ndarray:
             np.resize([0.0, 0.25, 1.0, -0.5, -2.0], width),  # z = 0 and 0 < z <= 1
             logs,  # every band, sorted
             rng.permutation(logs),  # and unsorted
-            -np.logspace(0.8, 6.0, width),  # more than 2048 far arguments: two blocks
-            np.resize([-40.0, -40.0, -3e3], width),  # ties across the edge of a block
+            -np.logspace(0.8, 6.0, width),  # far arguments over many octaves of x
+            np.resize([-40.0, -40.0, -3e3], width),  # ties
             -rng.uniform(0.0, 60.0, width),
         )
     )
 
 
-@pytest.mark.parametrize(
-    "a, b, routes",
-    [
-        (0.5, 1.0, {"series", "asymptotic", "contour"}),
-        (0.9, 0.9, {"series", "asymptotic", "contour"}),
-        (1.0, 0.5, {"series", "asymptotic", "poles", "contour"}),
-        # 1 < alpha < 2: octave blocks and the contour that follows the poles
-        (1.5, 1.0, {"series", "asymptotic", "poles", "contour"}),
-        (1.9, 1.2, {"series", "asymptotic", "poles", "contour"}),
-        (0.9, 10.0, {"series", "asymptotic", "recurrence", "contour"}),
-    ],
-)
-def test_rows_of_a_2d_argument_equal_their_own_calls(monkeypatch, a, b, routes):
+ROUTES = [
+    (0.5, 1.0, {"series", "asymptotic", "contour"}),
+    (0.9, 0.9, {"series", "asymptotic", "contour"}),
+    (1.0, 0.5, {"series", "asymptotic", "poles", "contour"}),
+    # 1 < alpha < 2: the contour that follows the poles
+    (1.5, 1.0, {"series", "asymptotic", "poles", "contour"}),
+    (1.9, 1.2, {"series", "asymptotic", "poles", "contour"}),
+    (0.9, 10.0, {"series", "asymptotic", "recurrence", "contour"}),
+]
+
+
+def spy_routes(monkeypatch, b: float) -> set:
+    """The set that collects the routes evaluations at beta b take from here on."""
     import fracsource.mlf as mlf
 
     reached = set()
@@ -382,13 +394,18 @@ def test_rows_of_a_2d_argument_equal_their_own_calls(monkeypatch, a, b, routes):
         return evaluate(alpha, betas, *args)
 
     monkeypatch.setattr(mlf, "_eval", recurring)
+    return reached
+
+
+@pytest.mark.parametrize("a, b, routes", ROUTES)
+def test_rows_of_a_2d_argument_equal_their_own_calls(monkeypatch, a, b, routes):
+    reached = spy_routes(monkeypatch, b)
     z = regime_rows()
     whole = ml_eval_array(a, b, z)
     assert routes <= reached
     for i, row in enumerate(z):
         assert np.array_equal(whole[i], ml_eval_array(a, b, row)), (a, b, i)
-    # short rows, in groups of at most 16 blocks
-    monkeypatch.setattr(mlf, "_GROUP_BLOCKS", 16)
+    # short rows
     short = z[:, :2400].reshape(600, 24)
     whole = ml_eval_array(a, b, short)
     for i, row in enumerate(short):
@@ -426,48 +443,37 @@ def table_rows(lam, n_steps: int, a: float) -> np.ndarray:
 @pytest.mark.parametrize(
     "a, b, lam, n_steps",
     [
-        (0.5, 1.5, [9.87, 39.5, 355.3, 4e4], 4096),  # rows of two blocks
+        (0.5, 1.5, [9.87, 39.5, 355.3, 4e4], 4096),
         (0.5, 2.5, [0.01, 3.0, 1e3], 64),  # the first two reach no far argument
         (0.6, 1.0, [1e-3, 1e2, 1e5, 1e7], 300),
         (0.9, 10.0, [5.0, 1e3], 512),  # the recurrence's rows
-        (1.5, 1.0, [2.0, 50.0, 3e3], 2500),  # alpha >= 1: octave blocks
+        (1.5, 1.0, [2.0, 50.0, 3e3], 2500),
     ],
 )
-def test_ascending_rows_need_no_sort(monkeypatch, a, b, lam, n_steps):
-    # a kernel table's rows ascend strictly in -z, so they are evaluated in
-    # place; reversed, each row is sorted first, which must give the same bits
-    import fracsource.mlf as mlf
-
-    orders = []
-    far_side = mlf._far_side
-
-    def spy(*args):
-        far = far_side(*args)
-        orders.append(far.order)
-        return far
-
-    monkeypatch.setattr(mlf, "_far_side", spy)
+def test_ascending_rows_need_no_sort(a, b, lam, n_steps):
+    # a kernel table's rows ascend strictly in -z; reversed, they must give the same bits
     z = table_rows(lam, n_steps, a)
     whole = ml_eval_array(a, b, z)
-    assert orders and all(order is None for order in orders)
     for i, row in enumerate(z):
         assert np.array_equal(whole[i], ml_eval_array(a, b, row[::-1])[::-1]), (a, b, i)
-    assert any(order is not None for order in orders)
 
 
-def test_tied_rows_go_through_the_sort(monkeypatch):
-    # ties go through np.argsort, like unsorted rows: a block edge inside a
-    # run of ties makes the values depend on their order
-    import fracsource.mlf as mlf
-
-    orders = []
-    far_side = mlf._far_side
-
-    def spy(*args):
-        far = far_side(*args)
-        orders.append(far.order)
-        return far
-
-    monkeypatch.setattr(mlf, "_far_side", spy)
-    ml_eval_array(0.5, 1.0, -np.array([[40.0, 40.0, 50.0], [36.0, 37.0, 38.0]]))
-    assert orders[0] is not None
+@pytest.mark.parametrize("a, b, routes", ROUTES)
+def test_every_value_equals_its_one_element_call(monkeypatch, a, b, routes):
+    # the expansion keeps the terms of each argument's octave of
+    # x = |z|^(1/a), so no value depends on the rest of its call: kernel
+    # table rows as given, reversed and permuted, ties on and beside the
+    # edges of octaves, and arguments that reach every route, in a 2-D and
+    # a flat argument
+    reached = spy_routes(monkeypatch, b)
+    table = table_rows([0.01, 9.87, 355.3, 4e4], 64, a)
+    rng = np.random.default_rng(43)
+    tables = np.vstack((table, table[:, ::-1], rng.permutation(table.ravel()).reshape(table.shape)))
+    edges = 2.0 ** (a * np.arange(4.0, 12.0))  # -z at x = 2^4, ..., 2^11
+    ties = np.concatenate((np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)))
+    flat = np.concatenate((-np.repeat(ties, 2), regime_rows(40).ravel(), tables.ravel()))
+    whole = ml_eval_array(a, b, tables), ml_eval_array(a, b, flat)
+    assert routes <= reached
+    lone = np.array([ml_eval_array(a, b, [z])[0] for z in flat])
+    assert np.array_equal(whole[0].ravel(), lone[-tables.size :])
+    assert np.array_equal(whole[1], lone)
