@@ -11,11 +11,14 @@ in its third block), and once with a K below sigma_1^2, so that some
 r <= 0; fixed-point solves with a `truth` (their error
 history included) at m_max 50 and 200 with tol 0 and 1e-8; and one
 `solve_volterra`, `reconstruct_final` at the weight `choose_mu_discrepancy`
-picks, `solve_homogeneous`, five `duhamel_residual` set-ups and one
-`lipschitz_certificate`.  Every input is valid, so a change that only
-refuses more inputs leaves every digest as it was.  It prints
-`<sha256>  <label>` per output and imports whichever `fracsource` the
-environment finds, so comparing two checkouts is one diff:
+picks, the weights `choose_mu_discrepancy` picks for 240 seeded noisy
+final data (alpha 0.6 and 0.75, noise norms from 1e-4 to 10 times the
+injected one, no cutoff and the median |B|), `solve_homogeneous`, five
+`duhamel_residual` set-ups and one `lipschitz_certificate`.  Every input
+is valid, so a change that only refuses more inputs leaves every digest
+as it was.  It prints `<sha256>  <label>` per output and imports
+whichever `fracsource` the environment finds, so comparing two checkouts
+is one diff:
 
     PYTHONPATH=old/src python3 scripts/lib_digests.py > old.txt
     PYTHONPATH=new/src python3 scripts/lib_digests.py > new.txt
@@ -163,6 +166,24 @@ def final_digests() -> None:
     show("solve_homogeneous", solve_homogeneous(a, alpha, grid).modal_values)
 
 
+def choose_mu_digests() -> None:
+    dom, grid = Domain1D(1.0, 64), TimeGrid(1.0, 128)
+    rng = np.random.default_rng(7)
+    mus = []
+    for a in (0.6, 0.75):
+        alpha = FractionalOrder(a)
+        rho = make_rho(grid, "constant", value=1.02)
+        b = modal_responses(rho, alpha, grid, dom)
+        clean = make_g(dom, "hat").coeffs * b
+        for _ in range(60):
+            noise = 0.01 * np.max(np.abs(clean)) * rng.uniform(-1.0, 1.0, clean.shape)
+            final = SpectralField(dom, clean + noise)
+            noise_norm = float(np.linalg.norm(noise)) * 10.0 ** rng.uniform(-4.0, 1.0)
+            for cutoff in (0.0, float(np.median(np.abs(b)))):
+                mus.append(choose_mu_discrepancy(rho, alpha, grid, final, cutoff, noise_norm))
+    show("choose_mu_discrepancy", mus)
+
+
 def duhamel_digests() -> None:
     set_ups = [
         (4, 32, 0.3, "mode_k", {"k": 2}, "constant"),
@@ -204,6 +225,7 @@ def main() -> None:
     interior_digests()
     rho_digests()
     final_digests()
+    choose_mu_digests()
     duhamel_digests()
     if len(sys.argv) > 1:
         os.makedirs(sys.argv[1], exist_ok=True)

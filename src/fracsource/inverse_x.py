@@ -199,9 +199,42 @@ def choose_mu_discrepancy(
 ) -> float:
     """Tikhonov weight matching the fit residual to the noise norm.
 
-    The discrepancy grows monotonically with mu, so a log-scale bisection
-    finds the weight at which the reconstruction stops fitting the noise.
-    b, b u_T and b^2 do not depend on mu and are formed once.
+    The weight is that of an 80-step bisection on log mu between 1e-16
+    and 1e6 that keeps the lower half when the fit at the midpoint falls
+    below the noise norm delta (the discrepancy principle).  Only the
+    midpoints whose side `_discrepancy_certificate` cannot prove are
+    fitted, so the weight is the bisection's bit for bit at about 22
+    fits instead of 57.  b, b u_T and b^2 do not depend on mu and are
+    formed once.
+
+    The proofs rest on two facts.  The exact discrepancy D(mu) never
+    falls as mu grows: a kept mode's residual is -mu u/(B^2 + mu), a cut
+    mode's is -u.  And with N <= 10^6 modes and eps = 2^-53, the unit
+    roundoff, a float fit f lies within
+    E(D) = 5.1 eps ||u|| + (N/2 + 2.1) eps D + sqrt(N) 2^-537 of D:
+
+    - a kept mode rounds B^2, B u, B^2 + mu, the quotient and g B, so
+      g B = t u (1 + th) with t = B^2/(B^2 + mu) and |th| <= 5.01 eps;
+      subtracting u adds eps |r|, so |r - r*| <= 5.02 eps |u| + eps |r*|;
+    - a cut mode's r = -u is exact (g stays 0), and so is that of a kept
+      mode whose B^2 overflows (g = B u/inf = 0): D counts it as cut;
+    - the dot product of N terms and the square root scale ||r|| by at
+      most 1 + (N/2 + 1.01) eps;
+    - an underflow costs at most 2^-1075 an operation: the dot
+      product's N of them move f by at most sqrt(N) 2^-537.5, those of
+      the fit (|B| < 2^512, B^2 + mu >= 1e-16) by far less.
+
+    These add up to A' + c' D with A' = 5.03 eps ||u|| + sqrt(N) 2^-537
+    and c' = (N/2 + 2.02) eps.  A fit f(mu0) < delta - m gives, for every
+    mu <= mu0, f(mu) <= (1 + c') D(mu0) + A'
+    <= (1 + c')(f(mu0) + A')/(1 - c') + A' < delta once
+    m > 2 A' + 2 c' delta; a fit f(mu0) > delta + m gives, for every
+    mu >= mu0, f(mu) >= (1 - c')(f(mu0) - A')/(1 + c') - A' >= delta once
+    m >= (2 A' + 2 c' delta)/(1 - c').  The margin m = 2 E(delta) exceeds
+    both, with room for its own rounding and that of f - delta (exact
+    wherever the two are within a factor 2).  A fit that is not finite
+    (data whose B u overflows) voids the proofs, and every midpoint is
+    fitted.
     """
     if not noise_norm >= 0.0:  # NaN fails too
         raise ValueError(f"noise_norm must be >= 0, got {noise_norm}")
@@ -210,22 +243,83 @@ def choose_mu_discrepancy(
     b, keep = _modal_responses(XSourceFinalProblem(rho, alpha, grid, final_data, cutoff))
     u = final_data.coeffs
     bu, b2 = b * u, b**2
-    # the discrepancy of a weight mu, every step in the same two buffers
-    disc = partial(_tikhonov_fit, b, bu, b2, keep, u, np.zeros(u.shape[0]), np.empty(u.shape[0]))
+    g, r = np.zeros(u.shape[0]), np.empty(u.shape[0])
+    # the discrepancy of a weight mu, every step in the same two buffers; a
+    # mask that keeps every mode is left out, which divides faster to the same bits
+    disc = partial(_tikhonov_fit, b, bu, b2, True if keep.all() else keep, u, g, r)
     if disc(_MU_LO) >= noise_norm:
         return _MU_LO
     if disc(_MU_HI) <= noise_norm:
         return _MU_HI
+    kept_b2 = b2 * keep
+
+    def slope(mu: float, d: float) -> float:
+        """d log D / d log mu at the fit d just made: kept residuals grow at B^2/(B^2 + mu)."""
+        return float((r * r) @ (kept_b2 / (b2 + mu))) / d / d if d > 0.0 else 0.0
+
+    n, eps = u.shape[0], 2.0**-53
+    a = 5.1 * eps * math.sqrt(u @ u) + math.sqrt(n) * 2.0**-537  # E(D) = a + (N/2 + 2.1) eps D
+    margin = 2.0 * (a + (n / 2 + 2.1) * eps * noise_norm)
     log_lo, log_hi = math.log(_MU_LO), math.log(_MU_HI)
+    below, above = _discrepancy_certificate(disc, slope, noise_norm, margin, log_lo, log_hi)
     for _ in range(80):
         mid = 0.5 * (log_lo + log_hi)
         if mid in (log_lo, log_hi):
             break  # the midpoint is an end: every later step returns it too
-        if disc(math.exp(mid)) < noise_norm:
+        mu = math.exp(mid)
+        if mu <= below or (mu < above and disc(mu) < noise_norm):
             log_lo = mid
         else:
             log_hi = mid
     return math.exp(0.5 * (log_lo + log_hi))
+
+
+def _discrepancy_certificate(disc, slope, target: float, margin: float, lo: float, hi: float):
+    """Weights (below, above): every mu <= below fits under target, every mu >= above does not.
+
+    `disc(mu)` is a fit whose exact value never falls as mu grows, and
+    `slope(mu, d)` the derivative d log disc / d log mu at the fit d just
+    made.  A fit more than `margin` below target proves every smaller
+    weight, one more than `margin` above proves every larger one.
+    Newton's method on log disc - log target as a function of mu,
+    mu <- mu (1 - (log disc - log target)/slope), starts at the midpoint
+    of (lo, hi) in s = log mu.  An iterate outside the interval proven so
+    far is replaced by that interval's midpoint in s, and the iteration
+    stops at a fit within the margin (or after 80 fits).  A proof point
+    is then placed on each side, 4 margin/(target slope) away in s, and
+    widened 4 times until its fit proves its side.  A fit that is not
+    finite gives the empty certificate (0, inf).
+    """
+    below, above = 0.0, math.inf
+    s = 0.5 * (lo + hi)
+    for _ in range(80):
+        mu = math.exp(s)
+        d = disc(mu)
+        if not math.isfinite(d):
+            return 0.0, math.inf
+        k = slope(mu, d)
+        if abs(d - target) <= margin:
+            break
+        if d < target:
+            below, lo = mu, s
+        else:
+            above, hi = mu, s
+        # stepped in mu: log disc is convex in s on final data, where a step from below overshoots
+        x = -math.log(d / target) / k if k > 0.0 else math.nan
+        step = s + math.log1p(x) if x > -1.0 else math.nan
+        s = step if lo < step < hi else 0.5 * (lo + hi)
+    for side in (-1.0, 1.0):
+        gap = 4.0 * margin / target / k if k > 0.0 else math.inf
+        while lo < s + side * gap < hi:
+            mu = math.exp(s + side * gap)
+            d = disc(mu)
+            if not math.isfinite(d):
+                return 0.0, math.inf
+            if side * (d - target) > margin:
+                below, above = (mu, above) if side < 0.0 else (below, mu)
+                break
+            gap *= 4.0
+    return below, above
 
 
 class _InteriorOperator:

@@ -18,6 +18,7 @@ from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries
 from fracsource.inverse_x import (
     _MU_HI,
     _MU_LO,
+    _tikhonov_fit,
     XSourceFinalProblem,
     XSourceInteriorProblem,
     choose_mu_discrepancy,
@@ -273,6 +274,90 @@ def test_choose_mu_returns_the_bracket_ends():
         inner = (np.nextafter(at_lo, np.inf), np.nextafter(at_hi, 0.0))
         for noise_norm in inner:
             assert _MU_LO < choose_mu_discrepancy(rho, a, grid, data, cutoff, noise_norm) < _MU_HI
+
+
+def bisected_mu(b, keep, u, noise_norm):
+    """The weight of a plain 80-step bisection on log mu that fits every midpoint."""
+    g, r = np.zeros(u.size), np.empty(u.size)
+
+    def disc(mu):
+        return _tikhonov_fit(b, b * u, b**2, keep, u, g, r, mu)
+
+    if disc(_MU_LO) >= noise_norm:
+        return _MU_LO
+    if disc(_MU_HI) <= noise_norm:
+        return _MU_HI
+    lo, hi = math.log(_MU_LO), math.log(_MU_HI)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if disc(math.exp(mid)) < noise_norm:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """The weights of every `_tikhonov_fit` call, in order."""
+    import fracsource.inverse_x as inverse_x
+
+    weights = []
+    original = inverse_x._tikhonov_fit
+
+    def spy(*args):
+        weights.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(inverse_x, "_tikhonov_fit", spy)
+    return weights
+
+
+def test_choose_mu_matches_a_plain_bisection(fits):
+    # 2000 seeded draws: both orders the benchmark solves at, noise norms
+    # from 1e-4 to 10 times the injected one, no cutoff and the median |B|
+    dom, grid = Domain1D(1.0, 64), TimeGrid(1.0, 128)
+    rng = np.random.default_rng(29)
+    for a in (0.6, 0.75):
+        alpha = FractionalOrder(a)
+        for value in (0.96, 1.03):
+            rho = make_rho(grid, "constant", value=value)
+            b = modal_responses(rho, alpha, grid, dom)
+            clean = make_g(dom, "hat").coeffs * b
+            for _ in range(250):
+                noise = 0.01 * np.max(np.abs(clean)) * rng.uniform(-1.0, 1.0, 64)
+                data = SpectralField(dom, clean + noise)
+                noise_norm = float(np.linalg.norm(noise)) * 10.0 ** rng.uniform(-4.0, 1.0)
+                for cutoff in (0.0, float(np.median(np.abs(b)))):
+                    mu = choose_mu_discrepancy(rho, alpha, grid, data, cutoff, noise_norm)
+                    assert mu == bisected_mu(b, np.abs(b) >= cutoff, data.coeffs, noise_norm)
+    # B u overflows, so every fit is NaN: nothing is proven and every midpoint is fitted
+    rho = make_rho(grid, "constant", value=1e200)
+    b = modal_responses(rho, alpha, grid, dom)
+    data = SpectralField(dom, make_g(dom, "hat").coeffs * b)
+    for noise_norm in (1e-3, 1.0, 1e190):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits.clear()
+            mu = choose_mu_discrepancy(rho, alpha, grid, data, 0.0, noise_norm)
+            assert len(fits) > 50
+            assert mu == bisected_mu(b, np.ones(64, dtype=bool), data.coeffs, noise_norm)
+
+
+def test_choose_mu_fits_few_midpoints(fits):
+    # warm re-solves of final data: alpha 0.6, 64 modes, 256 steps, 1% noise,
+    # no cutoff; a plain bisection fits 57 times a call
+    dom, grid, alpha = Domain1D(1.0, 64), TimeGrid(1.0, 256), FractionalOrder(0.6)
+    rho = make_rho(grid, "constant", value=1.02)
+    clean = make_g(dom, "hat").coeffs * modal_responses(rho, alpha, grid, dom)
+    rng = np.random.default_rng(41)
+    counts = []
+    for _ in range(100):
+        noise = 0.01 * np.max(np.abs(clean)) * rng.uniform(-1.0, 1.0, 64)
+        fits.clear()
+        choose_mu_discrepancy(rho, alpha, grid, SpectralField(dom, clean + noise), 0.0,
+                              float(np.linalg.norm(noise)))
+        counts.append(len(fits))
+    assert np.median(counts) <= 28
 
 
 def test_holder_stability_single_constant():
