@@ -13,7 +13,11 @@ history included) at m_max 50 and 200 with tol 0 and 1e-8; and one
 `solve_volterra`, `reconstruct_final` at the weight `choose_mu_discrepancy`
 picks, the weights `choose_mu_discrepancy` picks for 240 seeded noisy
 final data (alpha 0.6 and 0.75, noise norms from 1e-4 to 10 times the
-injected one, no cutoff and the median |B|), `solve_homogeneous`, five
+injected one, no cutoff and the median |B|) and for three noise norms at
+the edges of its certificate on each of them (the next float above the
+fit at mu = 1e-16, that fit times 1 + 2^-30, and the fit at the 40th
+midpoint of a plain bisection) and on clean 8-mode data with rho = 100,
+whose fit at 1e-16 lies within two margins of 0, `solve_homogeneous`, five
 `duhamel_residual` set-ups and one `lipschitz_certificate`.  Every input
 is valid, so a change that only refuses more inputs leaves every digest
 as it was.  It prints `<sha256>  <label>` per output and imports
@@ -42,6 +46,7 @@ listing starts with the `# blas_threads=<n>` line of `csv_digests.py`.
 """
 
 import hashlib
+import math
 import os
 import sys
 
@@ -166,10 +171,29 @@ def final_digests() -> None:
     show("solve_homogeneous", solve_homogeneous(a, alpha, grid).modal_values)
 
 
+def edge_norms(rho, alpha, grid, final, cutoff, noise_norm) -> list[float]:
+    """Noise norms at the edges of the weight's certificate.
+
+    The next float above the fit at mu = 1e-16 and that fit times
+    1 + 2^-30, where no weight proves the lower side, and the fit at the
+    40th midpoint of a plain bisection for noise_norm, which a bisection
+    for that fit meets again.
+    """
+    def fit(mu):
+        return reconstruct_final(XSourceFinalProblem(rho, alpha, grid, final, cutoff, mu)).residual_history[-1]
+
+    at_lo = fit(1e-16)
+    lo, hi = math.log(1e-16), math.log(1e6)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fit(math.exp(mid)) < noise_norm else (lo, mid)
+    return [float(np.nextafter(at_lo, np.inf)), at_lo * (1.0 + 2.0**-30), fit(math.exp(mid))]
+
+
 def choose_mu_digests() -> None:
     dom, grid = Domain1D(1.0, 64), TimeGrid(1.0, 128)
     rng = np.random.default_rng(7)
-    mus = []
+    mus, edges = [], []
     for a in (0.6, 0.75):
         alpha = FractionalOrder(a)
         rho = make_rho(grid, "constant", value=1.02)
@@ -181,7 +205,14 @@ def choose_mu_digests() -> None:
             noise_norm = float(np.linalg.norm(noise)) * 10.0 ** rng.uniform(-4.0, 1.0)
             for cutoff in (0.0, float(np.median(np.abs(b)))):
                 mus.append(choose_mu_discrepancy(rho, alpha, grid, final, cutoff, noise_norm))
-    show("choose_mu_discrepancy", mus)
+                for norm in edge_norms(rho, alpha, grid, final, cutoff, noise_norm):
+                    edges.append(choose_mu_discrepancy(rho, alpha, grid, final, cutoff, norm))
+        # few modes, large B: the lower aim of the certificate is skipped
+        few, big = Domain1D(1.0, 8), make_rho(grid, "constant", value=100.0)
+        final = SpectralField(few, make_g(few, "hat").coeffs * modal_responses(big, alpha, grid, few))
+        for norm in edge_norms(big, alpha, grid, final, 0.0, 1e-3)[:2]:
+            edges.append(choose_mu_discrepancy(big, alpha, grid, final, 0.0, norm))
+    show("choose_mu_discrepancy", mus, edges)
 
 
 def duhamel_digests() -> None:

@@ -6,7 +6,8 @@ Every mode is a thin wrapper over one library operation; no numerics
 live here.  Output files use '.' as decimal separator, '\\n' line
 endings and UTF-8, and re-running the same config reproduces them byte
 for byte.  Exit codes: 0 success, 2 config parse error, 3 validation
-error, 4 solver error (including any non-finite result).
+error, 4 solver error (including any non-finite result, and an array too
+large for memory).
 
 A mode loads only the solver modules it uses: `forward`, `profiles`,
 `inverse_t` and `inverse_x` are registered in sys.modules when this
@@ -180,11 +181,15 @@ def _numbers(cfg: dict, key: str, default=None) -> list:
 
 
 def _build_domain(cfg: dict) -> Domain1D:
-    return Domain1D(_num(cfg, "L", 1.0, lo=1e-12), _num(cfg, "N", 64, lo=1, integer=True))
+    length, n_modes = _num(cfg, "L", 1.0, lo=1e-12), _num(cfg, "N", 64, lo=1, integer=True)
+    with _blame("N"):  # more modes than a domain takes
+        return Domain1D(length, n_modes)
 
 
 def _build_grid(cfg: dict) -> TimeGrid:
-    return TimeGrid(_num(cfg, "T", 1.0, lo=1e-12), _num(cfg, "n_steps", 256, lo=2, integer=True))
+    total, n_steps = _num(cfg, "T", 1.0, lo=1e-12), _num(cfg, "n_steps", 256, lo=2, integer=True)
+    with _blame("n_steps"):  # more steps than a grid takes
+        return TimeGrid(total, n_steps)
 
 
 def _build_alpha(cfg: dict) -> FractionalOrder:
@@ -329,7 +334,8 @@ def _run_invert_g_interior(cfg: dict):
     n_mesh = _num(cfg, "n_mesh", 257, lo=8, integer=True)
     with np.errstate(over="ignore", invalid="ignore"):  # _noisy refuses overflowed data
         u = forward.solve_inhomogeneous(forward.separated_source(g_true, rho), alpha, grid)
-        clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
+        with _blame("n_mesh"):  # more mesh points than a domain takes
+            clean = inverse_x.observe_interior(u, (omega[0], omega[1]), n_mesh)
     observed, _, noise = _noisy(cfg, clean)
     settings = {
         "K": _num(cfg, "solver.K", None, above=0.0),
@@ -488,7 +494,7 @@ def run(config_path: str, overrides=()) -> int:
     except ConfigError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3
-    except (FracsourceError, MLConvergenceError) as exc:
+    except (FracsourceError, MLConvergenceError, MemoryError) as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     print(out_path)

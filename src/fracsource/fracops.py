@@ -46,6 +46,12 @@ class FractionalOrder:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
+# the most steps, modes or mesh points a count may give: the final-data
+# weight's roundoff bound holds for up to 10^6 modes, and an array of two
+# such counts stays far inside the sizes numpy can allocate
+_MOST = 10**6
+
+
 def _count(name: str, value, least: int | None = None, most: int | None = None, error=ValueError) -> int:
     """value as a Python int; a count is an int or NumPy integer, not a bool, in [least, most].
 
@@ -54,7 +60,7 @@ def _count(name: str, value, least: int | None = None, most: int | None = None, 
     """
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or (least is not None and value < least) or (most is not None and value > most)):
-        bound = f" in [{least}, {most}]" if most is not None else "" if least is None else f" >= {least}"
+        bound = ("" if least is None else f" >= {least}") + ("" if most is None else f", at most {most}")
         raise error(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
@@ -69,7 +75,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.total_time) and self.total_time > 0.0):
             raise ValueError(f"total_time must be positive, got {self.total_time}")
-        object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps, 2))
+        object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps, 2, _MOST))
 
     @property
     def tau(self) -> float:

@@ -41,7 +41,7 @@ from .errors import (
     NonPositiveParamsError,
 )
 from .forward import EvolutionField, modal_kernel_weights
-from .fracops import FractionalOrder, TimeGrid, TimeSeries, _count, product_rule_convolve
+from .fracops import _MOST, FractionalOrder, TimeGrid, TimeSeries, _count, product_rule_convolve
 from .report import ReconstructionReport, _by_value, first_index, third_rises
 from .spectral import Domain1D, SpectralField, simpson_weights
 
@@ -123,7 +123,7 @@ class XSourceInteriorProblem:
 
 def _omega_mesh(domain: Domain1D, omega: tuple, n_mesh: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniform mesh of n_mesh points and the mask of those inside omega."""
-    xs = domain.mesh(n_mesh)
+    xs = domain.mesh(_count("n_mesh", n_mesh, 4, _MOST))
     return xs, (xs >= omega[0]) & (xs <= omega[1])
 
 
@@ -203,14 +203,14 @@ def choose_mu_discrepancy(
     and 1e6 that keeps the lower half when the fit at the midpoint falls
     below the noise norm delta (the discrepancy principle).  Only the
     midpoints whose side `_discrepancy_certificate` cannot prove are
-    fitted, so the weight is the bisection's bit for bit at about 22
+    fitted, so the weight is the bisection's bit for bit at about 20
     fits instead of 57.  b, b u_T and b^2 do not depend on mu and are
     formed once.
 
     The proofs rest on two facts.  The exact discrepancy D(mu) never
     falls as mu grows: a kept mode's residual is -mu u/(B^2 + mu), a cut
-    mode's is -u.  And with N <= 10^6 modes and eps = 2^-53, the unit
-    roundoff, a float fit f lies within
+    mode's is -u.  And with N <= 10^6 modes (all a Domain1D takes) and
+    eps = 2^-53, the unit roundoff, a float fit f lies within
     E(D) = 5.1 eps ||u|| + (N/2 + 2.1) eps D + sqrt(N) 2^-537 of D:
 
     - a kept mode rounds B^2, B u, B^2 + mu, the quotient and g B, so
@@ -280,45 +280,42 @@ def _discrepancy_certificate(disc, slope, target: float, margin: float, lo: floa
     `disc(mu)` is a fit whose exact value never falls as mu grows, and
     `slope(mu, d)` the derivative d log disc / d log mu at the fit d just
     made.  A fit more than `margin` below target proves every smaller
-    weight, one more than `margin` above proves every larger one.
-    Newton's method on log disc - log target as a function of mu,
-    mu <- mu (1 - (log disc - log target)/slope), starts at the midpoint
-    of (lo, hi) in s = log mu.  An iterate outside the interval proven so
-    far is replaced by that interval's midpoint in s, and the iteration
-    stops at a fit within the margin (or after 80 fits).  A proof point
-    is then placed on each side, 4 margin/(target slope) away in s, and
-    widened 4 times until its fit proves its side.  A fit that is not
-    finite gives the empty certificate (0, inf).
+    weight, one more than `margin` above proves every larger one, and
+    every fit that is a proof is kept.  One safeguarded Newton iteration
+    on log disc - log aim, stepped in mu, mu <- mu (1 - (log disc -
+    log aim)/slope), starts at the midpoint of (lo, hi) in s = log mu and
+    runs first to the aim target - 2 margin, then on from its last fit to
+    target + 2 margin.  An aim is left once a fit lands within the margin
+    of it, which proves that side, or once a step leaves (lo, hi), which
+    puts the aim past the fits of the interval.  An aim <= 0 is skipped:
+    no fit can prove that side.  Each aim has its own bracket in s,
+    (lo, hi) at first, that every fit narrows to its side of the aim; a
+    step outside it, or none (slope 0, or a step to mu <= 0), is replaced
+    by its midpoint.  The iteration makes 80 fits at most.  A fit that is
+    not finite gives the empty certificate (0, inf).
     """
-    below, above = 0.0, math.inf
-    s = 0.5 * (lo + hi)
+    below, above, a, b, s = 0.0, math.inf, lo, hi, 0.5 * (lo + hi)
+    aims = [aim for aim in (target - 2.0 * margin, target + 2.0 * margin) if aim > 0.0]
     for _ in range(80):
         mu = math.exp(s)
         d = disc(mu)
         if not math.isfinite(d):
             return 0.0, math.inf
-        k = slope(mu, d)
-        if abs(d - target) <= margin:
-            break
-        if d < target:
-            below, lo = mu, s
-        else:
-            above, hi = mu, s
-        # stepped in mu: log disc is convex in s on final data, where a step from below overshoots
-        x = -math.log(d / target) / k if k > 0.0 else math.nan
-        step = s + math.log1p(x) if x > -1.0 else math.nan
-        s = step if lo < step < hi else 0.5 * (lo + hi)
-    for side in (-1.0, 1.0):
-        gap = 4.0 * margin / target / k if k > 0.0 else math.inf
-        while lo < s + side * gap < hi:
-            mu = math.exp(s + side * gap)
-            d = disc(mu)
-            if not math.isfinite(d):
-                return 0.0, math.inf
-            if side * (d - target) > margin:
-                below, above = (mu, above) if side < 0.0 else (below, mu)
+        k = slope(mu, d)  # 0 at d = 0, which keeps d out of the log below
+        if abs(d - target) > margin:
+            below, above = (max(below, mu), above) if d < target else (below, min(above, mu))
+        while aims:
+            # stepped in mu: log disc is convex in s on final data, where a step from below overshoots
+            x = -math.log(d / aims[0]) / k if k > 0.0 else math.nan
+            step = s + math.log1p(x) if x > -1.0 else math.nan
+            if abs(d - aims[0]) >= margin and not (step <= lo or step >= hi):
                 break
-            gap *= 4.0
+            aims.pop(0)
+            a, b = lo, hi
+        if not aims:
+            break
+        a, b = (s, b) if d < aims[0] else (a, s)
+        s = step if a < step < b else 0.5 * (a + b)
     return below, above
 
 

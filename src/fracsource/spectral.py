@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import _count
+from .fracops import _MOST, _count
 
 __all__ = [
     "Domain1D",
@@ -35,7 +35,7 @@ class Domain1D:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise ValueError(f"length must be positive, got {self.length}")
-        object.__setattr__(self, "n_modes", _count("n_modes", self.n_modes, 1))
+        object.__setattr__(self, "n_modes", _count("n_modes", self.n_modes, 1, _MOST))
 
     def eigenvalues(self) -> np.ndarray:
         n = np.arange(1, self.n_modes + 1, dtype=float)

@@ -127,6 +127,7 @@ def test_exit_code_parse_error(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     assert run(str(bad)) == 2
     assert run(str(tmp_path / "missing.json")) == 2
+    assert run(write_cfg(tmp_path, "list.json", [{"mode": "caputo-t2", "alpha": 0.5}])) == 2
 
 
 def test_exit_code_validation_error(tmp_path):
@@ -153,6 +154,9 @@ def test_exit_code_solver_error(tmp_path):
         },
     )
     assert run(cfg) == 4
+    # at alpha 0.001 the series at z = 1 does not converge in its 10000 terms
+    ml = {"mode": "ml-eval", "ml": {"alpha": 0.001, "beta": 1.0, "z": [1.0]}}
+    assert run(write_cfg(tmp_path, "d.json", ml)) == 4
 
 
 @pytest.mark.parametrize("mode", ["forward", "invert-rho-volterra", "invert-rho-fixedpoint"])
@@ -240,6 +244,18 @@ HUGE = 10**400
         ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [0.0, -HUGE]}}, "ml.z"),
         (sweep_cfg([16, HUGE]), "sweep.values"),
         (dict(interior_cfg(), omega=[0.1, HUGE]), "omega"),
+        # counts past what a grid, a domain or a mesh takes, refused before any array is made
+        ({"mode": "caputo-t2", "alpha": 0.5, "n_steps": 10**30}, "n_steps"),
+        (dict(interior_cfg(), n_mesh=10**30), "n_mesh"),
+        (sweep_cfg([16, 10**30]), "n_steps"),
+        ({"mode": "forward", "alpha": 0.5, "N": 10**30}, "N"),
+        ({"mode": "forward", "alpha": 0.5, "N": 8, "n_steps": 16, "g": 5}, "g"),
+        ({"mode": "forward", "alpha": 0.5, "N": 8, "n_steps": 16, "g": {"params": {}}}, "g"),
+        (dict(interior_cfg(), omega=[0.1, 0.2, 0.3]), "omega"),
+        ({"mode": "sweep", "sweep": {"key": "n_steps", "values": [16, 32], "inner": 5}},
+         "sweep.inner"),
+        (sweep_cfg([16, 32], metric="iterations"), "sweep.metric"),
+        ({"mode": "caputo-t2", "alpha": 0.5, "output": 5}, "output"),
     ],
     ids=[
         "ml-number", "z-null", "z-list", "sweep-strings", "sweep-equal-neighbours",
@@ -251,6 +267,9 @@ HUGE = 10**400
         "sweep-number", "ml-alpha-missing", "z-string", "z-empty", "omega-string",
         "metric-list", "forward-nan-rho", "final-nan-rho", "interior-nan-rho",
         "output-missing-dir", "T-huge", "alpha-huge", "z-huge", "sweep-huge", "omega-huge",
+        "n_steps-huge", "n_mesh-huge", "sweep-n_steps-huge", "N-huge", "g-number",
+        "g-without-profile", "omega-triple", "inner-number", "metric-not-produced",
+        "output-number",
     ],
 )
 def test_exit_code_malformed_config_value(tmp_path, capsys, cfg, key):
@@ -314,6 +333,20 @@ def test_exit_code_non_finite_metadata(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "nf.csv").exists()
 
 
+def test_exit_code_memory_error(tmp_path, monkeypatch, capsys):
+    # an array too large for memory is a solver error on one line, not a traceback
+    import fracsource.cli as cli
+
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+    monkeypatch.setitem(cli.MODES, "caputo-t2", too_large)
+    cfg = write_cfg(tmp_path, "mem.json", {"mode": "caputo-t2", "alpha": 0.5})
+    assert run(cfg) == 4
+    assert capsys.readouterr().err == "solver error: MemoryError: Unable to allocate 8.00 EiB for an array\n"
+    assert not (tmp_path / "mem.csv").exists()
+
+
 def test_exit_code_non_finite_column(tmp_path, monkeypatch, capsys):
     import fracsource.cli as cli
 
@@ -343,7 +376,7 @@ def test_exit_code_non_finite_column(tmp_path, monkeypatch, capsys):
     assert run(sweep) == 0
 
 
-def test_override_flag(tmp_path):
+def test_override_flag(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         "o.json",
@@ -355,6 +388,9 @@ def test_override_flag(tmp_path):
     assert int(meta["n_steps"]) == 128
     # a dotted key through a number is a validation error, not a traceback
     assert main([cfg, "--override", "alpha.x=1"]) == 3
+    capsys.readouterr()
+    assert main([cfg, "--override", "alpha"]) == 3
+    assert "config key '--override'" in capsys.readouterr().err
 
 
 def test_override_dotted_path(tmp_path):

@@ -44,6 +44,10 @@ def test_type_validation():
     grid = TimeGrid(1.0, 4)
     with pytest.raises(ValueError):
         TimeSeries(grid, np.zeros(4))
+    # a count past the bound is refused before any array of its size is made
+    assert TimeGrid(1.0, 10**6).n_steps == 10**6
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 2, at most 1000000"):
+        TimeGrid(1.0, 10**30)
 
 
 def test_caputo_constant_is_zero():

@@ -343,6 +343,85 @@ def test_choose_mu_matches_a_plain_bisection(fits):
             assert mu == bisected_mu(b, np.ones(64, dtype=bool), data.coeffs, noise_norm)
 
 
+@pytest.fixture
+def certificates(monkeypatch):
+    """Every `_discrepancy_certificate` call: its fit, target, margin and (below, above)."""
+    import fracsource.inverse_x as inverse_x
+
+    calls = []
+    original = inverse_x._discrepancy_certificate
+
+    def spy(disc, slope, target, margin, lo, hi):
+        result = original(disc, slope, target, margin, lo, hi)
+        calls.append((disc, target, margin, result))
+        return result
+
+    monkeypatch.setattr(inverse_x, "_discrepancy_certificate", spy)
+    return calls
+
+
+def assert_proven(disc, target, below, above):
+    """16 log-spaced weights up to below fit under target, 16 from above on do not."""
+    assert below < above
+    if below > 0.0:
+        assert all(disc(mu) < target for mu in np.geomspace(_MU_LO, below, 16))
+    if above < math.inf:
+        assert all(disc(mu) >= target for mu in np.geomspace(above, _MU_HI, 16))
+
+
+def test_certificate_proves_what_it_claims(certificates):
+    # the oracle test's kinds of draws, each also with the noise norm just
+    # above the fit at mu_LO, where no weight can prove the lower side
+    dom, grid = Domain1D(1.0, 64), TimeGrid(1.0, 128)
+    rng = np.random.default_rng(30)
+    g, r = np.zeros(64), np.empty(64)
+    certified = 0
+    for a in (0.6, 0.75):
+        alpha = FractionalOrder(a)
+        for value in (0.96, 1.03):
+            rho = make_rho(grid, "constant", value=value)
+            b = modal_responses(rho, alpha, grid, dom)
+            clean = make_g(dom, "hat").coeffs * b
+            for _ in range(65):
+                noise = 0.01 * np.max(np.abs(clean)) * rng.uniform(-1.0, 1.0, 64)
+                data = SpectralField(dom, clean + noise)
+                noise_norm = float(np.linalg.norm(noise)) * 10.0 ** rng.uniform(-4.0, 1.0)
+                for cutoff in (0.0, float(np.median(np.abs(b)))):
+                    u, keep = data.coeffs, np.abs(b) >= cutoff
+                    at_lo, at_hi = (_tikhonov_fit(b, b * u, b**2, keep, u, g, r, mu)
+                                    for mu in (_MU_LO, _MU_HI))
+                    for delta in (noise_norm, float(np.nextafter(at_lo, np.inf))):
+                        certificates.clear()
+                        choose_mu_discrepancy(rho, alpha, grid, data, cutoff, delta)
+                        for disc, target, margin, (below, above) in certificates:
+                            certified += 1
+                            assert_proven(disc, target, below, above)
+                            # a side is proven wherever a fit can prove it with a margin to spare
+                            assert below > 0.0 or at_lo >= target - 3.0 * margin
+                            assert above < math.inf or at_hi <= target + 3.0 * margin
+    assert certified >= 500
+    # few modes and a large B: the fit at mu_LO lies within two margins of 0,
+    # so the lower aim is skipped and only the upper side is proven
+    few, big = Domain1D(1.0, 8), make_rho(grid, "constant", value=100.0)
+    b = modal_responses(big, alpha, grid, few)
+    data = SpectralField(few, make_g(few, "hat").coeffs * b)
+    u = data.coeffs
+    at_lo = _tikhonov_fit(b, b * u, b**2, np.ones(8, dtype=bool), u, np.zeros(8), np.empty(8), _MU_LO)
+    certificates.clear()
+    choose_mu_discrepancy(big, alpha, grid, data, 0.0, float(np.nextafter(at_lo, np.inf)))
+    [(disc, target, margin, (below, above))] = certificates
+    assert target <= 2.0 * margin and below == 0.0 and above < math.inf
+    assert_proven(disc, target, below, above)
+    # B u overflows, so every fit is NaN: the certificate is empty
+    rho = make_rho(grid, "constant", value=1e200)
+    data = SpectralField(dom, make_g(dom, "hat").coeffs * modal_responses(rho, alpha, grid, dom))
+    for noise_norm in (1e-3, 1.0, 1e190):
+        certificates.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            choose_mu_discrepancy(rho, alpha, grid, data, 0.0, noise_norm)
+        assert [result for *_, result in certificates] == [(0.0, math.inf)]
+
+
 def test_choose_mu_fits_few_midpoints(fits):
     # warm re-solves of final data: alpha 0.6, 64 modes, 256 steps, 1% noise,
     # no cutoff; a plain bisection fits 57 times a call

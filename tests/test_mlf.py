@@ -239,6 +239,12 @@ def test_array_argument_validation():
         ml_eval_array(0.0, 1.0, [-1.0])
 
 
+def test_series_that_does_not_converge_raises():
+    # at alpha 0.001 the terms z^k / Gamma(0.001 k + 1) at z = 1 barely fall
+    with pytest.raises(MLConvergenceError, match="did not converge in 10000 terms"):
+        ml_eval_array(0.001, 1.0, [1.0])
+
+
 def test_gamma_tables_shared_between_threads():
     # beta > 3 takes the series, the beta recurrence and the contour, with
     # their cached tables, and far arguments at beta 1 fill the memo of the

@@ -25,6 +25,18 @@ def test_domain_validation():
         Domain1D(1.0, 0)
     with pytest.raises(ValueError):
         Domain1D(1.0, 2.5)
+    # more modes than the final-data weight's roundoff bound covers
+    assert Domain1D(1.0, 10**6).n_modes == 10**6
+    with pytest.raises(ValueError, match="n_modes must be an integer >= 1, at most 1000000"):
+        Domain1D(1.0, 10**6 + 1)
+
+
+def test_spectral_field_validation():
+    dom = Domain1D(1.0, 4)
+    with pytest.raises(ValueError, match="length 4"):
+        SpectralField(dom, np.zeros(3))
+    with pytest.raises(ValueError, match="finite"):
+        SpectralField(dom, np.array([0.0, math.nan, 0.0, 0.0]))
 
 
 def test_eigenvalues_increasing():
@@ -127,6 +139,10 @@ def test_project_mesh_too_coarse():
     dom = Domain1D(1.0, 8)
     with pytest.raises(ValueError):
         project(np.zeros(2 * 8 + 2), dom)
+    with pytest.raises(ValueError, match="1-D"):
+        project(np.zeros((2, 41)), dom)
+    with pytest.raises(ValueError, match="at least 4"):
+        simpson_weights(3, 0.5)
 
 
 def test_simpson_weights_odd_interval_count():
