@@ -117,6 +117,8 @@ def _blame(key: str, kinds=ValueError):
     """Raise an error of `kinds` from the block as a ConfigError of key, chained to it."""
     try:
         yield
+    except ParameterError:
+        raise  # a solver argument: dispatch names its solver key
     except kinds as exc:
         raise ConfigError(key, str(exc)) from exc
 

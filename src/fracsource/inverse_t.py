@@ -41,6 +41,7 @@ from .errors import (
 )
 from .forward import trace_weights
 from .fracops import (
+    _MOST,
     FractionalOrder,
     TimeGrid,
     TimeSeries,
@@ -231,6 +232,10 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
 
 # sweeps per block of the closed-form fixed-point iteration
 _SWEEP_BLOCK = 64
+# spectrum points per group of rows a block transforms at once: 64 KiB of
+# complex values, below the 128 KiB from which glibc's malloc serves an
+# array by a fresh mapping and may trim the heap when it is freed
+_GROUP_POINTS = 1 << 12
 
 
 class _SweepTable:
@@ -284,8 +289,24 @@ class _SweepTable:
             self.coupling[:, j] = rows[j - 1 :: -1].T @ spread_r[:j]
 
     def block(self, start: np.ndarray, count: int) -> np.ndarray:
-        """Rows: the update `start` and the count updates that follow it."""
-        out = _truncated_inverse(self.powers[: count + 1] * _spectrum(start, self.n), self.n)
+        """Rows: the update `start` and the count updates that follow it.
+
+        Where at least 8 rows fit, the rows are transformed
+        `_GROUP_POINTS` spectrum points at a time: rows transform
+        independently, so the bits are those of one transform, and a warm
+        solve's temporaries are reused from the heap instead of being
+        faulted in afresh on every call.  Longer rows gain nothing from it
+        and lose a call per group, so they go in one transform.
+        """
+        spectrum = _spectrum(start, self.n)
+        step = _GROUP_POINTS // spectrum.size
+        if step < 8 or step > count:  # long rows, or one group: one transform
+            out = _truncated_inverse(self.powers[: count + 1] * spectrum, self.n)
+        else:
+            out = np.empty((count + 1, self.n))
+            for lo in range(0, count + 1, step):
+                hi = min(lo + step, count + 1)
+                out[lo:hi] = _truncated_inverse(self.powers[lo:hi] * spectrum, self.n)
         for weight, table in zip(start, self.coupling):  # start_l G_l, l < q
             out -= weight * table[: count + 1]
         return out
@@ -309,7 +330,7 @@ def fixed_point_iterate(
     three rises in a row raise DivergenceError, and an update of at most
     `tol` ends the run, checked in that order at every sweep.
     """
-    _count("m_max", m_max, 1, error=partial(ParameterError, "m_max"))
+    _count("m_max", m_max, 1, _MOST, error=partial(ParameterError, "m_max"))
     if not tol >= 0.0:  # NaN fails too
         raise ParameterError("tol", f"tol must be >= 0, got {tol}")
     if truth is not None and truth.grid != problem.grid:

@@ -249,6 +249,10 @@ HUGE = 10**400
         (dict(interior_cfg(), n_mesh=10**30), "n_mesh"),
         (sweep_cfg([16, 10**30]), "n_steps"),
         ({"mode": "forward", "alpha": 0.5, "N": 10**30}, "N"),
+        # sweep counts past the same bound, refused before any sweep runs
+        (interior_cfg(m_max=10**30), "solver.m_max"),
+        ({"mode": "invert-rho-fixedpoint", "alpha": 0.5, "N": 8, "n_steps": 16, "x0": 0.3,
+          "solver": {"m_max": 10**30, "tol": 0}}, "solver.m_max"),
         ({"mode": "forward", "alpha": 0.5, "N": 8, "n_steps": 16, "g": 5}, "g"),
         ({"mode": "forward", "alpha": 0.5, "N": 8, "n_steps": 16, "g": {"params": {}}}, "g"),
         (dict(interior_cfg(), omega=[0.1, 0.2, 0.3]), "omega"),
@@ -267,7 +271,8 @@ HUGE = 10**400
         "sweep-number", "ml-alpha-missing", "z-string", "z-empty", "omega-string",
         "metric-list", "forward-nan-rho", "final-nan-rho", "interior-nan-rho",
         "output-missing-dir", "T-huge", "alpha-huge", "z-huge", "sweep-huge", "omega-huge",
-        "n_steps-huge", "n_mesh-huge", "sweep-n_steps-huge", "N-huge", "g-number",
+        "n_steps-huge", "n_mesh-huge", "sweep-n_steps-huge", "N-huge", "interior-m_max-huge",
+        "fixedpoint-m_max-huge", "g-number",
         "g-without-profile", "omega-triple", "inner-number", "metric-not-produced",
         "output-number",
     ],

@@ -345,6 +345,16 @@ def test_fixed_point_rejects_m_max_below_one(m_max):
     assert "m_max" in str(info.value)
 
 
+@pytest.mark.parametrize("m_max", (10**6 + 1, 10**30))
+def test_fixed_point_rejects_m_max_past_the_count_bound(m_max):
+    # refused before any sweep runs: with tol 0 a run could go on for m_max sweeps
+    grid = TimeGrid(1.0, 16)
+    p = fp_problem(make_rho(grid, "affine"))
+    with pytest.raises(ParameterError, match="at most 1000000") as info:
+        fixed_point_iterate(p, m_max=m_max, tol=0.0)
+    assert info.value.name == "m_max"
+
+
 def test_fixed_point_converges_monotonically():
     grid = TimeGrid(1.0, 256)
     rho = make_rho(grid, "affine")
@@ -499,6 +509,24 @@ def test_fixed_point_blocks_match_the_sweep_loop(n_steps, m_max, noisy):
     bare = fixed_point_iterate(problem, m_max=m_max, mollify_width=3)
     assert bare.diagnostics["error_history"] == []
     assert np.array_equal(bare.recovered.values, rep.recovered.values)
+
+
+@pytest.mark.parametrize("n_steps", (4, 96, 256))
+def test_sweep_block_groups_match_one_transform(n_steps):
+    # a block transforms its rows in groups; rows transform independently,
+    # so the rows equal those of one transform of the whole block, bit for bit
+    from fracsource import inverse_t
+    from fracsource.fracops import _spectrum, _truncated_inverse
+
+    problem, _ = sweep_case(n_steps, True)
+    s = inverse_t._set_up(problem.g, problem.x0, problem.alpha, problem.grid)
+    table = s.sweeps(s.k_bound)
+    start = np.random.default_rng(n_steps).standard_normal(n_steps)
+    for count in (1, 50, inverse_t._SWEEP_BLOCK):
+        want = _truncated_inverse(table.powers[: count + 1] * _spectrum(start, n_steps), n_steps)
+        for weight, rows in zip(start, table.coupling):
+            want -= weight * rows[: count + 1]
+        assert np.array_equal(table.block(start, count), want)
 
 
 @pytest.mark.parametrize("stop", (40, 64, 65, 100))

@@ -12,6 +12,7 @@ from fracsource.errors import (
     DivergenceError,
     FracsourceError,
     NonPositiveParamsError,
+    ParameterError,
 )
 from fracsource.forward import ml_on_nodes, observe_point, separated_source, solve_inhomogeneous
 from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries
@@ -485,6 +486,19 @@ def test_interior_problem_validation():
         XSourceInteriorProblem(rho, a, grid, DOM, (0.1, 0.35), np.zeros((3, 3)), 65)
 
 
+@pytest.mark.parametrize("m_max", (0, 10**6 + 1, 10**30))
+def test_interior_problem_rejects_m_max_out_of_range(m_max):
+    # refused when the problem is made, before any sweep runs
+    grid = TimeGrid(1.0, 16)
+    rho = make_rho(grid, "constant")
+    a = FractionalOrder(0.5)
+    obs = np.zeros((8, 17))
+    with pytest.raises(ParameterError, match="m_max must be an integer >= 1, at most 1000000") as info:
+        XSourceInteriorProblem(rho, a, grid, DOM, (0.1, 0.35), obs, 33, m_max=m_max)
+    assert info.value.name == "m_max"
+    assert XSourceInteriorProblem(rho, a, grid, DOM, (0.1, 0.35), obs, 33, m_max=10**6).m_max == 10**6
+
+
 @pytest.mark.parametrize("kind", ["final", "interior"])
 def test_x_problems_reject_rho_on_another_grid(kind):
     grid = TimeGrid(1.0, 32)
@@ -859,6 +873,47 @@ def test_reduced_residual_matches_explicit(n_modes, omega, n_mesh, n_steps):
     # the exact fit leaves only round-off
     scale = w_norm(op, p.observed)
     assert w_norm(op, op.apply(g_true.coeffs) - p.observed) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize(
+    "n_modes,omega,n_mesh,n_steps",
+    [
+        (8, (0.1, 0.35), 129, 64),
+        (8, (0.3, 0.36), 65, 64),
+        (24, (0.2, 0.7), 65, 8),
+        (32, (0.1, 0.35), 257, 256),  # the time factor keeps fewer columns than modes
+    ],
+)
+def test_coordinates_of_a_reachable_y_are_sigma_times_vt_g(n_modes, omega, n_mesh, n_steps):
+    # y = A g lies in the span of the kept factors up to the columns cut below
+    # 2^-52 sigma_1, so its coordinates are sigma (V^T g) and its rest is round-off:
+    # within 64 eps of sigma_1 ||g|| and of ||y||_W (measured: at most 9 eps)
+    dom = Domain1D(1.0, n_modes)
+    grid = TimeGrid(1.0, n_steps)
+    rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
+    op = operator_of(interior_problem(make_g(dom, "sine_bump"), rho, FractionalOrder(0.6),
+                                      omega=omega, n_mesh=n_mesh))
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        g = rng.standard_normal(n_modes)
+        y = op.apply(g)
+        y_s, rest_sq = op.coordinates(y)
+        tol = 64 * 2.0**-52
+        assert np.max(np.abs(y_s - op.sigma * (op.vt @ g))) <= tol * op.sigma[0] * np.linalg.norm(g)
+        assert rest_sq <= (tol * w_norm(op, y)) ** 2
+
+
+def test_operator_rows_grow_below_n_cubed():
+    # N 64, n_steps 256: the time factor keeps its numerical rank (13 columns),
+    # not min(N, n_steps + 1) = 64, so the reduced operator has fewer than N^2 rows
+    n = 64
+    dom = Domain1D(1.0, n)
+    grid = TimeGrid(1.0, 256)
+    rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
+    op = operator_of(interior_problem(make_g(dom, "sine_bump"), rho, FractionalOrder(0.9),
+                                      omega=(0.1, 0.35), n_mesh=4 * n + 1))
+    assert op.u.shape[0] < n * n
+    assert op.u.shape[1] == n
 
 
 def power_iteration(op, iters):
