@@ -255,8 +255,8 @@ class _SweepTable:
     sum_l delta_l G_l[j] with G_l[j] = (1/K) sum_{i<j} (e^T A^i)_l
     nu^(j-1-i) * r, fixed per set-up.  The table holds the spectra of
     nu^0 .. nu^B (built by doubling) and G_l[0..B] for l < q, for
-    B = `_SWEEP_BLOCK`, so a block of B sweeps is one rfft, one batched
-    irfft and q scaled subtractions.  Every array is read-only once the
+    B = `_SWEEP_BLOCK`, so a block of B sweeps is one rfft, a few batched
+    irffts and q scaled subtractions.  Every array is read-only once the
     memo keeps it.
     """
 
@@ -291,22 +291,17 @@ class _SweepTable:
     def block(self, start: np.ndarray, count: int) -> np.ndarray:
         """Rows: the update `start` and the count updates that follow it.
 
-        Where at least 8 rows fit, the rows are transformed
-        `_GROUP_POINTS` spectrum points at a time: rows transform
-        independently, so the bits are those of one transform, and a warm
-        solve's temporaries are reused from the heap instead of being
-        faulted in afresh on every call.  Longer rows gain nothing from it
-        and lose a call per group, so they go in one transform.
+        The rows are transformed in groups of `_GROUP_POINTS` spectrum
+        points, or of 8 rows where fewer would fit: rows transform
+        independently, so the bits are those of one transform of the block.
+        Up to n_steps 256 a group's temporaries stay below glibc's mmap
+        threshold, so a warm solve reuses them from the heap.
         """
-        spectrum = _spectrum(start, self.n)
-        step = _GROUP_POINTS // spectrum.size
-        if step < 8 or step > count:  # long rows, or one group: one transform
-            out = _truncated_inverse(self.powers[: count + 1] * spectrum, self.n)
-        else:
-            out = np.empty((count + 1, self.n))
-            for lo in range(0, count + 1, step):
-                hi = min(lo + step, count + 1)
-                out[lo:hi] = _truncated_inverse(self.powers[lo:hi] * spectrum, self.n)
+        spectrum, rows = _spectrum(start, self.n), self.powers[: count + 1]
+        step = max(8, _GROUP_POINTS // spectrum.size)
+        out = np.empty((count + 1, self.n))
+        for lo in range(0, count + 1, step):
+            out[lo : lo + step] = _truncated_inverse(rows[lo : lo + step] * spectrum, self.n)
         for weight, table in zip(start, self.coupling):  # start_l G_l, l < q
             out -= weight * table[: count + 1]
         return out

@@ -396,9 +396,7 @@ class _InteriorOperator:
         contracted against the narrow Q_t first.  The rest, the part of y
         that no g reaches, is the part outside those ranges plus the part
         of vec(Y_c) off the columns of `u`; each norm is that of an
-        explicit difference, so nothing cancels.  Two arrays of the data's
-        size are formed, written in place: a warm re-solve that allocated
-        more would grow the heap, and have it trimmed back, on every call.
+        explicit difference, so nothing cancels.
         """
         y_w = self._sqrt_w[:, None] * y
         y_w *= self._sqrt_wt

@@ -511,10 +511,10 @@ def test_fixed_point_blocks_match_the_sweep_loop(n_steps, m_max, noisy):
     assert np.array_equal(bare.recovered.values, rep.recovered.values)
 
 
-@pytest.mark.parametrize("n_steps", (4, 96, 256))
+@pytest.mark.parametrize("n_steps", (4, 96, 256, 2048))
 def test_sweep_block_groups_match_one_transform(n_steps):
-    # a block transforms its rows in groups; rows transform independently,
-    # so the rows equal those of one transform of the whole block, bit for bit
+    # a block transforms its rows in groups (of 8 rows at n_steps 2048); rows
+    # transform independently, so they equal one transform of the block, bit for bit
     from fracsource import inverse_t
     from fracsource.fracops import _spectrum, _truncated_inverse
 
