@@ -13,11 +13,14 @@ history included) at m_max 50 and 200 with tol 0 and 1e-8; and one
 `solve_volterra`, `reconstruct_final` at the weight `choose_mu_discrepancy`
 picks, the weights `choose_mu_discrepancy` picks for 240 seeded noisy
 final data (alpha 0.6 and 0.75, noise norms from 1e-4 to 10 times the
-injected one, no cutoff and the median |B|) and for three noise norms at
-the edges of its certificate on each of them (the next float above the
-fit at mu = 1e-16, that fit times 1 + 2^-30, and the fit at the 40th
-midpoint of a plain bisection) and on clean 8-mode data with rho = 100,
-whose fit at 1e-16 lies within two margins of 0, `solve_homogeneous`, five
+injected one, no cutoff and the median |B|) and, under a label of their
+own, for three edge noise norms on each of them (the next float above
+the fit at mu = 1e-16 and that fit times 1 + 2^-30, where the
+discrepancy is nearly flat, and the fit at the 40th midpoint of a plain
+bisection) and for the first two on clean 8-mode data with rho = 100,
+whose fit at 1e-16 is within a few roundings of 0, so that `--compare`
+reports round-off moves of the regular weights apart from moves where the
+discrepancy is nearly flat, `solve_homogeneous`, five
 `duhamel_residual` set-ups and one `lipschitz_certificate`.  Every input
 is valid, so a change that only refuses more inputs leaves every digest
 as it was.  It prints `<sha256>  <label>` per output and imports
@@ -172,10 +175,10 @@ def final_digests() -> None:
 
 
 def edge_norms(rho, alpha, grid, final, cutoff, noise_norm) -> list[float]:
-    """Noise norms at the edges of the weight's certificate.
+    """Noise norms at the edges of the discrepancy equation.
 
     The next float above the fit at mu = 1e-16 and that fit times
-    1 + 2^-30, where no weight proves the lower side, and the fit at the
+    1 + 2^-30, where the discrepancy is nearly flat, and the fit at the
     40th midpoint of a plain bisection for noise_norm, which a bisection
     for that fit meets again.
     """
@@ -207,12 +210,13 @@ def choose_mu_digests() -> None:
                 mus.append(choose_mu_discrepancy(rho, alpha, grid, final, cutoff, noise_norm))
                 for norm in edge_norms(rho, alpha, grid, final, cutoff, noise_norm):
                     edges.append(choose_mu_discrepancy(rho, alpha, grid, final, cutoff, norm))
-        # few modes, large B: the lower aim of the certificate is skipped
+        # few modes, large B: the fit at 1e-16 is within a few roundings of 0
         few, big = Domain1D(1.0, 8), make_rho(grid, "constant", value=100.0)
         final = SpectralField(few, make_g(few, "hat").coeffs * modal_responses(big, alpha, grid, few))
         for norm in edge_norms(big, alpha, grid, final, 0.0, 1e-3)[:2]:
             edges.append(choose_mu_discrepancy(big, alpha, grid, final, 0.0, norm))
-    show("choose_mu_discrepancy", mus, edges)
+    show("choose_mu_discrepancy", mus)
+    show("choose_mu_discrepancy edges", edges)
 
 
 def duhamel_digests() -> None:

@@ -319,11 +319,12 @@ def fixed_point_iterate(
 
     Each sweep adds the fractional derivative of the trace mismatch, scaled
     by 1/K.  K must dominate the sup norm of the homogeneous trace v(x0, .),
-    which makes the map a contraction of Volterra type; it defaults to that
-    bound.  The sweeps run in closed form, `_SWEEP_BLOCK` at a time, on the
-    set-up's `_SweepTable`.  residual_history[m-1] is the size of update m;
-    three rises in a row raise DivergenceError, and an update of at most
-    `tol` ends the run, checked in that order at every sweep.
+    the bound of the contraction argument, and defaults to it; where g(x0)
+    is small against that norm the discrete sweeps can still grow (sine_bump
+    g at x0 = 0.05).  The sweeps run in closed form, `_SWEEP_BLOCK` at a
+    time, on the set-up's `_SweepTable`.  residual_history[m-1] is the size
+    of update m; three rises in a row raise DivergenceError, and an update
+    of at most `tol` ends the run, checked in that order at every sweep.
     """
     _count("m_max", m_max, 1, _MOST, error=partial(ParameterError, "m_max"))
     if not tol >= 0.0:  # NaN fails too

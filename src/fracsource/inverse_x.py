@@ -5,8 +5,9 @@ decouples: the coefficient g_n is multiplied by the scalar response
 B_n = int_0^T s^(alpha-1) E_alpha,alpha(-lambda_n s^alpha) rho(T-s) ds,
 all of which come from one product of the forward kernel-weight table
 with rho, so g is recovered by regularized division (Tikhonov weight mu,
-hard cutoff delta on |B_n|).  From interior data y on omega x (0, T) the
-damped iteration
+hard cutoff delta on |B_n|); `choose_mu_discrepancy` finds the mu whose
+fit residual meets the noise norm by a safeguarded Newton root.  From
+interior data y on omega x (0, T) the damped iteration
 
     g_{m+1} = K/(K+beta) g_m - 1/(K+beta) A^T W (A g_m - y)
 
@@ -63,7 +64,7 @@ __all__ = [
     "observe_interior",
 ]
 
-_MU_LO, _MU_HI = 1e-16, 1e6  # the Tikhonov weights choose_mu_discrepancy bisects between
+_MU_LO, _MU_HI = 1e-16, 1e6  # the bracket of the Tikhonov weights choose_mu_discrepancy picks
 # sweeps per block of the closed-form interior iteration: (N, block) temporaries
 _SWEEP_BLOCK = 256
 
@@ -126,7 +127,7 @@ class XSourceInteriorProblem:
         m_max = _count("m_max", self.m_max, 1, _MOST, error=partial(ParameterError, "m_max"))
         object.__setattr__(self, "m_max", m_max)
         if not self.tol >= 0.0:  # NaN fails too
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
+            raise ParameterError("tol", f"tol must be >= 0, got {self.tol}")
 
 
 def _omega_mesh(domain: Domain1D, omega: tuple, n_mesh: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,44 +206,24 @@ def choose_mu_discrepancy(
     cutoff: float,
     noise_norm: float,
 ) -> float:
-    """Tikhonov weight matching the fit residual to the noise norm.
+    """Tikhonov weight whose fit residual D(mu) = ||g B - u_T|| meets the noise norm delta.
 
-    The weight is that of an 80-step bisection on log mu between 1e-16
-    and 1e6 that keeps the lower half when the fit at the midpoint falls
-    below the noise norm delta (the discrepancy principle).  Only the
-    midpoints whose side `_discrepancy_certificate` cannot prove are
-    fitted, so the weight is the bisection's bit for bit at about 20
-    fits instead of 57.  b, b u_T and b^2 do not depend on mu and are
-    formed once.
-
-    The proofs rest on two facts.  The exact discrepancy D(mu) never
-    falls as mu grows: a kept mode's residual is -mu u/(B^2 + mu), a cut
-    mode's is -u.  And with N <= 10^6 modes (all a Domain1D takes) and
-    eps = 2^-53, the unit roundoff, a float fit f lies within
-    E(D) = 5.1 eps ||u|| + (N/2 + 2.1) eps D + sqrt(N) 2^-537 of D:
-
-    - a kept mode rounds B^2, B u, B^2 + mu, the quotient and g B, so
-      g B = t u (1 + th) with t = B^2/(B^2 + mu) and |th| <= 5.01 eps;
-      subtracting u adds eps |r|, so |r - r*| <= 5.02 eps |u| + eps |r*|;
-    - a cut mode's r = -u is exact (g stays 0), and so is that of a kept
-      mode whose B^2 overflows (g = B u/inf = 0): D counts it as cut;
-    - the dot product of N terms and the square root scale ||r|| by at
-      most 1 + (N/2 + 1.01) eps;
-    - an underflow costs at most 2^-1075 an operation: the dot
-      product's N of them move f by at most sqrt(N) 2^-537.5, those of
-      the fit (|B| < 2^512, B^2 + mu >= 1e-16) by far less.
-
-    These add up to A' + c' D with A' = 5.03 eps ||u|| + sqrt(N) 2^-537
-    and c' = (N/2 + 2.02) eps.  A fit f(mu0) < delta - m gives, for every
-    mu <= mu0, f(mu) <= (1 + c') D(mu0) + A'
-    <= (1 + c')(f(mu0) + A')/(1 - c') + A' < delta once
-    m > 2 A' + 2 c' delta; a fit f(mu0) > delta + m gives, for every
-    mu >= mu0, f(mu) >= (1 - c')(f(mu0) - A')/(1 + c') - A' >= delta once
-    m >= (2 A' + 2 c' delta)/(1 - c').  The margin m = 2 E(delta) exceeds
-    both, with room for its own rounding and that of f - delta (exact
-    wherever the two are within a factor 2).  A fit that is not finite
-    (data whose B u overflows) voids the proofs, and every midpoint is
-    fitted.
+    The discrepancy principle (Engl, Hanke & Neubauer, Regularization of
+    Inverse Problems, 1996, ch. 4).  D never falls as mu grows: a kept
+    mode's residual is -mu u/(B^2 + mu), a cut mode's is -u.  So a delta at
+    or beyond the fit at an end of [1e-16, 1e6] returns that end, and
+    otherwise D(mu) = delta is solved by one safeguarded Newton iteration
+    on log D - log delta, stepped in mu (Hansen's `discrep`, Numer.
+    Algorithms 6, 1994): mu <- mu (1 - (log D - log delta)/k), with
+    k = d log D / d log mu read off the fit just made.  It starts at the
+    midpoint of the bracket in s = log mu, and every fit narrows the
+    bracket to its side of delta.  A step outside the bracket, or none
+    (k = 0, a step to mu <= 0, a fit that is not finite), is replaced by
+    the bracket's midpoint.  The iteration stops once a step no longer
+    moves s, or once no float lies strictly inside the bracket, whose
+    rounded midpoint is then taken as a bisection would (if it was
+    fitted); a call makes 80 fits at most.  b, b u_T and b^2 do not
+    depend on mu and are formed once.
     """
     if not noise_norm >= 0.0:  # NaN fails too
         raise ValueError(f"noise_norm must be >= 0, got {noise_norm}")
@@ -260,71 +241,22 @@ def choose_mu_discrepancy(
     if disc(_MU_HI) <= noise_norm:
         return _MU_HI
     kept_b2 = b2 * keep
-
-    def slope(mu: float, d: float) -> float:
-        """d log D / d log mu at the fit d just made: kept residuals grow at B^2/(B^2 + mu)."""
-        return float((r * r) @ (kept_b2 / (b2 + mu))) / d / d if d > 0.0 else 0.0
-
-    n, eps = u.shape[0], 2.0**-53
-    a = 5.1 * eps * math.sqrt(u @ u) + math.sqrt(n) * 2.0**-537  # E(D) = a + (N/2 + 2.1) eps D
-    margin = 2.0 * (a + (n / 2 + 2.1) * eps * noise_norm)
-    log_lo, log_hi = math.log(_MU_LO), math.log(_MU_HI)
-    below, above = _discrepancy_certificate(disc, slope, noise_norm, margin, log_lo, log_hi)
-    for _ in range(80):
-        mid = 0.5 * (log_lo + log_hi)
-        if mid in (log_lo, log_hi):
-            break  # the midpoint is an end: every later step returns it too
-        mu = math.exp(mid)
-        if mu <= below or (mu < above and disc(mu) < noise_norm):
-            log_lo = mid
-        else:
-            log_hi = mid
-    return math.exp(0.5 * (log_lo + log_hi))
-
-
-def _discrepancy_certificate(disc, slope, target: float, margin: float, lo: float, hi: float):
-    """Weights (below, above): every mu <= below fits under target, every mu >= above does not.
-
-    `disc(mu)` is a fit whose exact value never falls as mu grows, and
-    `slope(mu, d)` the derivative d log disc / d log mu at the fit d just
-    made.  A fit more than `margin` below target proves every smaller
-    weight, one more than `margin` above proves every larger one, and
-    every fit that is a proof is kept.  One safeguarded Newton iteration
-    on log disc - log aim, stepped in mu, mu <- mu (1 - (log disc -
-    log aim)/slope), starts at the midpoint of (lo, hi) in s = log mu and
-    runs first to the aim target - 2 margin, then on from its last fit to
-    target + 2 margin.  An aim is left once a fit lands within the margin
-    of it, which proves that side, or once a step leaves (lo, hi), which
-    puts the aim past the fits of the interval.  An aim <= 0 is skipped:
-    no fit can prove that side.  Each aim has its own bracket in s,
-    (lo, hi) at first, that every fit narrows to its side of the aim; a
-    step outside it, or none (slope 0, or a step to mu <= 0), is replaced
-    by its midpoint.  The iteration makes 80 fits at most.  A fit that is
-    not finite gives the empty certificate (0, inf).
-    """
-    below, above, a, b, s = 0.0, math.inf, lo, hi, 0.5 * (lo + hi)
-    aims = [aim for aim in (target - 2.0 * margin, target + 2.0 * margin) if aim > 0.0]
-    for _ in range(80):
+    ends = lo, hi = math.log(_MU_LO), math.log(_MU_HI)
+    s = 0.5 * (lo + hi)
+    for _ in range(78):  # 80 fits with the two at the ends
         mu = math.exp(s)
         d = disc(mu)
-        if not math.isfinite(d):
-            return 0.0, math.inf
-        k = slope(mu, d)  # 0 at d = 0, which keeps d out of the log below
-        if abs(d - target) > margin:
-            below, above = (max(below, mu), above) if d < target else (below, min(above, mu))
-        while aims:
-            # stepped in mu: log disc is convex in s on final data, where a step from below overshoots
-            x = -math.log(d / aims[0]) / k if k > 0.0 else math.nan
-            step = s + math.log1p(x) if x > -1.0 else math.nan
-            if abs(d - aims[0]) >= margin and not (step <= lo or step >= hi):
-                break
-            aims.pop(0)
-            a, b = lo, hi
-        if not aims:
-            break
-        a, b = (s, b) if d < aims[0] else (a, s)
-        s = step if a < step < b else 0.5 * (a + b)
-    return below, above
+        lo, hi = (s, hi) if d < noise_norm else (lo, s)
+        # kept residuals grow at B^2/(B^2 + mu); k = 0 at d = 0 keeps d out of the log
+        k = float((r * r) @ (kept_b2 / (b2 + mu))) / d / d if d > 0.0 else 0.0
+        x = -math.log(d / noise_norm) / k if k > 0.0 else math.nan
+        step = s + math.log1p(x) if x > -1.0 else math.nan
+        if step != s and not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step in (lo, hi):  # s does not move, or the bracket holds no float inside
+            return math.exp(s if step in ends else step)
+        s = step
+    return math.exp(s)
 
 
 class _InteriorOperator:

@@ -157,6 +157,9 @@ def test_exit_code_solver_error(tmp_path):
     # at alpha 0.001 the series at z = 1 does not converge in its 10000 terms
     ml = {"mode": "ml-eval", "ml": {"alpha": 0.001, "beta": 1.0, "z": [1.0]}}
     assert run(write_cfg(tmp_path, "d.json", ml)) == 4
+    # g(0.05) is 5% of sup|v(0.05, .)|: the fixed-point sweeps diverge at the default K
+    fp = {"mode": "invert-rho-fixedpoint", "alpha": 0.9, "N": 32, "n_steps": 256, "x0": 0.05}
+    assert run(write_cfg(tmp_path, "f.json", fp)) == 4
 
 
 @pytest.mark.parametrize("mode", ["forward", "invert-rho-volterra", "invert-rho-fixedpoint"])

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -353,6 +354,20 @@ def test_fixed_point_rejects_m_max_past_the_count_bound(m_max):
     with pytest.raises(ParameterError, match="at most 1000000") as info:
         fixed_point_iterate(p, m_max=m_max, tol=0.0)
     assert info.value.name == "m_max"
+
+
+@pytest.mark.parametrize("a, n_modes, n_steps", [(0.5, 16, 64), (0.9, 16, 64), (0.9, 64, 256)])
+def test_fixed_point_diverges_where_g_x0_is_small(a, n_modes, n_steps):
+    # g(x0) = 0.0038 is small against sup|v(x0, .)| (0.075 at alpha 0.9, N 16):
+    # K at that bound does not make the discrete sweep contract, and the
+    # updates grow until the guard raises, with no numpy warning on the way
+    dom, grid = Domain1D(1.0, n_modes), TimeGrid(1.0, n_steps)
+    g, alpha = make_g(dom, "sine_bump"), FractionalOrder(a)
+    p = TSourceProblem(g, 0.05, alpha, grid, synth_trace(g, make_rho(grid, "constant"), alpha, 0.05))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            fixed_point_iterate(p)
 
 
 def test_fixed_point_converges_monotonically():
