@@ -101,9 +101,10 @@ def mollify(f: TimeSeries, width: int) -> TimeSeries:
     """Centered moving average with window shrinking near the ends.
 
     The window spans 2 (width // 2) + 1 nodes, so an even width acts as
-    the next odd one: widths 4 and 5 give the same average.
+    the next odd one: widths 4 and 5 give the same average.  A width that
+    is not an integer raises ValueError; one of at most 1 returns f.
     """
-    if width <= 1:
+    if _count("width", width) <= 1:
         return f
     v = f.values
     n = v.shape[0]

@@ -1,26 +1,23 @@
 """Two-parameter Mittag-Leffler function on the negative real axis.
 
-E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) for every order 0 < a < 2, b > 0,
-evaluated on whole arrays by `ml_eval_array` (`ml_eval` is its one-element
-form), which is the one-beta case of `_ml_eval_betas`.  A value depends on
-its argument and order alone, so it has the same bits in any call, shape
-or order.  With the cancellation scale x = |z|^(1/a), each value comes
-from the first of
+E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) at the orders the solvers use,
+0 < a < 1 with 0 < b <= 3, and at (1, 1), where it is exp(z); evaluated
+on whole arrays by `ml_eval_array` (`ml_eval` is its one-element form),
+which is the one-beta case of `_ml_eval_betas`.  A value depends on its
+argument and order alone, so it has the same bits in any call, shape or
+order.  With the cancellation scale x = |z|^(1/a), each value comes from
 
-* z = 0: 1/Gamma(b); 0 < z <= 1: the compensated power series, which for
-  a >= 1 or b > 3 is tried at z < 0 too, where at most one digit cancels,
-* the asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k), truncated where
-  the term envelope is least at the lower edge of the argument's octave
-  of x (memoised per order and octave), plus for a >= 1 the residues at
-  the poles s = x e^(+-i pi/a), where it meets its target (for a < 1 from
-  x = 35 on),
-* for b > 3, the recurrence E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))/z,
-* the trapezoid rule for the inverse Laplace transform of s^(a-b)/(s^a - z)
-  on the parabola s(u) = mu (1 + iu)^2 (Garrappa, SIAM J. Numer. Anal.
-  53(3), 2015; Weideman & Trefethen, Math. Comp. 76, 2007): one fixed
-  contour for a <= 1, where s^a never equals z <= 0 on the principal sheet;
-  for 1 < a < 2, mu, h and the nodes follow the poles.  Beyond -z = 1e150,
-  where the contour would overflow, MLConvergenceError is raised instead.
+* z = 0: 1/Gamma(b); 0 < z <= 1: the compensated power series,
+* x >= 35: the asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k),
+  truncated where the term envelope is least at the lower edge of the
+  argument's octave of x (memoised per order and octave), where it meets
+  its target,
+* otherwise the trapezoid rule for the inverse Laplace transform of
+  s^(a-b)/(s^a - z) on one fixed parabola s(u) = mu (1 + iu)^2 (Garrappa,
+  SIAM J. Numer. Anal. 53(3), 2015; Weideman & Trefethen, Math. Comp. 76,
+  2007): for a < 1, s^a never equals z <= 0 on the principal sheet, so
+  the integrand has no poles.  Beyond -z = 1e150, where the contour would
+  overflow, MLConvergenceError is raised instead.
 
 Only real z <= 1 is supported; the diffusion solvers feed in z <= 0.
 """
@@ -46,15 +43,10 @@ _SERIES_EPS = 1e-17
 _SERIES_MAX_TERMS = 10_000
 # powers z^k formed at once for each unfinished sum: the first chunk, and
 # the most once chunks have doubled.  Every term of a chunk is summed, so a
-# sum that stops just past 16 terms sums 48: on 2000 arguments 16 then 32
-# costs 5-24% less per value than 32 from the start (three of four orders),
-# but one argument at (1.5, 1.0), z = -3, which stops at k = 17, costs 28% more
+# sum that stops just past 16 terms sums 48.  At 0 < z <= 1 a sum takes
+# from 5 terms (z = 1e-3) to 184 (alpha 0.1, z = 1)
 _SERIES_FIRST_CHUNK = 16
 _SERIES_CHUNK = 32
-# for alpha >= 1 or beta > 3 the series is kept while its largest term is at
-# most this multiple of the sum; at 1e3 the recurrence and the contour lose to it
-# (rel. error 1.7e-11 against 9e-13 on 1800 points, x < 40)
-_SERIES_MAX_CANCEL = 10.0
 # below this x the omitted exponentially small part of the asymptotic
 # expansion for alpha < 1 (~ exp(-0.9 x)) is not negligible.  Its lowest
 # octave keeps the terms optimal here, where its arguments start: with those
@@ -65,17 +57,13 @@ _ASYMPTOTIC_REL_TOL = 1e-13
 _ASYMPTOTIC_MAX_TERMS = 399
 # the truncation scan stops at terms below 1e-25 times the leading one
 _LOG_FLOOR = math.log(1e-25)
-# parabolic contour s(u) = mu (1 + iu)^2 sampled at u = 0, h, ..., (n-1) h;
-# with mu fixed, e^s s^(-beta) cancels too much beyond beta = 3 (rel. error
-# 7e-13 at beta = 3.5 against 7e-14 at 3).  h = 0.15 with the singularities
-# 1 off the real u-axis makes the discretisation error e^(-2 pi/h) ~ 6e-19;
-# 32 nodes reach u where e^s has fallen by as much.
-_CONTOUR_MAX_BETA = 3.0
+# parabolic contour s(u) = mu (1 + iu)^2 sampled at u = 0, h, ..., (n-1) h.
+# h = 0.15 with the singularities 1 off the real u-axis makes the
+# discretisation error e^(-2 pi/h) ~ 6e-19; 32 nodes reach u where e^s has
+# fallen by as much.
 _CONTOUR_MU = 2.0
 _CONTOUR_H = 0.15
 _CONTOUR_NODES = 32
-# least distance, in u, of the poles from the contour for 1 < alpha < 2
-_POLE_MARGIN = 0.5
 # the contour rule squares s^alpha - z, which must not overflow
 _CONTOUR_MAX_ETA = 1e150
 # contour arguments per block: the (block, 32 nodes) float temporaries stay at 512 KiB
@@ -88,16 +76,20 @@ class MLConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MLParams:
-    """Order pair (alpha, beta) of E_{alpha,beta}."""
+    """Order pair (alpha, beta) of E_{alpha,beta}: 0 < alpha < 1 with 0 < beta <= 3, or (1, 1)."""
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha < 2.0):
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        # with mu fixed, the contour's e^s s^(-beta) cancels too much beyond
+        # beta = 3 (rel. error 7e-13 at beta = 3.5 against 7e-14 at 3)
+        a, b = self.alpha, self.beta
+        if (a, b) != (1.0, 1.0) and not (0.0 < a < 1.0 and 0.0 < b <= 3.0):
+            raise ValueError(
+                f"(alpha, beta) must have 0 < alpha < 1 and 0 < beta <= 3, or be (1, 1); "
+                f"got ({a}, {b})"
+            )
 
 
 def _rgamma(x: float) -> float:
@@ -119,47 +111,42 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _series_double(alpha: float, beta: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Defining power series at every z, with compensated summation.
+def _series_double(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """Defining power series at every 0 < z <= 1, with compensated summation.
 
-    Returns (sums, largest |term|).  Each sum stops at its first term below
-    1e-17 of it, past k = 2, or at its first term out of double range (z^k
-    or Gamma(alpha*k + beta) overflows), which drops out unsummed and makes
-    the largest term infinite.  Powers come a chunk at a time, but are added
-    one k at a time; chunks start at _SERIES_FIRST_CHUNK terms and double up
-    to _SERIES_CHUNK, so a sum that stops in the first chunk forms no more.
+    Every term is finite and not negative, and each sum stops at its first
+    term below 1e-17 of it, past k = 2; a term whose Gamma(alpha*k + beta)
+    overflows is 0 and stops it too.  Powers come a chunk at a time, but are
+    added one k at a time; chunks start at _SERIES_FIRST_CHUNK terms and
+    double up to _SERIES_CHUNK, so a sum that stops in the first chunk forms
+    no more.
     """
-    val, big = np.empty(z.shape), np.full(z.shape, math.inf)
+    val = np.empty(z.shape)
     live, term, comp = np.arange(z.size), np.ones(z.shape), np.zeros(z.shape)
-    total, biggest = np.full(z.shape, _rgamma(beta)), np.full(z.shape, abs(_rgamma(beta)))
+    total = np.full(z.shape, _rgamma(beta))
     ks = range(1, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live.size and ks.stop < _SERIES_MAX_TERMS:
-            size = min(2 * len(ks), _SERIES_CHUNK) or _SERIES_FIRST_CHUNK
-            ks = range(ks.stop, min(ks.stop + size, _SERIES_MAX_TERMS))
-            r = np.array([_rgamma(alpha * k + beta) for k in ks])[:, None]
-            powers = np.full((len(ks), live.size), z[live])
-            powers[0] *= term
-            np.cumprod(powers, axis=0, out=powers)
-            term, t = powers[-1], powers * r
-            bad = ~np.isfinite(t) | (r == 0.0)
-            t[bad] = 0.0
-            sums = np.empty(t.shape)
-            for tk, sk in zip(t, sums):
-                y = tk - comp
-                np.add(total, y, out=sk)
-                comp, total = (sk - total) - y, sk
-            at = np.abs(t)
-            peak = np.maximum(np.maximum.accumulate(at, axis=0), biggest)
-            stop = bad | ((at < _SERIES_EPS * np.abs(sums)) & (np.array(ks)[:, None] > 2))
-            first, cols = np.argmax(stop, axis=0), np.arange(live.size)
-            done, conv = stop[first, cols], stop[first, cols] & ~bad[first, cols]
-            val[live[done]], big[live[conv]] = sums[first[done], done], peak[first[conv], conv]
-            live, term, total, comp, biggest = (a[~done] for a in (live, term, total, comp, peak[-1]))
+    while live.size and ks.stop < _SERIES_MAX_TERMS:
+        size = min(2 * len(ks), _SERIES_CHUNK) or _SERIES_FIRST_CHUNK
+        ks = range(ks.stop, min(ks.stop + size, _SERIES_MAX_TERMS))
+        r = np.array([_rgamma(alpha * k + beta) for k in ks])[:, None]
+        powers = np.full((len(ks), live.size), z[live])
+        powers[0] *= term
+        np.cumprod(powers, axis=0, out=powers)
+        term, t = powers[-1], powers * r
+        sums = np.empty(t.shape)
+        for tk, sk in zip(t, sums):
+            y = tk - comp
+            np.add(total, y, out=sk)
+            comp, total = (sk - total) - y, sk
+        stop = (t < _SERIES_EPS * sums) & (np.array(ks)[:, None] > 2)
+        first, cols = np.argmax(stop, axis=0), np.arange(live.size)
+        done = stop[first, cols]
+        val[live[done]] = sums[first[done], done]
+        live, term, total, comp = (a[~done] for a in (live, term, total, comp))
     if live.size:
         msg = f"series for E_({alpha},{beta})(z) did not converge in {_SERIES_MAX_TERMS} terms"
         raise MLConvergenceError(f"{msg} at z = {float(z[live[0]])}")
-    return val, big
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +217,18 @@ def _truncation(log_env: np.ndarray, log_eta: np.ndarray) -> tuple[np.ndarray, n
 def _octave_terms(alpha: float, log_env: np.ndarray, memo: dict, octaves: list) -> np.ndarray:
     """The `_truncation` of the expansion at the lower edge of each octave j, x in [2^j, 2^(j+1)).
 
-    Returns one row (best, last) per octave.  For alpha < 1 the edge is
-    x = 35 at the least, where the expansion's arguments start.  Each octave
-    is scanned once per order pair and kept in its memo from
-    `_asymptotic_coeffs`; only the octaves asked for are filled, and
-    threads that fill one at once store the same terms.
+    Returns one row (best, last) per octave.  The edge is x = 35 at the
+    least, where the expansion's arguments start.  Each octave is scanned
+    once per order pair and kept in its memo from `_asymptotic_coeffs`;
+    only the octaves asked for are filled, and threads that fill one at
+    once store the same terms.
     """
     new = [j for j in octaves if j not in memo]
     if new:
-        least = math.log(_ASYMPTOTIC_MIN_X) if alpha < 1.0 else -math.inf
+        least = math.log(_ASYMPTOTIC_MIN_X)
         best, last = _truncation(log_env, alpha * np.maximum(np.array(new) * math.log(2.0), least))
         memo.update(zip(new, zip(best.tolist(), last.tolist())))
     return np.array([memo[j] for j in octaves], dtype=np.intp).reshape(-1, 2)
-
-
-def _pole_terms(alpha: float, beta: float, x: np.ndarray, weight: float):
-    """(weight/alpha) Re(e^p p^(1-beta)) at every p = x e^(i pi/alpha), and its size.
-
-    With weight 2 this is the sum of the residues of e^s s^(alpha-beta) /
-    (s^alpha - z) at its two poles p and conj(p), where s^alpha = z = -x^alpha;
-    the size leaves out the cosine.
-    """
-    ang = math.pi / alpha
-    size = (weight / alpha) * x ** (1.0 - beta) * np.exp(x * math.cos(ang))
-    return size * np.cos(x * math.sin(ang) + (1.0 - beta) * ang), size
 
 
 class _Far(NamedTuple):
@@ -291,12 +266,6 @@ def _asymptotic_array(alpha: float, beta: float, far: _Far) -> tuple[np.ndarray,
     term down, over the points whose run keeps that term, each starting
     from its own last kept term as `np.polyval` would, so a value depends
     on its argument alone.
-
-    For alpha >= 1 the exponentially damped pole terms are added explicitly,
-    since near alpha = 2 they decay too slowly to ignore; at alpha = 1 the
-    two poles are one.  For alpha > 1 the expansion's own error has a part
-    as large as the pole terms, which the envelope misses (just above
-    alpha = 1 the algebraic terms nearly vanish), so the estimate adds it.
     """
     c, log_env, memo = _asymptotic_coeffs(alpha, beta)
     best, last = _octave_terms(alpha, log_env, memo, far.octaves)[far.which].T
@@ -321,9 +290,6 @@ def _asymptotic_array(alpha: float, beta: float, far: _Far) -> tuple[np.ndarray,
     if point is not None:
         w[point] = y  # the gathered 1/eta is spent: it takes the values back in place
         y = w
-    if alpha >= 1.0:
-        poles, size = _pole_terms(alpha, beta, far.eta ** (1.0 / alpha), 1.0 if alpha == 1.0 else 2.0)
-        y, err = y + poles, err + size if alpha > 1.0 else err
     return y, err
 
 
@@ -332,19 +298,17 @@ def _asymptotic_array(alpha: float, beta: float, far: _Far) -> tuple[np.ndarray,
 
 
 @lru_cache(maxsize=256)
-def _contour(alpha: float, beta: float, mu: float, h: float, nodes: int) -> tuple[np.ndarray, ...]:
+def _contour(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     """Nodes s^alpha and trapezoid weights of the contour integral.
 
     E(z) = (1/2 pi i) int e^s s^(alpha-beta) / (s^alpha - z) ds along
     s(u) = mu (1 + iu)^2; the integrand at -u is minus the conjugate of the
     one at u, so E(z) = (h/pi) Im sum' w_k / (s_k^alpha - z) over u_k >= 0
     with w_k = e^s s^(alpha-beta) s'(u) at u_k and the u = 0 term halved.
-    Poles of the integrand outside the parabola are left out.  Returned as
-    real and imaginary parts (Re s^alpha, Im s^alpha, Re w, Im w).  For
-    alpha > 1 they are formed in np.longdouble: at alpha 1-1.5 the worst
-    error in scripts/ml_accuracy.py is then 3e-15, against 2e-14 in double.
+    Returned as real and imaginary parts (Re s^alpha, Im s^alpha, Re w, Im w).
     """
-    u = h * np.arange(nodes, dtype=np.longdouble if alpha > 1.0 else float)
+    mu, h = _CONTOUR_MU, _CONTOUR_H
+    u = h * np.arange(_CONTOUR_NODES, dtype=float)
     s = mu * (1.0 + 1j * u) ** 2
     ds = 2j * mu * (1.0 + 1j * u)
     w = (h / math.pi) * np.exp(s) * s ** (alpha - beta) * ds
@@ -368,35 +332,6 @@ def _contour_eval(contour: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contour_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """The contour rule at every z < 0, with mu, h and the nodes set per argument.
-
-    On s = mu (1 + iu)^2 the branch point s = 0 lies at Im u = 1 and, for
-    1 < alpha < 2, the poles p = x e^(+-i pi/alpha), x = (-z)^(1/alpha), at
-    Im u = 1 - sqrt(x/mu) cos(pi/(2 alpha)).  The fixed mu stays while the
-    poles lie 0.5 or more inside; otherwise mu drops until they lie 0.5 or
-    more outside, and their residues are added.  h scales with the distance
-    of the nearest singularity, so the error stays that of the fixed rule.
-    Both are rounded down to a power of 2^(1/8) times the fixed ones, which
-    keeps those bounds, so the arguments share a few cached contours.
-    """
-    if alpha <= 1.0:
-        return _contour_eval(_contour(alpha, beta, _CONTOUR_MU, _CONTOUR_H, _CONTOUR_NODES), z)
-    x = (-z) ** (1.0 / alpha)
-    r = x * math.cos(math.pi / (2.0 * alpha)) ** 2 / _CONTOUR_MU
-    close = np.sqrt(r) > 1.0 - _POLE_MARGIN
-    mu_steps = np.floor(8.0 * np.log2(np.where(close, np.minimum(1.0, r / (1.0 + _POLE_MARGIN) ** 2), 1.0)))
-    pole = np.sqrt(r / 2.0 ** (mu_steps / 8.0))
-    h_steps = np.floor(8.0 * np.log2(np.minimum(1.0, np.abs(1.0 - pole))))
-    groups, which = np.unique(mu_steps + 1j * h_steps, return_inverse=True)
-    out = np.empty(z.shape)
-    for g, key in enumerate(groups):
-        mu, h = _CONTOUR_MU * 2.0 ** (key.real / 8.0), _CONTOUR_H * 2.0 ** (key.imag / 8.0)
-        nodes = math.ceil(math.sqrt(1.0 + 2.0 * math.pi / (_CONTOUR_H * mu)) / h)
-        out[which == g] = _contour_eval(_contour(alpha, beta, mu, h, nodes), z[which == g])
-    return out + np.where(pole > 1.0, _pole_terms(alpha, beta, x, 2.0)[0], 0.0)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -416,7 +351,7 @@ def _ml_eval_betas(alpha: float, betas: tuple, z) -> np.ndarray:
     """`ml_eval_array` at each beta of `betas`, stacked along a new first axis.
 
     The argument side of the expansion (log(-z), 1/(-z) and the runs of one
-    octave) is formed once for every beta that sends it the same arguments.
+    octave) is formed once for every beta.
     """
     for beta in betas:
         MLParams(alpha, beta)
@@ -431,38 +366,28 @@ def _ml_eval_betas(alpha: float, betas: tuple, z) -> np.ndarray:
 def _eval(alpha: float, betas: tuple, flat: np.ndarray) -> np.ndarray:
     """`_ml_eval_betas` at a flat argument."""
     out = np.empty((len(betas), flat.size))
-    nonzero, positive = flat != 0.0, flat > 0.0
-    reach = nonzero & (flat <= -(_ASYMPTOTIC_MIN_X**alpha)) if alpha < 1.0 else nonzero
-    shared = far = None
+    if alpha == 1.0:  # MLParams takes alpha = 1 only as the exponential
+        out[:] = np.exp(flat)
+        return out
+    positive, negative = flat > 0.0, flat < 0.0
+    reach = flat <= -(_ASYMPTOTIC_MIN_X**alpha)
+    far = _far_side(alpha, -flat[reach])
     for beta, row in zip(betas, out):
-        if alpha == 1.0 and beta == 1.0:
-            row[:] = np.exp(flat)
-            continue
         row.fill(_rgamma(beta))
-        todo = nonzero.copy()
-        # the series serves 0 < z <= 1, and z < 0 outside the solvers' orders
-        idx = np.flatnonzero(todo if alpha >= 1.0 or beta > _CONTOUR_MAX_BETA else positive)
-        if idx.size:
-            val, biggest = _series_double(alpha, beta, flat[idx])
-            ok = positive[idx] | (biggest / _SERIES_MAX_CANCEL <= np.abs(val))
-            row[idx[ok]], todo[idx[ok]] = val[ok], False
-        subset = todo & reach
-        if far is None or not np.array_equal(subset, shared):
-            shared, far = subset, _far_side(alpha, -flat[subset])
+        row[positive] = _series_double(alpha, beta, flat[positive])
         val, err = _asymptotic_array(alpha, beta, far)
         ok = err <= _ASYMPTOTIC_REL_TOL * np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 + far.eta))
-        # the values the expansion misses are overwritten below
-        row[subset], todo[subset] = val, ~ok
+        # the values the expansion misses are overwritten by the contour's
+        row[reach], todo = val, negative.copy()
+        todo[reach] = ~ok
         zr = flat[todo]
-        if zr.size and beta > _CONTOUR_MAX_BETA:
-            row[todo] = (_eval(alpha, (beta - alpha,), zr)[0] - _rgamma(beta - alpha)) / zr
-        elif zr.size:
+        if zr.size:
             if -zr.min() > _CONTOUR_MAX_ETA:
                 raise MLConvergenceError(
                     f"no evaluation regime reaches the accuracy target for E_({alpha},{beta})(z) "
                     f"at z = {float(zr.min())}"
                 )
-            row[todo] = _contour_array(alpha, beta, zr)
+            row[todo] = _contour_eval(_contour(alpha, beta), zr)
     return out
 
 

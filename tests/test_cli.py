@@ -263,6 +263,9 @@ HUGE = 10**400
          "sweep.inner"),
         (sweep_cfg([16, 32], metric="iterations"), "sweep.metric"),
         ({"mode": "caputo-t2", "alpha": 0.5, "output": 5}, "output"),
+        # orders outside 0 < alpha < 1, 0 < beta <= 3 other than the exponential (1, 1)
+        ({"mode": "ml-eval", "ml": {"alpha": 1.5, "beta": 1.0, "z": [-1.0]}}, "ml"),
+        ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 170.0, "z": [-5.0]}}, "ml"),
     ],
     ids=[
         "ml-number", "z-null", "z-list", "sweep-strings", "sweep-equal-neighbours",
@@ -277,7 +280,7 @@ HUGE = 10**400
         "n_steps-huge", "n_mesh-huge", "sweep-n_steps-huge", "N-huge", "interior-m_max-huge",
         "fixedpoint-m_max-huge", "g-number",
         "g-without-profile", "omega-triple", "inner-number", "metric-not-produced",
-        "output-number",
+        "output-number", "ml-alpha-1.5", "ml-beta-170",
     ],
 )
 def test_exit_code_malformed_config_value(tmp_path, capsys, cfg, key):

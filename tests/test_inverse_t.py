@@ -295,6 +295,11 @@ def test_mollify_endpoints_and_constants():
     assert np.max(np.abs(out.values - 2.5)) < 1e-14
     f = TimeSeries(grid, grid.nodes() ** 2)
     assert mollify(f, 1) is f
+    assert mollify(f, 0) is f and mollify(f, -3) is f
+    # a width is a count: a fractional one, a float and a bool are refused
+    for width in (2.5, 4.0, True):
+        with pytest.raises(ValueError, match="width"):
+            mollify(f, width)
 
 
 def test_mollify_matches_loop_formula():
