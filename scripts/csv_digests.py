@@ -74,9 +74,9 @@ CONFIGS = {
     "invert-g-interior-noisy": {"mode": "invert-g-interior", "alpha": 0.5,
                                 "omega": [0.1, 0.35], "noise_level": 0.01, "seed": 42},
     "ml-eval": {"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [0.0, -1.0, -10.0]}},
-    # the edge of the accepted orders, at z in the series, contour and asymptotic bands
+    # the edge of the accepted orders, at z = 0 and in the contour and asymptotic bands
     "ml-eval-alpha-0.9-beta-3": {"mode": "ml-eval", "ml": {"alpha": 0.9, "beta": 3.0, "z": [
-        0.5, 0.0, -1.0, -10.0, -100.0, -1e4]}},
+        0.0, -1.0, -10.0, -100.0, -1e4]}},
     "caputo-t2": {"mode": "caputo-t2", "alpha": 0.5},
     "sweep": {"mode": "sweep", "sweep": {
         "key": "n_steps", "values": [64, 128, 256],

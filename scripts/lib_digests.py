@@ -4,7 +4,7 @@
 The twin of `csv_digests.py` for what the CLI does not write: every
 value of `ml_eval_array` at 46 order pairs (alpha 0.1 .. 0.9 by 0.1
 with beta 0.1, 0.5, 1, 2.7 and 3, and the exponential (1, 1)) on one
-fixed array of 3051 arguments and on four single arguments; everything an interior solve reports (values,
+fixed array of 3001 arguments and on four single arguments; everything an interior solve reports (values,
 residual history, iterations, filter factors and final step) at m_max
 50, 200 and 700 with tol 0, 1e-9 and 1e-4 (which stops the longest run
 in its third block), and once with a K below sigma_1^2, so that some
@@ -86,9 +86,9 @@ from fracsource.spectral import Domain1D, SpectralField
 
 ML_ALPHAS = [round(0.1 * i, 1) for i in range(1, 10)]
 ML_BETAS = [0.1, 0.5, 1.0, 2.7, 3.0]
-# 51 arguments in [0, 1] (the series) and 3000 on a log scale in [-1e4, -1e-3]
-ML_ARGS = np.concatenate((np.linspace(0.0, 1.0, 51), -np.logspace(-3.0, 4.0, 3000)))
-ML_SINGLE = [0.5, -0.5, -20.0, -300.0]
+# z = 0 and 3000 arguments on a log scale in [-1e4, -1e-3]
+ML_ARGS = np.concatenate(([0.0], -np.logspace(-3.0, 4.0, 3000)))
+ML_SINGLE = [0.0, -0.5, -20.0, -300.0]
 
 
 # the values behind each label, in the order they were hashed

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import FracsourceError, ParameterError
 from .fracops import FractionalOrder, TimeGrid, TimeSeries, caputo_l1, product_rule_convolve
-from .mlf import MLConvergenceError, ml_eval_array
+from .mlf import MLConvergenceError, MLParams, ml_eval_array
 from .report import relative_l2
 from .spectral import Domain1D, SpectralField, eval_on_mesh
 
@@ -224,6 +224,8 @@ def _run_ml_eval(cfg: dict):
     b = _num(cfg, "ml.beta", None, required=True)
     zs = np.asarray(_numbers(cfg, "ml.z", [0.0]), dtype=float)
     with _blame("ml"):
+        MLParams(a, b)
+    with _blame("ml.z"):
         vals = ml_eval_array(a, b, zs)
     return {"alpha": a, "beta": b}, {"z": zs, "value": vals}
 

@@ -2,12 +2,13 @@
 
 E_{a,b}(z) = sum_k z^k / Gamma(a*k + b) at the orders the solvers use,
 0 < a < 1 with 0 < b <= 3, and at (1, 1), where it is exp(z); evaluated
-on whole arrays by `ml_eval_array` (`ml_eval` is its one-element form),
-which is the one-beta case of `_ml_eval_betas`.  A value depends on its
-argument and order alone, so it has the same bits in any call, shape or
-order.  With the cancellation scale x = |z|^(1/a), each value comes from
+at real z <= 0 on whole arrays by `ml_eval_array` (`ml_eval` is its
+one-element form), which is the one-beta case of `_ml_eval_betas`.  A
+value depends on its argument and order alone, so it has the same bits in
+any call, shape or order.  With the cancellation scale x = |z|^(1/a),
+each value comes from
 
-* z = 0: 1/Gamma(b); 0 < z <= 1: the compensated power series,
+* z = 0: 1/Gamma(b),
 * x >= 35: the asymptotic expansion -sum_k z^{-k}/Gamma(b - a*k),
   truncated where the term envelope is least at the lower edge of the
   argument's octave of x (memoised per order and octave), where it meets
@@ -19,7 +20,8 @@ order.  With the cancellation scale x = |z|^(1/a), each value comes from
   the integrand has no poles.  Beyond -z = 1e150, where the contour would
   overflow, MLConvergenceError is raised instead.
 
-Only real z <= 1 is supported; the diffusion solvers feed in z <= 0.
+The diffusion solvers feed in z = -lambda t^a with lambda > 0 only, so a
+z > 0 is refused.
 """
 
 from __future__ import annotations
@@ -39,14 +41,6 @@ __all__ = [
     "ml_decay_constant",
 ]
 
-_SERIES_EPS = 1e-17
-_SERIES_MAX_TERMS = 10_000
-# powers z^k formed at once for each unfinished sum: the first chunk, and
-# the most once chunks have doubled.  Every term of a chunk is summed, so a
-# sum that stops just past 16 terms sums 48.  At 0 < z <= 1 a sum takes
-# from 5 terms (z = 1e-3) to 184 (alpha 0.1, z = 1)
-_SERIES_FIRST_CHUNK = 16
-_SERIES_CHUNK = 32
 # below this x the omitted exponentially small part of the asymptotic
 # expansion for alpha < 1 (~ exp(-0.9 x)) is not negligible.  Its lowest
 # octave keeps the terms optimal here, where its arguments start: with those
@@ -93,10 +87,8 @@ class MLParams:
 
 
 def _rgamma(x: float) -> float:
-    """1 / Gamma(x) for real x off the poles x = 0, -1, -2, ... (callers snap those)."""
+    """1 / Gamma(x) for real x <= 3 off the poles x = 0, -1, -2, ... (callers snap those)."""
     if x > 0.0:
-        if x > 171.0:
-            return 0.0  # Gamma overflows; reciprocal underflows
         return 1.0 / math.gamma(x)
     # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
     log_mag = math.lgamma(1.0 - x)
@@ -109,44 +101,6 @@ def _rgamma(x: float) -> float:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _series_double(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Defining power series at every 0 < z <= 1, with compensated summation.
-
-    Every term is finite and not negative, and each sum stops at its first
-    term below 1e-17 of it, past k = 2; a term whose Gamma(alpha*k + beta)
-    overflows is 0 and stops it too.  Powers come a chunk at a time, but are
-    added one k at a time; chunks start at _SERIES_FIRST_CHUNK terms and
-    double up to _SERIES_CHUNK, so a sum that stops in the first chunk forms
-    no more.
-    """
-    val = np.empty(z.shape)
-    live, term, comp = np.arange(z.size), np.ones(z.shape), np.zeros(z.shape)
-    total = np.full(z.shape, _rgamma(beta))
-    ks = range(1, 1)
-    while live.size and ks.stop < _SERIES_MAX_TERMS:
-        size = min(2 * len(ks), _SERIES_CHUNK) or _SERIES_FIRST_CHUNK
-        ks = range(ks.stop, min(ks.stop + size, _SERIES_MAX_TERMS))
-        r = np.array([_rgamma(alpha * k + beta) for k in ks])[:, None]
-        powers = np.full((len(ks), live.size), z[live])
-        powers[0] *= term
-        np.cumprod(powers, axis=0, out=powers)
-        term, t = powers[-1], powers * r
-        sums = np.empty(t.shape)
-        for tk, sk in zip(t, sums):
-            y = tk - comp
-            np.add(total, y, out=sk)
-            comp, total = (sk - total) - y, sk
-        stop = (t < _SERIES_EPS * sums) & (np.array(ks)[:, None] > 2)
-        first, cols = np.argmax(stop, axis=0), np.arange(live.size)
-        done = stop[first, cols]
-        val[live[done]] = sums[first[done], done]
-        live, term, total, comp = (a[~done] for a in (live, term, total, comp))
-    if live.size:
-        msg = f"series for E_({alpha},{beta})(z) did not converge in {_SERIES_MAX_TERMS} terms"
-        raise MLConvergenceError(f"{msg} at z = {float(z[live[0]])}")
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +291,12 @@ def _contour_eval(contour: tuple[np.ndarray, ...], z: np.ndarray) -> np.ndarray:
 
 
 def ml_eval_array(alpha: float, beta: float, z) -> np.ndarray:
-    """E_{alpha,beta}(z) elementwise for real z <= 0 (z <= 1 is tolerated).
+    """E_{alpha,beta}(z) elementwise for real z <= 0.
 
     Returns a float array of the shape of z.  Each value is that of its own
     one-element call, bit for bit, whatever the shape of z and the order of
     its elements.  Raises ValueError for an order pair outside MLParams'
-    range or a non-finite or too large z.
+    range or a z that is not finite or is positive.
     """
     return _ml_eval_betas(alpha, (beta,), z)[0]
 
@@ -358,8 +312,8 @@ def _ml_eval_betas(alpha: float, betas: tuple, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("arguments must be finite")
-    if np.any(z > 1.0):
-        raise ValueError(f"only z <= 1 is supported, got {float(np.max(z))}")
+    if np.any(z > 0.0):
+        raise ValueError(f"only z <= 0 is supported, got {float(np.max(z))}")
     return _eval(alpha, tuple(betas), z.ravel()).reshape((len(betas),) + z.shape)
 
 
@@ -369,16 +323,14 @@ def _eval(alpha: float, betas: tuple, flat: np.ndarray) -> np.ndarray:
     if alpha == 1.0:  # MLParams takes alpha = 1 only as the exponential
         out[:] = np.exp(flat)
         return out
-    positive, negative = flat > 0.0, flat < 0.0
     reach = flat <= -(_ASYMPTOTIC_MIN_X**alpha)
     far = _far_side(alpha, -flat[reach])
     for beta, row in zip(betas, out):
         row.fill(_rgamma(beta))
-        row[positive] = _series_double(alpha, beta, flat[positive])
         val, err = _asymptotic_array(alpha, beta, far)
         ok = err <= _ASYMPTOTIC_REL_TOL * np.maximum(np.abs(val), abs(_rgamma(beta)) / (1.0 + far.eta))
         # the values the expansion misses are overwritten by the contour's
-        row[reach], todo = val, negative.copy()
+        row[reach], todo = val, flat < 0.0
         todo[reach] = ~ok
         zr = flat[todo]
         if zr.size:
@@ -392,7 +344,7 @@ def _eval(alpha: float, betas: tuple, flat: np.ndarray) -> np.ndarray:
 
 
 def ml_eval(p: MLParams, z: float) -> float:
-    """E_{alpha,beta}(z) for real z <= 0 (a guard of z <= 1 is tolerated)."""
+    """E_{alpha,beta}(z) for real z <= 0."""
     return float(ml_eval_array(p.alpha, p.beta, (z,))[0])
 
 

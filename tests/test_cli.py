@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracsource import mlf
 from fracsource.cli import _fmt, main, perturb, run, write_result
 from fracsource.fracops import TimeGrid
 
@@ -139,7 +140,7 @@ def test_exit_code_validation_error(tmp_path):
     assert run(cfg3) == 3  # alpha missing
 
 
-def test_exit_code_solver_error(tmp_path):
+def test_exit_code_solver_error(tmp_path, monkeypatch):
     # phi_2 vanishes at the midpoint: the point-observation gate trips
     cfg = write_cfg(
         tmp_path,
@@ -154,12 +155,13 @@ def test_exit_code_solver_error(tmp_path):
         },
     )
     assert run(cfg) == 4
-    # at alpha 0.001 the series at z = 1 does not converge in its 10000 terms
-    ml = {"mode": "ml-eval", "ml": {"alpha": 0.001, "beta": 1.0, "z": [1.0]}}
-    assert run(write_cfg(tmp_path, "d.json", ml)) == 4
     # g(0.05) is 5% of sup|v(0.05, .)|: the fixed-point sweeps diverge at the default K
     fp = {"mode": "invert-rho-fixedpoint", "alpha": 0.9, "N": 32, "n_steps": 256, "x0": 0.05}
     assert run(write_cfg(tmp_path, "f.json", fp)) == 4
+    # with the expansion made to accept nothing, -z = 1e160 is past the contour's range
+    monkeypatch.setattr(mlf, "_ASYMPTOTIC_REL_TOL", -1.0)
+    ml = {"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [-1e160]}}
+    assert run(write_cfg(tmp_path, "d.json", ml)) == 4
 
 
 @pytest.mark.parametrize("mode", ["forward", "invert-rho-volterra", "invert-rho-fixedpoint"])
@@ -266,6 +268,9 @@ HUGE = 10**400
         # orders outside 0 < alpha < 1, 0 < beta <= 3 other than the exponential (1, 1)
         ({"mode": "ml-eval", "ml": {"alpha": 1.5, "beta": 1.0, "z": [-1.0]}}, "ml"),
         ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 170.0, "z": [-5.0]}}, "ml"),
+        # arguments off the half-line z <= 0 at an accepted order
+        ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [0.5]}}, "ml.z"),
+        ({"mode": "ml-eval", "ml": {"alpha": 0.5, "beta": 1.0, "z": [math.nan]}}, "ml.z"),
     ],
     ids=[
         "ml-number", "z-null", "z-list", "sweep-strings", "sweep-equal-neighbours",
@@ -280,7 +285,7 @@ HUGE = 10**400
         "n_steps-huge", "n_mesh-huge", "sweep-n_steps-huge", "N-huge", "interior-m_max-huge",
         "fixedpoint-m_max-huge", "g-number",
         "g-without-profile", "omega-triple", "inner-number", "metric-not-produced",
-        "output-number", "ml-alpha-1.5", "ml-beta-170",
+        "output-number", "ml-alpha-1.5", "ml-beta-170", "z-positive", "z-nan",
     ],
 )
 def test_exit_code_malformed_config_value(tmp_path, capsys, cfg, key):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from fracsource.mlf import (
     MLConvergenceError,
     MLParams,
-    _series_double,
     ml_decay_constant,
     ml_eval,
     ml_eval_array,
@@ -42,14 +41,26 @@ def test_params_validation():
 
 def test_argument_validation():
     p = MLParams(0.5, 1.0)
-    with pytest.raises(ValueError):
-        ml_eval(p, 2.0)
-    with pytest.raises(ValueError):
-        ml_eval(p, math.nan)
-    with pytest.raises(ValueError):
-        ml_eval(p, math.inf)
-    # a small positive guard is tolerated for testing
-    assert ml_eval(p, 0.5) > 1.0
+    for bad in (2.0, 0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ml_eval(p, bad)
+
+
+def test_positive_arguments_refused():
+    # the solvers feed in z = -lambda t^alpha <= 0: any z > 0 is refused at
+    # every entry point, and both zeros give 1/Gamma(beta) bit for bit
+    import fracsource.mlf as mlf
+
+    for a, b in [(0.5, 1.0), (1.0, 1.0), (0.3, 2.5)]:
+        for z in (1e-300, 0.5, 1.0):
+            with pytest.raises(ValueError, match="only z <= 0"):
+                ml_eval(MLParams(a, b), z)
+            with pytest.raises(ValueError, match="only z <= 0"):
+                ml_eval_array(a, b, [-1.0, z])
+            with pytest.raises(ValueError, match="only z <= 0"):
+                mlf._ml_eval_betas(a, (b, b), [z])
+        for z in (0.0, -0.0):
+            assert ml_eval(MLParams(a, b), z) == 1.0 / math.gamma(b)
 
 
 def test_value_at_zero():
@@ -184,16 +195,15 @@ def test_array_evaluator_against_mpmath():
 
 
 def test_scalar_path_against_mpmath():
-    # seeded points in every band of x = |z|^(1/alpha), and at 0 < z <= 1,
-    # at the edges of the accepted orders: alpha near 0 and 1, beta small
-    # and up to 3
+    # seeded points in every band of x = |z|^(1/alpha), at the edges of the
+    # accepted orders: alpha near 0 and 1, beta small and up to 3
     ml_reference = pytest.importorskip("ml_reference")
     rng = np.random.default_rng(2026)
-    low = np.random.default_rng(2027)  # x < 4 and 0 < z <= 1
+    low = np.random.default_rng(2027)  # x < 4
     cases = [(a, b) for a in (0.1, 0.5, 0.9, 0.99) for b in (0.2, 2.5, 3.0)]
     for a, b in cases:
         xs = (rng.uniform(4.0, 35.0), rng.uniform(35.0, 300.0), low.uniform(0.0, 4.0))
-        for z in [-(x**a) for x in xs] + [low.uniform(0.0, 1.0)]:
+        for z in [-(x**a) for x in xs]:
             tol = 1e-10 if abs(z) <= 100.0 else 1e-8
             # at a = 0.1 the reference series takes seconds per point beyond
             # x = 35; the integral representation is as independent and fast
@@ -207,23 +217,12 @@ def test_scalar_path_against_mpmath():
 def test_scalar_is_one_element_array_call():
     orders = [(a, b) for a in ARRAY_ALPHAS for b in (a, 1.0, a + 2.0)] + [(1.0, 1.0)]
     for a, b in orders:
-        for z in (0.0, 0.5, -0.3, -(20.0**a), -(50.0**a), -1e5):
+        for z in (0.0, -1e-3, -0.3, -(20.0**a), -(50.0**a), -1e5):
             assert ml_eval(MLParams(a, b), z) == ml_eval_array(a, b, [z])[0]
     grid = np.array([[0.0, -1.0], [-40.0, -1e6]])
     vals = ml_eval_array(0.5, 1.0, grid)
     assert vals.shape == grid.shape
     assert vals[1, 1] == ml_eval(MLParams(0.5, 1.0), -1e6)
-
-
-@pytest.mark.parametrize("a, b", [(0.1, 1.0), (0.5, 2.9), (0.9, 0.3)])
-def test_series_value_does_not_depend_on_the_call(a, b):
-    # each sum stops on its own terms, whatever chunk the other sums are in:
-    # at 0 < z <= 1 they stop after a few terms (small z) up to about 180
-    # (alpha 0.1, z near 1)
-    z = np.concatenate((np.logspace(-3, 0, 1000), np.linspace(1.0, 1e-3, 1000)))
-    sums = _series_double(a, b, z)
-    for i in range(0, z.size, 37):
-        assert _series_double(a, b, z[i : i + 1])[0] == sums[i], (a, b, z[i])
 
 
 def test_array_argument_validation():
@@ -235,24 +234,18 @@ def test_array_argument_validation():
         ml_eval_array(0.0, 1.0, [-1.0])
 
 
-def test_series_that_does_not_converge_raises():
-    # at alpha 0.001 the terms z^k / Gamma(0.001 k + 1) at z = 1 barely fall
-    with pytest.raises(MLConvergenceError, match="did not converge in 10000 terms"):
-        ml_eval_array(0.001, 1.0, [1.0])
-
-
 def test_gamma_tables_shared_between_threads():
-    # arguments at 0 < z <= 1 and over the contour band take the series and
-    # the contour, with their cached tables, and far arguments at beta 1 fill
-    # the memo of the terms each octave of x keeps, two threads at each
-    # octave; a fresh interpreter evaluates them from four threads at once
-    # and must agree with the serial values
+    # arguments over the contour band at two orders take the contour, with
+    # its cached nodes, and far arguments at beta 1 fill the memo of the
+    # terms each octave of x keeps, two threads at each octave; a fresh
+    # interpreter evaluates them from four threads at once and must agree
+    # with the serial values
     import subprocess
     import sys
 
     import fracsource
 
-    cases = [(0.5, 2.9, 0.125 * k) for k in range(1, 9)]
+    cases = [(0.9, 0.3, -0.125 * k) for k in range(1, 9)]  # x = 0.10 .. 1
     cases += [(0.5, 2.9, -0.25 - 0.75 * k) for k in range(8)]  # x = 0.06 .. 33
     cases += [(0.5, 1.0, -(2.0 ** (0.25 * k))) for k in range(24, 88)]  # x = 2^12 .. 2^43.5
     code = f"""
@@ -327,7 +320,7 @@ def regime_rows(width: int = 2500) -> np.ndarray:
     logs = -np.logspace(-3.0, 4.0, width)
     return np.stack(
         (
-            np.resize([0.0, 0.25, 1.0, -0.5, -2.0], width),  # z = 0 and 0 < z <= 1
+            np.resize([0.0, -1e-3, -0.25, -0.5, -2.0], width),  # z = 0 and small -z
             logs,  # every band, sorted
             rng.permutation(logs),  # and unsorted
             -np.logspace(0.8, 6.0, width),  # far arguments over many octaves of x
@@ -338,9 +331,9 @@ def regime_rows(width: int = 2500) -> np.ndarray:
 
 
 ROUTES = [
-    (0.5, 1.0, {"series", "asymptotic", "contour"}),
-    (0.9, 0.9, {"series", "asymptotic", "contour"}),
-    (0.2, 3.0, {"series", "asymptotic", "contour"}),  # the largest beta accepted
+    (0.5, 1.0, {"asymptotic", "contour"}),
+    (0.9, 0.9, {"asymptotic", "contour"}),
+    (0.2, 3.0, {"asymptotic", "contour"}),  # the largest beta accepted
     (1.0, 1.0, set()),  # the exponential
 ]
 
@@ -358,11 +351,7 @@ def spy_routes(monkeypatch) -> set:
 
         monkeypatch.setattr(mlf, fn.__name__, wrapped)
 
-    for name, fn in [
-        ("series", mlf._series_double),
-        ("asymptotic", mlf._asymptotic_array),
-        ("contour", mlf._contour_eval),
-    ]:
+    for name, fn in [("asymptotic", mlf._asymptotic_array), ("contour", mlf._contour_eval)]:
         spy(name, fn)
     return reached
 
@@ -385,7 +374,7 @@ def test_rows_of_a_2d_argument_equal_their_own_calls(monkeypatch, a, b, routes):
 @pytest.mark.parametrize(
     "a, betas",
     [
-        (0.5, (1.5, 2.5, 0.5, 1.0)),  # the contour and the series at 0 < z <= 1
+        (0.5, (1.5, 2.5, 0.5, 1.0)),  # beta below, at and above alpha and 1
         (0.9, (1.9, 3.0, 2.9)),  # the largest beta accepted beside smaller ones
         (0.3, (3.0, 0.1)),  # beta above and below alpha
         (1.0, (1.0, 1.0)),  # the exponential, the one order at alpha = 1
