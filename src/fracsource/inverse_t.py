@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .fracops import (
     caputo_l1,
     product_rule_convolve,
 )
-from .report import ReconstructionReport, _by_value, first_index, third_rises
+from .report import ReconstructionReport, _by_value, _frozen, first_index, third_rises
 from .spectral import SpectralField, eval_at
 
 __all__ = [
@@ -106,14 +106,18 @@ def mollify(f: TimeSeries, width: int) -> TimeSeries:
     """
     if _count("width", width) <= 1:
         return f
-    v = f.values
-    n = v.shape[0]
-    half = width // 2
-    csum = np.concatenate(([0.0], np.cumsum(v)))
+    csum = np.concatenate(([0.0], np.cumsum(f.values)))
+    lo, hi, span = _windows(f.values.shape[0], width // 2)
+    return TimeSeries(f.grid, (csum[hi] - csum[lo]) / span)
+
+
+@lru_cache(maxsize=4)
+def _windows(n: int, half: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only bounds lo, hi and node counts hi - lo of the n windows of `mollify`."""
     i = np.arange(n)
     lo = np.maximum(0, i - half)
     hi = np.minimum(n, i + half + 1)
-    return TimeSeries(f.grid, (csum[hi] - csum[lo]) / (hi - lo))
+    return _frozen((lo, hi, hi - lo))
 
 
 def _observed_trace(problem: TSourceProblem, mollify_width: int) -> TimeSeries:

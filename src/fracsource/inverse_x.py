@@ -29,14 +29,19 @@ sums of exponentials; Beylkin & Monzon, Appl. Comput. Harmon. Anal. 19,
 above round-off, and a set-up holds O(N^2 r_t) values instead of N^3.  The operator and its
 SVD are built once per set-up (rho, alpha, grid, domain, omega, mesh),
 and B once per (rho, alpha, grid, domain); both are looked up by value
-through the memo in `report` and reused by re-solves with new data.
+through the memo in `report` and reused by re-solves with new data.  So
+is the operator's damping table of (K, beta): s^2, s^2 + beta and the
+first block's 1 - r^m, kept while the set-up, K and beta repeat, so a
+re-solve on new data does only the data's work: its coordinates and the
+sweep norms.  The omega mesh and its mask are kept per (domain, omega,
+n_mesh), since every problem counts its data rows on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from .errors import (
 )
 from .forward import EvolutionField, modal_kernel_weights
 from .fracops import _MOST, FractionalOrder, TimeGrid, TimeSeries, _count, product_rule_convolve
-from .report import ReconstructionReport, _by_value, first_index, third_rises
+from .report import ReconstructionReport, _by_value, _frozen, first_index, third_rises
 from .spectral import Domain1D, SpectralField, simpson_weights
 
 __all__ = [
@@ -131,9 +136,15 @@ class XSourceInteriorProblem:
 
 
 def _omega_mesh(domain: Domain1D, omega: tuple, n_mesh: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform mesh of n_mesh points and the mask of those inside omega."""
-    xs = domain.mesh(_count("n_mesh", n_mesh, 4, _MOST))
-    return xs, (xs >= omega[0]) & (xs <= omega[1])
+    """The uniform mesh of n_mesh points and the mask of those inside omega, both read-only."""
+    return _mesh_in(domain, tuple(omega), _count("n_mesh", n_mesh, 4, _MOST))
+
+
+@lru_cache(maxsize=4)
+def _mesh_in(domain: Domain1D, omega: tuple, n_mesh: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_omega_mesh` of a valid n_mesh, kept per set-up: every interior problem counts its points."""
+    xs = domain.mesh(n_mesh)
+    return _frozen((xs, (xs >= omega[0]) & (xs <= omega[1])))
 
 
 def observe_interior(
@@ -339,10 +350,52 @@ class _InteriorOperator:
         left = y_c.ravel() - self.u @ y_s
         return y_s, float(left @ left) + float(np.vdot(outside, outside))
 
+    # damping(K, beta, cols): the damping table of K and beta, kept while the operator,
+    # K, beta and cols = min(m_max, _SWEEP_BLOCK) repeat
+    damping = _by_value(lambda self, K, beta, cols: _Damping(self, K, beta, cols))
+
+
+class _Damping:
+    """The factors of the interior sweeps that do not depend on the data.
+
+    For one operator, K and beta: the columns s^2 and s^2 + beta, the
+    scalar K/(K + beta), r = (K - s^2)/(K + beta), and the fill 1 - r^m of
+    the first block of sweeps, m = 0 .. cols.  Later blocks form their
+    fill per call (`fill_of`), so a long run keeps no more than one block.
+    1 - r^m is -expm1(m log1p(-(s^2 + beta)/(K + beta))) where every r > 0,
+    except on rows where (s^2 + beta)/(K + beta) rounds to 1 (beta far
+    above K), whose log1p is -inf; those rows, and every row when some
+    r <= 0, take the power form.  Every array is read-only once the memo
+    keeps it.
+    """
+
+    def __init__(self, op: _InteriorOperator, K: float, beta: float, cols: int):
+        self.sigma2 = op.sigma[:, None] ** 2
+        self.denom = self.sigma2 + beta
+        self.shrink = K / (K + beta)
+        self.ratio = (K - self.sigma2) / (K + beta)
+        self.log_ratio = None
+        if np.all(self.ratio > 0.0):
+            with np.errstate(divide="ignore"):
+                self.log_ratio = np.log1p(-self.denom / (K + beta))
+            self.flat = np.flatnonzero(np.isinf(self.log_ratio))  # rows in the power form
+        self.fill = self.fill_of(np.arange(cols + 1))
+
+    def fill_of(self, m: np.ndarray) -> np.ndarray:
+        """1 - r^m for the sweep indices m, one column each."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.log_ratio is None:
+                return 1.0 - self.ratio**m
+            fill = -np.expm1(self.log_ratio * m)
+            fill[self.flat] = 1.0 - self.ratio[self.flat] ** m
+            return fill
+
 
 @_by_value
 def _operator(rho, alpha, grid, domain, omega, n_mesh) -> _InteriorOperator:
     """The operator of a set-up given by value, built once while it repeats."""
+    # the damping table of the last operator goes with it: its memo holds it as its key
+    _InteriorOperator.damping.cache_clear()
     return _InteriorOperator(rho, alpha, grid, domain, omega, n_mesh)
 
 
@@ -363,7 +416,9 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
     g_m = (K g_(m-1) - (M g_(m-1) - b))/(K + beta) with M = A^T W A and
     b = A^T W y.  In the singular basis of the reduced operator M is
     diag(s^2), so the sweeps are closed-form, g_m = (1 - r^m) s y/(s^2 + beta),
-    and are taken in blocks of `_SWEEP_BLOCK`.  K defaults to 1.1 s_1^2, the
+    and are taken in blocks of `_SWEEP_BLOCK`; the factors that do not
+    depend on the data, and the first block's 1 - r^m, come from the
+    operator's `_Damping` table of K and beta.  K defaults to 1.1 s_1^2, the
     largest eigenvalue of M.  residual_history[m-1] = ||A g_(m-1) - y||_W is
     summed as an explicit difference in a fixed order, so it cannot rise
     through cancellation.  At every sweep the triangle-inequality bound on
@@ -381,23 +436,27 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
     beta = problem.beta
     if not (0.0 < K < math.inf and 0.0 < beta < math.inf):
         raise NonPositiveParamsError(f"K and beta must be positive and finite, got K={K}, beta={beta}")
+    table = op.damping(K, beta, min(problem.m_max, _SWEEP_BLOCK))
     y_s, rest_sq = op.coordinates(problem.observed)
     sigma, y_s = op.sigma[:, None], y_s[:, None]
-    limit = sigma * y_s / (sigma**2 + beta)
-    ratio = (K - sigma**2) / (K + beta)
-    log_ratio = np.log1p(-(sigma**2 + beta) / (K + beta)) if np.all(ratio > 0.0) else None
+    limit = sigma * y_s / table.denom
     history: list[float] = []
     for first in range(1, problem.m_max + 1, _SWEEP_BLOCK):
         # iterates g_(first-1) .. g_last as columns, sweeps first .. last
         m = np.arange(first - 1, min(first - 1 + _SWEEP_BLOCK, problem.m_max) + 1)
+        fill = table.fill if first == 1 else table.fill_of(m)
         with np.errstate(over="ignore", invalid="ignore"):
-            fill = -np.expm1(log_ratio * m) if log_ratio is not None else 1.0 - ratio**m  # 1 - r^m
             g = fill * limit
-            resid = np.sqrt(((sigma * g - y_s) ** 2).sum(axis=0)[:-1] + rest_sq)
+            miss = sigma * g
+            miss -= y_s
+            miss *= miss  # (s g - y)^2
+            resid = np.sqrt(miss.sum(axis=0)[:-1] + rest_sq)
             size = np.sqrt((g * g).sum(axis=0))
-            grad = np.sqrt(((sigma**2 * g[:, :-1] - sigma * y_s) ** 2).sum(axis=0))
-            steps = np.sqrt(((g[:, 1:] - g[:, :-1]) ** 2).sum(axis=0))
-            bound = (K / (K + beta)) * size[:-1] + grad / (K + beta)
+            grad = np.sqrt((table.sigma2[:, 0] @ miss)[:-1])  # ||s^2 g - s y||, for the bound only
+            step = g[:, 1:] - g[:, :-1]
+            step *= step
+            steps = np.sqrt(step.sum(axis=0))
+            bound = table.shrink * size[:-1] + grad / (K + beta)
             broke = (size[1:] > bound * (1.0 + 1e-12) + 1e-300) & np.isfinite(size[1:])
         n = resid.size
         overflow = ~np.isfinite(resid) | ~np.isfinite(size[1:])
@@ -416,7 +475,7 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
         if done < n:
             break
     iterations = int(m[stop + 1])
-    filters = fill[:, stop + 1] * op.sigma**2 / (op.sigma**2 + beta)
+    filters = fill[:, stop + 1] * table.sigma2[:, 0] / table.denom[:, 0]
     filters.flags.writeable = False
     return ReconstructionReport(
         recovered=SpectralField(problem.domain, op.vt.T @ g[:, stop + 1]),

@@ -495,6 +495,19 @@ def test_sweep_finite_slopes_stay_accepted(tmp_path, cfg):
     assert run(write_cfg(tmp_path, "f.json", cfg)) == 0
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [interior_cfg(beta=1e308),
+     {"mode": "sweep", "sweep": {"key": "solver.beta", "values": [1e-6, 1e308],
+                                 "inner": interior_cfg()}}],
+    ids=["interior-beta-1e308", "sweep-beta-1e308"],
+)
+def test_beta_far_above_k_exits_0(tmp_path, capsys, cfg):
+    # every sweep runs with g near 0: no spurious divergence, and no warning
+    assert run(write_cfg(tmp_path, "b.json", cfg)) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_leaves_its_inner_config_alone():
     import copy
 

@@ -1,7 +1,11 @@
 """Tests of the spatial-factor reconstructions (final-time and interior data)."""
 
+import gc
 import json
 import math
+import warnings
+import weakref
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -20,6 +24,8 @@ from fracsource.fracops import FractionalOrder, TimeGrid, TimeSeries
 from fracsource.inverse_x import (
     _MU_HI,
     _MU_LO,
+    _SWEEP_BLOCK,
+    _operator_of,
     _tikhonov_fit,
     XSourceFinalProblem,
     XSourceInteriorProblem,
@@ -676,8 +682,6 @@ def test_closed_form_tol_stops_at_the_same_sweep():
 
 
 def test_divergence_raises_without_warnings():
-    import warnings
-
     p = noisy_interior_problem(K=1e-12, beta=1e-15, m_max=10**5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -749,6 +753,100 @@ def test_operator_built_once_per_set_up(operator_builds):
     )
     iterative_thresholding(changed)
     assert len(operator_builds) == 2
+
+
+@pytest.fixture
+def damping_builds(monkeypatch):
+    """(K, beta, cols) of every damping-table build from an empty cache."""
+    import fracsource.inverse_x as inverse_x
+
+    builds = []
+
+    class Counting(inverse_x._Damping):
+        def __init__(self, op, *key):
+            builds.append(key)
+            super().__init__(op, *key)
+
+    monkeypatch.setattr(inverse_x, "_Damping", Counting)
+    inverse_x._InteriorOperator.damping.cache_clear()
+    yield builds
+    inverse_x._InteriorOperator.damping.cache_clear()
+
+
+def interior_outcome(rep):
+    d = rep.diagnostics
+    return (rep.recovered.coeffs.tobytes(), rep.residual_history, rep.iterations,
+            d["final_step"], d["filter_factors"].tobytes())
+
+
+def test_resolves_on_new_data_build_one_damping_table(damping_builds):
+    p = noisy_interior_problem(beta=1e-8, m_max=200)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        noisy = p.observed + 1e-3 * rng.standard_normal(p.observed.shape)
+        iterative_thresholding(replace(p, observed=noisy))
+    assert damping_builds == [(1.1 * estimate_k(p), 1e-8, 200)]
+
+
+def test_runs_past_one_block_share_a_damping_table(damping_builds):
+    for m_max in (300, 700, 300):
+        iterative_thresholding(noisy_interior_problem(beta=1e-8, m_max=m_max))
+    assert [cols for _, _, cols in damping_builds] == [_SWEEP_BLOCK]
+
+
+def test_alternating_beta_rebuilds_the_table_with_cold_bits(damping_builds):
+    import fracsource.forward as forward
+    import fracsource.inverse_x as inverse_x
+
+    betas = (1e-8, 1e-6, 1e-8, 1e-6)
+    warm = [interior_outcome(iterative_thresholding(noisy_interior_problem(beta=b, m_max=300)))
+            for b in betas]
+    assert [beta for _, beta, _ in damping_builds] == list(betas)
+    for beta, result in zip(betas, warm):
+        for memo in (forward.modal_kernel_weights, inverse_x._operator,
+                     inverse_x._InteriorOperator.damping):
+            memo.cache_clear()
+        cold = iterative_thresholding(noisy_interior_problem(beta=beta, m_max=300))
+        assert interior_outcome(cold) == result
+
+
+def test_a_long_run_keeps_one_block_of_fill(damping_builds):
+    p = noisy_interior_problem(beta=1e-8, m_max=10**6)
+    rep = iterative_thresholding(p)
+    assert rep.iterations == 10**6
+    table = _operator_of(p).damping(rep.diagnostics["K"], p.beta, _SWEEP_BLOCK)
+    assert len(damping_builds) == 1
+    arrays = [a for a in vars(table).values() if isinstance(a, np.ndarray)]
+    assert max(a.shape[-1] for a in arrays) == _SWEEP_BLOCK + 1
+    assert all(not a.flags.writeable for a in arrays)
+
+
+def test_a_new_set_up_frees_the_last_operator_and_its_table():
+    # the damping table is keyed by its operator, so neither may outlive
+    # the operator's replacement
+    old = noisy_interior_problem(beta=1e-8, m_max=20)
+    K = iterative_thresholding(old).diagnostics["K"]
+    op = _operator_of(old)
+    held = weakref.ref(op), weakref.ref(op.damping(K, old.beta, 20))
+    del op
+    iterative_thresholding(replace(old, rho=TimeSeries(old.grid, 1.5 * old.rho.values)))
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]
+
+
+@pytest.mark.parametrize("beta", [1e14, 1e20, 1e308])
+def test_beta_far_above_k_runs_every_sweep(beta):
+    # (s^2 + beta)/(K + beta) rounds to 1 there, where log1p gives -inf
+    p = noisy_interior_problem(beta=beta, m_max=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = iterative_thresholding(p)
+    history = rep.residual_history
+    assert rep.iterations == len(history) == 300
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert np.all(np.abs(rep.recovered.coeffs) <= 1e-9)
+    filters = rep.diagnostics["filter_factors"]
+    assert np.all(np.isfinite(filters)) and np.all(filters <= 1e-9)
 
 
 # ---------------------------------------------------------------------------

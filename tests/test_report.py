@@ -3,6 +3,7 @@
 import inspect
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -134,8 +135,11 @@ def test_served_set_ups_are_read_only():
     s = inverse_t._set_up(g, 0.3, alpha, grid)
     sweeps = s.sweeps(s.k_bound)
     op = inverse_x._operator(rho, alpha, grid, dom, (0.1, 0.35), 65)
+    damping = op.damping(1.1 * float(op.sigma[0] ** 2), 1e-8, 200)
+    table = [a for a in vars(damping).values() if isinstance(a, np.ndarray)]
     served = [*s.trace_weights, s.c, s.d, s.v, s.resolvent(), sweeps.powers, sweeps.coupling,
-              *vars(op).values()]
+              *vars(op).values(), *table, *inverse_t._windows(33, 2),
+              *inverse_x._omega_mesh(dom, (0.1, 0.35), 65)]
     for a in served:
         assert isinstance(a, np.ndarray) and not a.flags.writeable
 
@@ -159,8 +163,8 @@ def solvers():
         t_problem = inverse_t.TSourceProblem(g, x0, alpha, grid, observe_point(u, x0))
         final = SpectralField(dom, u.modal_values[:, -1] * (1.0 + 1e-3 * np.cos(np.arange(16))))
         observed = inverse_x.observe_interior(u, (0.1, 0.35), 65)
-        x_problem = inverse_x.XSourceInteriorProblem(
-            rho, alpha, grid, dom, (0.1, 0.35), observed, 65, beta=1e-8, m_max=30
+        x_problem = partial(
+            inverse_x.XSourceInteriorProblem, rho, alpha, grid, dom, (0.1, 0.35), observed, 65, m_max=30
         )
 
         def final_solve(rho=rho, final=final):
@@ -169,14 +173,16 @@ def solvers():
                 inverse_x.XSourceFinalProblem(rho, alpha, grid, final, 0.0, mu)
             )
 
-        calls += [
+        # set-up 0 alternates two beta, and with them its damping table
+        betas = (1e-8, 1e-6) if i == 0 else (1e-8,)
+        calls.append([
             lambda p=t_problem: inverse_t.solve_volterra(p),
             lambda p=t_problem: inverse_t.fixed_point_iterate(p, m_max=20),
-            lambda p=x_problem: inverse_x.iterative_thresholding(p),
+            *(lambda p=x_problem(beta=b): inverse_x.iterative_thresholding(p) for b in betas),
             final_solve,
-        ]
+        ])
     # set-ups 0 and 1 of each kind alternate
-    return [calls[k + 4 * (j % 2)] for j in range(6) for k in range(4)]
+    return [call for j in range(6) for call in calls[j % 2]]
 
 
 def outcome(rep):
@@ -186,7 +192,8 @@ def outcome(rep):
 
 
 def clear_solver_memos():
-    for fn in (inverse_t._set_up, inverse_x._operator, inverse_x.modal_responses):
+    for fn in (inverse_t._set_up, inverse_t._windows, inverse_x._mesh_in, inverse_x._operator,
+               inverse_x._InteriorOperator.damping, inverse_x.modal_responses):
         fn.cache_clear()
 
 
