@@ -21,7 +21,11 @@ bisection) and for the first two on clean 8-mode data with rho = 100,
 whose fit at 1e-16 is within a few roundings of 0, so that `--compare`
 reports round-off moves of the regular weights apart from moves where the
 discrepancy is nearly flat, `solve_homogeneous`, five
-`duhamel_residual` set-ups and one `lipschitz_certificate`.  Every input
+`duhamel_residual` set-ups and one `lipschitz_certificate`; and warm
+solves on set-ups that are replaced and then restored, so that the
+tables a set-up keeps are rebuilt: point-trace set-ups A, B, A, each
+solved by `solve_volterra` and by `fixed_point_iterate` at two K, and
+interior operators A, B, A at two beta.  Every input
 is valid, so a change that only refuses more inputs leaves every digest
 as it was.  It prints `<sha256>  <label>` per output and imports
 whichever `fracsource` the environment finds, so comparing two checkouts
@@ -44,7 +48,7 @@ where a NaN came or went):
 
 Usage: python3 scripts/lib_digests.py [DIR]
        python3 scripts/lib_digests.py --compare OLD_DIR NEW_DIR
-It takes about 3 s with one BLAS thread (OPENBLAS_NUM_THREADS=1).  The
+It takes about 1 s with one BLAS thread (OPENBLAS_NUM_THREADS=1).  The
 listing starts with the `# blas_threads=<n>` line of `csv_digests.py`.
 """
 
@@ -108,7 +112,8 @@ def ml_digests() -> None:
         show(f"ml_eval_array alpha={a} beta={b}", ml_eval_array(a, b, ML_ARGS), singles)
 
 
-def interior_digests() -> None:
+def interior_set_up() -> tuple:
+    """rho, alpha, grid, domain, omega, seeded noisy data and n_mesh of an interior problem."""
     dom, grid = Domain1D(1.0, 32), TimeGrid(1.0, 64)
     rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
     g = make_g(dom, "offset_bump", center_frac=0.6, width_frac=0.5)
@@ -116,9 +121,14 @@ def interior_digests() -> None:
     u = solve_inhomogeneous(separated_source(g, rho), alpha, grid)
     clean = observe_interior(u, omega, n_mesh)
     y = clean + 1e-3 * np.random.default_rng(29).standard_normal(clean.shape)
+    return rho, alpha, grid, dom, omega, y, n_mesh
+
+
+def interior_digests() -> None:
+    set_up = interior_set_up()
 
     def problem(**kw):
-        return XSourceInteriorProblem(rho, alpha, grid, dom, omega, y, n_mesh, beta=1e-8, **kw)
+        return XSourceInteriorProblem(*set_up, beta=1e-8, **kw)
 
     runs = [(f"m_max={m} tol={tol}", {"m_max": m, "tol": tol})
             for m in (50, 200, 700) for tol in (0.0, 1e-9, 1e-4)]
@@ -131,12 +141,12 @@ def interior_digests() -> None:
              rep.iterations, d["K"], d["filter_factors"], d["final_step"], d["singular_values"])
 
 
-def t_problem(noise_level: float):
+def t_problem(noise_level: float, x0: float = 0.3):
     """A noisy point-trace problem on 256 steps and its true rho."""
     dom, grid = Domain1D(1.0, 16), TimeGrid(1.0, 256)
     g = make_g(dom, "sine_bump")
     rho = make_rho(grid, "affine", intercept=1.0, slope=0.5)
-    alpha, x0 = FractionalOrder(0.5), 0.3
+    alpha = FractionalOrder(0.5)
     clean = product_rule_convolve(*trace_weights(g, x0, alpha, grid), rho.values)
     rng = np.random.default_rng(42)
     trace = clean + noise_level * np.max(np.abs(clean)) * rng.uniform(-1.0, 1.0, clean.shape)
@@ -234,6 +244,27 @@ def duhamel_digests() -> None:
         show(label, duhamel_residual(g, rho, FractionalOrder(a), grid))
 
 
+def replaced_set_up_digests() -> None:
+    for i, x0 in enumerate((0.3, 0.45, 0.3)):
+        p = t_problem(0.01, x0)[0]
+        label = f"set-ups A B A: {'ABA'[i]} {i + 1}"
+        rep = solve_volterra(p)
+        show(f"{label} solve_volterra", rep.recovered.values, rep.residual_history)
+        k_bound = fixed_point_iterate(p, m_max=1).diagnostics["k_bound"]
+        for factor in (1.0, 2.0):
+            rep = fixed_point_iterate(p, K=factor * k_bound, m_max=50)
+            show(f"{label} fixed_point_iterate K={factor}*k_bound", rep.recovered.values,
+                 rep.residual_history, rep.iterations, rep.diagnostics["K"])
+    rho, *rest = interior_set_up()
+    for i, scale in enumerate((1.0, 1.5, 1.0)):
+        for beta in (1e-8, 1e-6):
+            problem = XSourceInteriorProblem(
+                TimeSeries(rho.grid, scale * rho.values), *rest, beta=beta, m_max=200)
+            rep = iterative_thresholding(problem)
+            show(f"operators A B A: {'ABA'[i]} {i + 1} beta={beta}", rep.recovered.coeffs,
+                 rep.residual_history, rep.diagnostics["filter_factors"], rep.diagnostics["final_step"])
+
+
 def compare(old_dir: str, new_dir: str) -> None:
     with np.load(os.path.join(old_dir, "lib_digests.npz")) as old, \
             np.load(os.path.join(new_dir, "lib_digests.npz")) as new:
@@ -261,6 +292,7 @@ def main() -> None:
     final_digests()
     choose_mu_digests()
     duhamel_digests()
+    replaced_set_up_digests()
     if len(sys.argv) > 1:
         os.makedirs(sys.argv[1], exist_ok=True)
         np.savez(os.path.join(sys.argv[1], "lib_digests.npz"), **VALUES)

@@ -20,9 +20,9 @@ node-0 extrapolation, so the iterates are power series of that map: the
 sweeps run in closed form, 64 at a time, on a per-set-up table of the
 spectra of its powers, and the bound K comes from the Volterra weights
 without a homogeneous solve.  What depends on the set-up alone (g(x0),
-the trace and Volterra weights, K's bound, the resolvent) is one object,
-built once per set-up and looked up by value through the memo in
-`report`; so is the sweep table of a K.
+the trace and Volterra weights, K's bound, the resolvent and the sweep
+table of a K) is one object, built once per set-up and looked up by
+value through the memo in `report`.
 """
 
 from __future__ import annotations
@@ -174,14 +174,13 @@ class _RhoSetUp:
     E_{a,1}(z) = 1 + z E_{a,a+1}(z), and the weights c_j + d_j of mode n
     telescope to t^a E_{a,a+1}(-lambda_n t^a), so v is g(x0) less their
     running sum, and its sup bounds K.  The first `solve_volterra` builds
-    the resolvent's spectrum, which no fixed-point run pays for; a
-    fixed-point run builds the sweep table of its K.  Every array is
-    read-only once the memo keeps it.  A set-up whose |g(x0)| lies below
-    EPS_POINT raises PointDegenerateError.
+    the resolvent's spectrum, `resolvent()`, which no fixed-point run pays
+    for; a fixed-point run builds the sweep table of its K, `sweeps(K)`.
+    Every array is read-only once the memo keeps it.  A set-up whose
+    |g(x0)| lies below EPS_POINT raises PointDegenerateError.
     """
 
     def __init__(self, g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid):
-        self.alpha, self.grid = alpha, grid
         self.gx0 = eval_at(g, x0)
         if abs(self.gx0) < EPS_POINT:
             raise PointDegenerateError(
@@ -191,23 +190,19 @@ class _RhoSetUp:
         self.c, self.d = _volterra_weights(g, x0, alpha, grid)
         self.v = self.gx0 - np.concatenate(([0.0], np.cumsum(self.c + self.d)))
         self.k_bound = float(np.max(np.abs(self.v)))
+        self.resolvent = _by_value(partial(_resolvent, self.gx0, self.c, self.d))
+        self.sweeps = _by_value(partial(_SweepTable, self.trace_weights, alpha, grid))
 
-    @_by_value
-    def resolvent(self) -> np.ndarray:
-        """`_spectrum` of the reciprocal series of the system's first column, kept per set-up."""
-        r = _series_reciprocal(np.concatenate(([self.gx0], -self.d[:-1])) - self.c)
-        return _spectrum(r, r.shape[0])
 
-    # sweeps(K): the sweep table of damping K, kept while the set-up and K repeat
-    sweeps = _by_value(lambda self, K: _SweepTable(self, K))
+def _resolvent(gx0: float, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """`_spectrum` of the reciprocal series of the Volterra system's first column."""
+    r = _series_reciprocal(np.concatenate(([gx0], -d[:-1])) - c)
+    return _spectrum(r, r.shape[0])
 
 
 @_by_value
 def _set_up(g: SpectralField, x0: float, alpha: FractionalOrder, grid: TimeGrid) -> _RhoSetUp:
     """The set-up given by value, built once while it repeats."""
-    # the tables of the last set-up go with it: their memos hold it as their key
-    _RhoSetUp.resolvent.cache_clear()
-    _RhoSetUp.sweeps.cache_clear()
     return _RhoSetUp(g, x0, alpha, grid)
 
 
@@ -265,11 +260,11 @@ class _SweepTable:
     memo keeps it.
     """
 
-    def __init__(self, s: _RhoSetUp, K: float):
-        n, blk = s.grid.n_steps, _SWEEP_BLOCK
+    def __init__(self, trace_weights: tuple, alpha: FractionalOrder, grid: TimeGrid, K: float):
+        n, blk = grid.n_steps, _SWEEP_BLOCK
         self.n = n
-        impulses = product_rule_convolve(*s.trace_weights, np.eye(2, n + 1))
-        r, t = _l1_derivative(impulses, s.alpha, s.grid)[:, 1:]
+        impulses = product_rule_convolve(*trace_weights, np.eye(2, n + 1))
+        r, t = _l1_derivative(impulses, alpha, grid)[:, 1:]
         nu = -t / K
         nu[0] += 1.0
         powers = np.repeat(_spectrum(nu, n)[None], blk + 1, axis=0)
@@ -364,7 +359,8 @@ def fixed_point_iterate(
         if truth is not None:
             want = truth.values[1:]
             err = np.linalg.norm(np.cumsum(rows, axis=0)[1:] - want, axis=1)
-            error_history.extend((err / float(np.linalg.norm(want))).tolist())
+            # relative errors, absolute against a zero truth as in `relative_l2`
+            error_history.extend((err / (float(np.linalg.norm(want)) or 1.0)).tolist())
         z = np.sum(rows, axis=0)
         done += last + 1
         if stop < count:

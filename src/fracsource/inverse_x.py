@@ -29,11 +29,11 @@ sums of exponentials; Beylkin & Monzon, Appl. Comput. Harmon. Anal. 19,
 above round-off, and a set-up holds O(N^2 r_t) values instead of N^3.  The operator and its
 SVD are built once per set-up (rho, alpha, grid, domain, omega, mesh),
 and B once per (rho, alpha, grid, domain); both are looked up by value
-through the memo in `report` and reused by re-solves with new data.  So
-is the operator's damping table of (K, beta): s^2, s^2 + beta and the
-first block's 1 - r^m, kept while the set-up, K and beta repeat, so a
-re-solve on new data does only the data's work: its coordinates and the
-sweep norms.  The omega mesh and its mask are kept per (domain, omega,
+through the memo in `report` and reused by re-solves with new data.  The
+operator keeps its damping table of (K, beta): s^2, s^2 + beta and the
+first block's 1 - r^m, kept while K and beta repeat, so a re-solve on
+new data does only the data's work: its coordinates and the sweep
+norms.  The omega mesh and its mask are kept per (domain, omega,
 n_mesh), since every problem counts its data rows on them.
 """
 
@@ -322,6 +322,8 @@ class _InteriorOperator:
         self._q_t, s_t = q_t[:, :r_t], s[:r_t, None] * vt[:r_t]
         reduced = np.einsum("ij,kj->ikj", s_x, s_t).reshape(-1, domain.n_modes)
         self.u, self.sigma, self.vt = np.linalg.svd(reduced, full_matrices=False)
+        # damping(K, beta, cols): the table of K and beta, cols = min(m_max, _SWEEP_BLOCK)
+        self.damping = _by_value(partial(_Damping, self.sigma))
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         """A g, as a (points, time) array."""
@@ -350,10 +352,6 @@ class _InteriorOperator:
         left = y_c.ravel() - self.u @ y_s
         return y_s, float(left @ left) + float(np.vdot(outside, outside))
 
-    # damping(K, beta, cols): the damping table of K and beta, kept while the operator,
-    # K, beta and cols = min(m_max, _SWEEP_BLOCK) repeat
-    damping = _by_value(lambda self, K, beta, cols: _Damping(self, K, beta, cols))
-
 
 class _Damping:
     """The factors of the interior sweeps that do not depend on the data.
@@ -369,8 +367,8 @@ class _Damping:
     keeps it.
     """
 
-    def __init__(self, op: _InteriorOperator, K: float, beta: float, cols: int):
-        self.sigma2 = op.sigma[:, None] ** 2
+    def __init__(self, sigma: np.ndarray, K: float, beta: float, cols: int):
+        self.sigma2 = sigma[:, None] ** 2
         self.denom = self.sigma2 + beta
         self.shrink = K / (K + beta)
         self.ratio = (K - self.sigma2) / (K + beta)
@@ -394,8 +392,6 @@ class _Damping:
 @_by_value
 def _operator(rho, alpha, grid, domain, omega, n_mesh) -> _InteriorOperator:
     """The operator of a set-up given by value, built once while it repeats."""
-    # the damping table of the last operator goes with it: its memo holds it as its key
-    _InteriorOperator.damping.cache_clear()
     return _InteriorOperator(rho, alpha, grid, domain, omega, n_mesh)
 
 

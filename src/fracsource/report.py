@@ -4,7 +4,10 @@ A set-up (the operator an inverse problem reuses across re-solves with new
 data, or the kernel-weight table every solver reads) is identified by the
 value of its inputs, not by the objects that hold them: `_by_value`
 memoises its builder on that value, one entry deep, and makes the arrays
-of what it keeps read-only, since every caller shares them.
+of what it keeps read-only, since every caller shares them.  A set-up's
+own tables are `_by_value` memos it makes over the arrays they read, not
+memos keyed on the set-up: nothing they keep refers back to it, so
+reference counting frees a dropped set-up and its tables together.
 """
 
 from __future__ import annotations

@@ -334,6 +334,20 @@ def test_fixed_point_zero_truth():
     assert np.max(np.abs(rep.recovered.values)) == 0.0
 
 
+def test_fixed_point_errors_against_a_zero_truth_are_absolute():
+    # relative to ||truth|| = 0 they would be 0/0 or x/0, which warns
+    grid = TimeGrid(1.0, 64)
+    zero = make_rho(grid, "constant", value=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        still = fixed_point_iterate(fp_problem(zero), truth=zero)
+        moving = fixed_point_iterate(fp_problem(make_rho(grid, "affine")), m_max=20, truth=zero)
+    assert still.diagnostics["error_history"] == [0.0]
+    errors = moving.diagnostics["error_history"]
+    assert len(errors) == moving.iterations == 20
+    assert errors[-1] == pytest.approx(np.linalg.norm(moving.recovered.values[1:]), rel=1e-12)
+
+
 def test_fixed_point_rejects_small_k():
     grid = TimeGrid(1.0, 64)
     p = fp_problem(make_rho(grid, "affine"))
@@ -771,17 +785,22 @@ def test_degenerate_point_builds_no_resolvent(set_up_builds):
 
 @pytest.mark.parametrize("solver", (solve_volterra, fixed_point_iterate))
 def test_a_new_set_up_frees_the_last_ones_tables(solver):
-    # the resolvent and sweep tables are keyed by their set-up, so neither
-    # may hold a replaced set-up until the next solve of its own kind
+    # with the cyclic collector off, a table that refers back to its set-up
+    # would keep both alive after the set-up is replaced
     import fracsource.inverse_t as inverse_t
 
     old, new = sweep_case(96, True)[0], sweep_case(96, True, x0=0.45)[0]
-    solve_volterra(old)
-    fixed_point_iterate(old)
-    held = weakref.ref(inverse_t._set_up(old.g, old.x0, old.alpha, old.grid))
-    solver(new)
-    gc.collect()
-    assert held() is None
+    gc.disable()
+    try:
+        solve_volterra(old)
+        fixed_point_iterate(old)
+        s = inverse_t._set_up(old.g, old.x0, old.alpha, old.grid)
+        held = [weakref.ref(x) for x in (s, s.resolvent(), s.sweeps(s.k_bound))]
+        del s
+        solver(new)
+        assert [ref() for ref in held] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_certificate_elsewhere_leaves_the_solvers_set_up_cached(set_up_builds):

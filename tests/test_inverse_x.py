@@ -763,14 +763,15 @@ def damping_builds(monkeypatch):
     builds = []
 
     class Counting(inverse_x._Damping):
-        def __init__(self, op, *key):
+        def __init__(self, sigma, *key):
             builds.append(key)
-            super().__init__(op, *key)
+            super().__init__(sigma, *key)
 
+    # each operator binds the damping class it was built with
     monkeypatch.setattr(inverse_x, "_Damping", Counting)
-    inverse_x._InteriorOperator.damping.cache_clear()
+    inverse_x._operator.cache_clear()
     yield builds
-    inverse_x._InteriorOperator.damping.cache_clear()
+    inverse_x._operator.cache_clear()
 
 
 def interior_outcome(rep):
@@ -803,8 +804,7 @@ def test_alternating_beta_rebuilds_the_table_with_cold_bits(damping_builds):
             for b in betas]
     assert [beta for _, beta, _ in damping_builds] == list(betas)
     for beta, result in zip(betas, warm):
-        for memo in (forward.modal_kernel_weights, inverse_x._operator,
-                     inverse_x._InteriorOperator.damping):
+        for memo in (forward.modal_kernel_weights, inverse_x._operator):
             memo.cache_clear()
         cold = iterative_thresholding(noisy_interior_problem(beta=beta, m_max=300))
         assert interior_outcome(cold) == result
@@ -822,16 +822,19 @@ def test_a_long_run_keeps_one_block_of_fill(damping_builds):
 
 
 def test_a_new_set_up_frees_the_last_operator_and_its_table():
-    # the damping table is keyed by its operator, so neither may outlive
-    # the operator's replacement
+    # with the cyclic collector off, a damping table that refers back to its
+    # operator would keep both alive after the operator is replaced
     old = noisy_interior_problem(beta=1e-8, m_max=20)
-    K = iterative_thresholding(old).diagnostics["K"]
-    op = _operator_of(old)
-    held = weakref.ref(op), weakref.ref(op.damping(K, old.beta, 20))
-    del op
-    iterative_thresholding(replace(old, rho=TimeSeries(old.grid, 1.5 * old.rho.values)))
-    gc.collect()
-    assert [ref() for ref in held] == [None, None]
+    gc.disable()
+    try:
+        K = iterative_thresholding(old).diagnostics["K"]
+        op = _operator_of(old)
+        held = weakref.ref(op), weakref.ref(op.damping(K, old.beta, 20))
+        del op
+        iterative_thresholding(replace(old, rho=TimeSeries(old.grid, 1.5 * old.rho.values)))
+        assert [ref() for ref in held] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("beta", [1e14, 1e20, 1e308])
