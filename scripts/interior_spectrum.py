@@ -74,7 +74,7 @@ def set_up_sweep(sizes=(64, 128, 256, 512)) -> None:
         op = build()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        print(f"{n:>5} {min(secs):9.3f} {peak / 2**20:9.1f} {op._q_t.shape[1]:>4}")
+        print(f"{n:>5} {min(secs):9.3f} {peak / 2**20:9.1f} {op._fold_t.shape[1]:>4}")
         del op
 
 

@@ -12,8 +12,9 @@ length that holds two n-term series, and `_truncated_inverse`, the first
 n terms of the inverse of a product of such spectra.  `product_rule_convolve`
 takes one series or one 2-D stack, which it convolves in blocks of rows;
 each block forms its own temporaries, so a long stack holds the result
-and about two blocks' spectra.  The spectrum of the L1 weights is cached
-per (alpha, grid).
+and about two blocks' spectra.  `_weight_spectrum` gives the spectrum of
+the kernel of a pair of weights, for a caller that keeps it.  The
+spectrum of the L1 weights is cached per (alpha, grid).
 """
 
 from __future__ import annotations
@@ -164,12 +165,17 @@ def _interval_moments(p: float, t: np.ndarray, tau: float):
     return m0 - m1 / tau, m1 / tau
 
 
-def _product_spectrum(c: np.ndarray, d: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
-    """Spectrum of e_i = c_i + d_(i-1) times that of f, in e's spectrum unless only f is a stack."""
+def _weight_spectrum(c: np.ndarray, d: np.ndarray, n: int) -> np.ndarray:
+    """`_spectrum` of the product rule's kernel e_i = c_i + d_(i-1), i = 0..n."""
     e = np.zeros(c.shape[:-1] + (n + 1,))
     e[..., :-1] = c
     e[..., 1:] += d
-    se, sf = _spectrum(e, n), _spectrum(f, n)
+    return _spectrum(e, n)
+
+
+def _product_spectrum(c: np.ndarray, d: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
+    """Spectrum of e_i = c_i + d_(i-1) times that of f, in e's spectrum unless only f is a stack."""
+    se, sf = _weight_spectrum(c, d, n), _spectrum(f, n)
     # e's spectrum first, the order numpy gives se * sf: see `_l1_derivative`
     return np.multiply(se, sf, out=se if se.ndim >= sf.ndim else sf)
 

@@ -20,9 +20,10 @@ node-0 extrapolation, so the iterates are power series of that map: the
 sweeps run in closed form, 64 at a time, on a per-set-up table of the
 spectra of its powers, and the bound K comes from the Volterra weights
 without a homogeneous solve.  What depends on the set-up alone (g(x0),
-the trace and Volterra weights, K's bound, the resolvent and the sweep
-table of a K) is one object, built once per set-up and looked up by
-value through the memo in `report`.
+the trace and Volterra weights, K's bound, the spectrum of the Volterra
+kernel that the direct solve's residual check convolves with, the
+resolvent and the sweep table of a K) is one object, built once per
+set-up and looked up by value through the memo in `report`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .fracops import (
     _l1_derivative,
     _spectrum,
     _truncated_inverse,
+    _weight_spectrum,
     caputo_l1,
     product_rule_convolve,
 )
@@ -173,9 +175,12 @@ class _RhoSetUp:
 
     E_{a,1}(z) = 1 + z E_{a,a+1}(z), and the weights c_j + d_j of mode n
     telescope to t^a E_{a,a+1}(-lambda_n t^a), so v is g(x0) less their
-    running sum, and its sup bounds K.  The first `solve_volterra` builds
-    the resolvent's spectrum, `resolvent()`, which no fixed-point run pays
-    for; a fixed-point run builds the sweep table of its K, `sweeps(K)`.
+    running sum, and its sup bounds K.  `e_spectrum` is the spectrum of the
+    Volterra weights' kernel e_i = c_i + d_(i-1), which every residual
+    check of `solve_volterra` convolves with.  The first `solve_volterra`
+    builds the resolvent's spectrum, `resolvent()`, which no fixed-point
+    run pays for; a fixed-point run builds the sweep table of its K,
+    `sweeps(K)`.
     Every array is read-only once the memo keeps it.  A set-up whose
     |g(x0)| lies below EPS_POINT raises PointDegenerateError.
     """
@@ -190,6 +195,7 @@ class _RhoSetUp:
         self.c, self.d = _volterra_weights(g, x0, alpha, grid)
         self.v = self.gx0 - np.concatenate(([0.0], np.cumsum(self.c + self.d)))
         self.k_bound = float(np.max(np.abs(self.v)))
+        self.e_spectrum = _weight_spectrum(self.c, self.d, grid.n_steps)
         self.resolvent = _by_value(partial(_resolvent, self.gx0, self.c, self.d))
         self.sweeps = _by_value(partial(_SweepTable, self.trace_weights, alpha, grid))
 
@@ -213,14 +219,19 @@ def solve_volterra(problem: TSourceProblem, mollify_width: int = 5) -> Reconstru
     problem declares a positive noise level).  With the convolution term on
     the left, the system for rho at t_1..t_n is lower-triangular Toeplitz:
     its inverse convolves with the reciprocal series of its first column.
+    The residual of that system is checked against the set-up's spectrum
+    of the convolution's kernel, so a re-solve forms only rho's spectrum.
     """
     s = _set_up(problem.g, problem.x0, problem.alpha, problem.grid)
     psi = caputo_l1(_observed_trace(problem, mollify_width), problem.alpha).values
     n = problem.grid.n_steps
     own = np.multiply(s.resolvent(), _spectrum(psi[1:], n))  # not *: see `_l1_derivative`
     rho = np.concatenate(([0.0], _truncated_inverse(own, n)))
-    # discrete residual of the original system: it checks the resolvent solve
-    resid = float(np.max(np.abs(s.gx0 * rho - psi - product_rule_convolve(s.c, s.d, rho))[1:]))
+    # discrete residual of the original system: it checks the resolvent solve.
+    # conv is product_rule_convolve(s.c, s.d, rho) from the kept spectrum of
+    # e, bit for bit: its correction c_k rho_0 is 0 while rho_0 is
+    conv = _truncated_inverse(np.multiply(s.e_spectrum, _spectrum(rho, n)), n + 1)
+    resid = float(np.max(np.abs(s.gx0 * rho - psi - conv)[1:]))
     rho[0] = _node0_weights(n) @ rho[1:4]
     return ReconstructionReport(
         recovered=TimeSeries(problem.grid, rho),
@@ -256,8 +267,12 @@ class _SweepTable:
     nu^(j-1-i) * r, fixed per set-up.  The table holds the spectra of
     nu^0 .. nu^B (built by doubling) and G_l[0..B] for l < q, for
     B = `_SWEEP_BLOCK`, so a block of B sweeps is one rfft, a few batched
-    irffts and q scaled subtractions.  Every array is read-only once the
-    memo keeps it.
+    irffts and q scaled subtractions.  It also holds two figures of whether
+    the sweeps can settle: `node0_radius`, max |eig A| (at 1 or more no
+    sweep count converges), and `block_growth`, the l1 norm of nu^B's
+    coefficients (far above 1, the updates grow for a long time before
+    they decay; Trefethen & Embree, Spectra and Pseudospectra, 2005,
+    ch. 25).  Every array is read-only once the memo keeps it.
     """
 
     def __init__(self, trace_weights: tuple, alpha: FractionalOrder, grid: TimeGrid, K: float):
@@ -279,6 +294,8 @@ class _SweepTable:
         e = _node0_weights(n)
         lag = np.subtract.outer(np.arange(e.size), np.arange(e.size))
         lead = np.where(lag >= 0, nu[np.abs(lag)], 0.0) - np.outer(r[: e.size], e) / K
+        self.node0_radius = float(np.max(np.abs(np.linalg.eigvals(lead))))
+        self.block_growth = float(np.sum(np.abs(_truncated_inverse(powers[blk], n))))
         rows = np.empty((blk, e.size))  # e^T A^i
         rows[0] = e
         for i in range(1, blk):
@@ -325,6 +342,8 @@ def fixed_point_iterate(
     time, on the set-up's `_SweepTable`.  residual_history[m-1] is the size
     of update m; three rises in a row raise DivergenceError, and an update
     of at most `tol` ends the run, checked in that order at every sweep.
+    The diagnostics add the sweep table's `node0_radius` and
+    `block_growth`, formed once per set-up and K.
     """
     _count("m_max", m_max, 1, _MOST, error=partial(ParameterError, "m_max"))
     if not tol >= 0.0:  # NaN fails too
@@ -374,7 +393,8 @@ def fixed_point_iterate(
         recovered=TimeSeries(problem.grid, rho),
         residual_history=history,
         iterations=done,
-        diagnostics={"g_x0": s.gx0, "k_bound": k_bound, "K": K, "error_history": error_history},
+        diagnostics={"g_x0": s.gx0, "k_bound": k_bound, "K": K, "error_history": error_history,
+                     "node0_radius": sweeps.node0_radius, "block_growth": sweeps.block_growth},
     )
 
 

@@ -30,11 +30,14 @@ above round-off, and a set-up holds O(N^2 r_t) values instead of N^3.  The opera
 SVD are built once per set-up (rho, alpha, grid, domain, omega, mesh),
 and B once per (rho, alpha, grid, domain); both are looked up by value
 through the memo in `report` and reused by re-solves with new data.  The
-operator keeps its damping table of (K, beta): s^2, s^2 + beta and the
-first block's 1 - r^m, kept while K and beta repeat, so a re-solve on
-new data does only the data's work: its coordinates and the sweep
-norms.  The omega mesh and its mask are kept per (domain, omega,
-n_mesh), since every problem counts its data rows on them.
+operator keeps its damping table of (K, beta): s^2, s^2 + beta, the
+first block's 1 - r^m and the squared factors of its sweep norms, kept
+while K and beta repeat, so a re-solve on new data does only the data's
+work: its coordinates and one y_i^2-weighted sum of the table's rows
+(the filter-factor view of Hansen, Rank-Deficient and Discrete Ill-Posed
+Problems, SIAM 1998, ch. 4).  The omega mesh and its mask are kept per
+(domain, omega, n_mesh), since every problem counts its data rows on
+them.
 """
 
 from __future__ import annotations
@@ -290,7 +293,8 @@ class _InteriorOperator:
     g -> vec(S_x diag(g) S_t^T) has r_x r_t rows, r_x = min(points in
     omega, N), and N columns, and the thin SVD `u` diag(`sigma`) `vt`, so
     the set-up holds O(N^2 r_t) values.  Residual norms are taken in the
-    singular coordinates of data that `coordinates` returns.
+    singular coordinates of data that `coordinates` returns, from Q_x
+    and Q_t folded with the weights and the table sqrt(w_i w_t,k).
     Every array is read-only once the memo keeps it, since one operator
     serves every solve of its set-up.  A rho that is not finite is refused
     here, once per set-up.
@@ -314,12 +318,18 @@ class _InteriorOperator:
         self.t_weights = np.full(grid.n_steps + 1, grid.tau)
         self.t_weights[0] = self.t_weights[-1] = grid.tau / 2.0
         self.response = product_rule_convolve(*modal_kernel_weights(domain, alpha, grid), rho.values)
-        self._sqrt_w = np.sqrt(self.w_omega)
-        self._sqrt_wt = np.sqrt(self.t_weights)
-        self._q_x, s_x = np.linalg.qr((self.phi * self._sqrt_w).T)
-        q_t, s, vt = np.linalg.svd((self.response * self._sqrt_wt).T, full_matrices=False)
+        sqrt_w, sqrt_wt = np.sqrt(self.w_omega), np.sqrt(self.t_weights)
+        q_x, s_x = np.linalg.qr((self.phi * sqrt_w).T)
+        q_t, s, vt = np.linalg.svd((self.response * sqrt_wt).T, full_matrices=False)
         r_t = max(1, int(np.count_nonzero(s > 2.0**-52 * s[0])))  # one column even when rho = 0
-        self._q_t, s_t = q_t[:, :r_t], s[:r_t, None] * vt[:r_t]
+        q_t, s_t = q_t[:, :r_t], s[:r_t, None] * vt[:r_t]
+        # the factors folded with the weights, for `coordinates`: W^(1/2) Q_x and
+        # W_t^(1/2) Q_t contract data, W^(-1/2) Q_x and (W_t^(-1/2) Q_t)^T map
+        # coordinates back to data, and the table of sqrt(w_i w_tk) weighs the rest
+        self._fold_x, self._fold_t = sqrt_w[:, None] * q_x, sqrt_wt[:, None] * q_t
+        self._unfold_x = q_x / sqrt_w[:, None]
+        self._unfold_t = np.ascontiguousarray((q_t / sqrt_wt[:, None]).T)
+        self._weights = np.outer(sqrt_w, sqrt_wt)
         reduced = np.einsum("ij,kj->ikj", s_x, s_t).reshape(-1, domain.n_modes)
         self.u, self.sigma, self.vt = np.linalg.svd(reduced, full_matrices=False)
         # damping(K, beta, cols): the table of K and beta, cols = min(m_max, _SWEEP_BLOCK)
@@ -336,18 +346,19 @@ class _InteriorOperator:
     def coordinates(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         """Coordinates y_s of data y along the columns of `u`, and the squared W-norm of the rest.
 
-        With Y_c = Q_x^T W^(1/2) y W_t^(1/2) Q_t, the coordinates of y in
-        the factors' ranges, y_s = u^T vec(Y_c); the long time axis is
-        contracted against the narrow Q_t first.  The rest, the part of y
-        that no g reaches, is the part outside those ranges plus the part
-        of vec(Y_c) off the columns of `u`; each norm is that of an
-        explicit difference, so nothing cancels.
+        With Y_c = (W^(1/2) Q_x)^T y (W_t^(1/2) Q_t), the coordinates of y
+        in the factors' ranges, y_s = u^T vec(Y_c); the long time axis is
+        contracted against the narrow folded Q_t first.  The rest, the part
+        of y that no g reaches, is the part outside those ranges,
+        W^(1/2) (y - W^(-1/2) Q_x Y_c Q_t^T W_t^(-1/2)) W_t^(1/2), plus the
+        part of vec(Y_c) off the columns of `u`.  Each norm is that of an
+        explicit difference, so nothing cancels, and the first is formed
+        in the one data-sized array the call makes.
         """
-        y_w = self._sqrt_w[:, None] * y
-        y_w *= self._sqrt_wt
-        y_c = self._q_x.T @ (y_w @ self._q_t)
-        outside = (self._q_x @ y_c) @ self._q_t.T
-        np.subtract(y_w, outside, out=outside)
+        y_c = self._fold_x.T @ (y @ self._fold_t)
+        outside = (self._unfold_x @ y_c) @ self._unfold_t
+        np.subtract(y, outside, out=outside)
+        outside *= self._weights
         y_s = self.u.T @ y_c.ravel()
         left = y_c.ravel() - self.u @ y_s
         return y_s, float(left @ left) + float(np.vdot(outside, outside))
@@ -357,9 +368,12 @@ class _Damping:
     """The factors of the interior sweeps that do not depend on the data.
 
     For one operator, K and beta: the columns s^2 and s^2 + beta, the
-    scalar K/(K + beta), r = (K - s^2)/(K + beta), and the fill 1 - r^m of
-    the first block of sweeps, m = 0 .. cols.  Later blocks form their
-    fill per call (`fill_of`), so a long run keeps no more than one block.
+    scalar K/(K + beta), r = (K - s^2)/(K + beta), the fill 1 - r^m of the
+    first block of sweeps, m = 0 .. cols, and that block's (4, N, cols + 1)
+    stack of squared factors: sweep m's squared residual, gradient, size
+    and step are sums over i of y_i^2 times row i of a layer.  Later
+    blocks form their fill and stack per call (`block`), so a long run
+    keeps no more than one block.
     1 - r^m is -expm1(m log1p(-(s^2 + beta)/(K + beta))) where every r > 0,
     except on rows where (s^2 + beta)/(K + beta) rounds to 1 (beta far
     above K), whose log1p is -inf; those rows, and every row when some
@@ -368,8 +382,8 @@ class _Damping:
     """
 
     def __init__(self, sigma: np.ndarray, K: float, beta: float, cols: int):
-        self.sigma2 = sigma[:, None] ** 2
-        self.denom = self.sigma2 + beta
+        self.sigma, self.sigma2 = sigma[:, None], sigma[:, None] ** 2
+        self.beta, self.denom = beta, self.sigma2 + beta
         self.shrink = K / (K + beta)
         self.ratio = (K - self.sigma2) / (K + beta)
         self.log_ratio = None
@@ -377,16 +391,33 @@ class _Damping:
             with np.errstate(divide="ignore"):
                 self.log_ratio = np.log1p(-self.denom / (K + beta))
             self.flat = np.flatnonzero(np.isinf(self.log_ratio))  # rows in the power form
-        self.fill = self.fill_of(np.arange(cols + 1))
+        self.fill, self.squares = self.block(np.arange(cols + 1))
 
-    def fill_of(self, m: np.ndarray) -> np.ndarray:
-        """1 - r^m for the sweep indices m, one column each."""
+    def block(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """1 - r^m for the sweep indices m, one column each, and its stack of squared factors.
+
+        With a = fill s/(s^2 + beta), so that g = a y, the stack's layers
+        are (1 - s a)^2 (the residual), (s (1 - s a))^2 (the bound's
+        gradient), a^2 (the size) and (a_m - a_(m-1))^2 (the step, its last
+        column 0).
+        """
         with np.errstate(over="ignore", invalid="ignore"):
             if self.log_ratio is None:
-                return 1.0 - self.ratio**m
-            fill = -np.expm1(self.log_ratio * m)
-            fill[self.flat] = 1.0 - self.ratio[self.flat] ** m
-            return fill
+                fill = 1.0 - self.ratio**m
+            else:
+                fill = -np.expm1(self.log_ratio * m)
+                fill[self.flat] = 1.0 - self.ratio[self.flat] ** m
+            out = np.empty((4,) + fill.shape)
+            miss, grad, a, step = out
+            # 1 - s a as beta/(s^2 + beta) + (1 - fill) s^2/(s^2 + beta), with no cancellation
+            np.subtract(1.0, fill, out=miss)
+            miss *= self.sigma2 / self.denom
+            miss += self.beta / self.denom
+            np.multiply(self.sigma, miss, out=grad)
+            np.multiply(fill, self.sigma / self.denom, out=a)
+            np.subtract(a[:, 1:], a[:, :-1], out=step[:, :-1])
+            step[:, -1] = 0.0
+            return fill, np.square(out, out=out)
 
 
 @_by_value
@@ -415,14 +446,19 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
     and are taken in blocks of `_SWEEP_BLOCK`; the factors that do not
     depend on the data, and the first block's 1 - r^m, come from the
     operator's `_Damping` table of K and beta.  K defaults to 1.1 s_1^2, the
-    largest eigenvalue of M.  residual_history[m-1] = ||A g_(m-1) - y||_W is
-    summed as an explicit difference in a fixed order, so it cannot rise
-    through cancellation.  At every sweep the triangle-inequality bound on
-    the update norm is asserted, three consecutive residual rises (or a
-    non-finite value) raise DivergenceError, and a positive `tol` ends the
-    run at the first step of at most `tol` (the default 0 runs all `m_max`
-    sweeps).  The diagnostics add the singular values and the filter
-    factors (1 - r^m) s^2/(s^2 + beta) of the run.
+    largest eigenvalue of M.  residual_history[m-1] = ||A g_(m-1) - y||_W,
+    and the size, step and gradient norms, are one y_i^2-weighted sum of
+    the table's squared factors, added in the order of i (`np.einsum`, no
+    BLAS), plus the rest of y for the residual; g is formed at the last
+    sweep only.  The residual factor (beta + r^m s^2)/(s^2 + beta),
+    formed from 1 - r^m with no cancellation, falls with m wherever
+    0 <= r < 1 (K >= s_1^2), and so does every rounded sum of such terms:
+    the history cannot rise there.  At every sweep the triangle-inequality
+    bound on the update norm is asserted, three consecutive residual rises
+    (or a non-finite value) raise DivergenceError, and a positive `tol`
+    ends the run at the first step of at most `tol` (the default 0 runs
+    all `m_max` sweeps).  The diagnostics add the singular values and the
+    filter factors (1 - r^m) s^2/(s^2 + beta) of the run.
     """
     # the rho(0) != 0 hypothesis backs identifiability of the iteration target
     if problem.rho.values[0] == 0.0:
@@ -434,24 +470,17 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
         raise NonPositiveParamsError(f"K and beta must be positive and finite, got K={K}, beta={beta}")
     table = op.damping(K, beta, min(problem.m_max, _SWEEP_BLOCK))
     y_s, rest_sq = op.coordinates(problem.observed)
-    sigma, y_s = op.sigma[:, None], y_s[:, None]
-    limit = sigma * y_s / table.denom
     history: list[float] = []
     for first in range(1, problem.m_max + 1, _SWEEP_BLOCK):
         # iterates g_(first-1) .. g_last as columns, sweeps first .. last
         m = np.arange(first - 1, min(first - 1 + _SWEEP_BLOCK, problem.m_max) + 1)
-        fill = table.fill if first == 1 else table.fill_of(m)
+        fill, squares = (table.fill, table.squares) if first == 1 else table.block(m)
         with np.errstate(over="ignore", invalid="ignore"):
-            g = fill * limit
-            miss = sigma * g
-            miss -= y_s
-            miss *= miss  # (s g - y)^2
-            resid = np.sqrt(miss.sum(axis=0)[:-1] + rest_sq)
-            size = np.sqrt((g * g).sum(axis=0))
-            grad = np.sqrt((table.sigma2[:, 0] @ miss)[:-1])  # ||s^2 g - s y||, for the bound only
-            step = g[:, 1:] - g[:, :-1]
-            step *= step
-            steps = np.sqrt(step.sum(axis=0))
+            # each norm^2 sums y_i^2 times its factor, row by row in i (no BLAS)
+            norms = np.einsum("i,kij->kj", y_s * y_s, squares)
+            norms[0] += rest_sq
+            resid, grad, size, steps = np.sqrt(norms, out=norms)
+            resid, grad, steps = resid[:-1], grad[:-1], steps[:-1]
             bound = table.shrink * size[:-1] + grad / (K + beta)
             broke = (size[1:] > bound * (1.0 + 1e-12) + 1e-300) & np.isfinite(size[1:])
         n = resid.size
@@ -471,10 +500,11 @@ def iterative_thresholding(problem: XSourceInteriorProblem) -> ReconstructionRep
         if done < n:
             break
     iterations = int(m[stop + 1])
+    g = fill[:, stop + 1] * (op.sigma * y_s / table.denom[:, 0])
     filters = fill[:, stop + 1] * table.sigma2[:, 0] / table.denom[:, 0]
     filters.flags.writeable = False
     return ReconstructionReport(
-        recovered=SpectralField(problem.domain, op.vt.T @ g[:, stop + 1]),
+        recovered=SpectralField(problem.domain, op.vt.T @ g),
         residual_history=history,
         iterations=iterations,
         diagnostics={

@@ -33,6 +33,7 @@ from fracsource.inverse_t import (
     TSourceProblem,
     _observed_trace,
     _series_reciprocal,
+    _set_up,
     _volterra_weights,
     count_sign_changes,
     fixed_point_iterate,
@@ -224,6 +225,21 @@ def test_resolvent_inverts_the_system_column(n_steps, a):
     np.testing.assert_allclose(np.convolve(column, r)[:n_steps], impulse, rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("noisy", (False, True))
+@pytest.mark.parametrize("n_steps", (64, 256, 2048))
+def test_volterra_residual_from_the_kept_spectrum_is_the_convolution(n_steps, noisy):
+    # the set-up keeps the spectrum of e = c + shifted d, so a re-solve does
+    # not form it; the residual keeps the bits of the product-rule form
+    problem = volterra_case(n_steps, 0.5, noisy)
+    rep = solve_volterra(problem)
+    s = _set_up(problem.g, problem.x0, problem.alpha, problem.grid)
+    psi = caputo_l1(_observed_trace(problem, 5), problem.alpha).values
+    rho = np.concatenate(([0.0], rep.recovered.values[1:]))  # before node 0 is extrapolated
+    conv = product_rule_convolve(s.c, s.d, rho)
+    assert rep.residual_history[0] == float(np.max(np.abs(s.gx0 * rho - psi - conv)[1:]))
+    assert not s.e_spectrum.flags.writeable
+
+
 def test_volterra_noisy_premollified_smoke():
     grid = TimeGrid(1.0, 256)
     a = FractionalOrder(0.5)
@@ -387,6 +403,48 @@ def test_fixed_point_diverges_where_g_x0_is_small(a, n_modes, n_steps):
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError):
             fixed_point_iterate(p)
+
+
+# (alpha, N, n_steps, x0): node0_radius, block_growth at K = the trace bound.
+# The first three are the divergent set-ups above (the first cannot converge
+# at any sweep count, the other two grow until the guard fires); the last is
+# the README example's set-up, whose sweeps contract
+SWEEP_FIGURES = {
+    (0.5, 16, 64, 0.05): (1.578, 1.6e-29),
+    (0.9, 16, 64, 0.05): (0.5785, 9.625e5),
+    (0.9, 64, 256, 0.05): (0.8830, 5.293e3),
+    (0.5, 16, 512, 0.3): (0.6477, 4.747e-6),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_FIGURES))
+def test_fixed_point_reports_its_sweep_figures(case):
+    a, n_modes, n_steps, x0 = case
+    dom, grid = Domain1D(1.0, n_modes), TimeGrid(1.0, n_steps)
+    g, alpha = make_g(dom, "sine_bump"), FractionalOrder(a)
+    p = TSourceProblem(g, x0, alpha, grid, synth_trace(g, make_rho(grid, "constant"), alpha, x0))
+    d = fixed_point_iterate(p, m_max=1).diagnostics  # one sweep cannot rise three times
+    radius, growth = SWEEP_FIGURES[case]
+    assert d["node0_radius"] == pytest.approx(radius, rel=1e-3)
+    assert d["block_growth"] == pytest.approx(growth, rel=1e-3)
+    table = _set_up(g, x0, alpha, grid).sweeps(d["K"])
+    assert (d["node0_radius"], d["block_growth"]) == (table.node0_radius, table.block_growth)
+
+
+def test_sweep_figures_are_built_with_the_table_only(monkeypatch):
+    import fracsource.inverse_t as inverse_t
+
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    p = fp_problem(make_rho(TimeGrid(1.0, 64), "affine"), x0=0.37)
+    inverse_t._set_up.cache_clear()
+    figures = [
+        (d["node0_radius"], d["block_growth"])
+        for d in (fixed_point_iterate(p, m_max=m).diagnostics for m in (5, 70, 5))
+    ]
+    assert calls == [(3, 3)]
+    assert figures[0] == figures[1] == figures[2]
 
 
 def test_fixed_point_converges_monotonically():

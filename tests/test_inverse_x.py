@@ -10,6 +10,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsource.errors import (
     AllModesCutError,
@@ -835,6 +837,41 @@ def test_a_new_set_up_frees_the_last_operator_and_its_table():
         assert [ref() for ref in held] == [None, None]
     finally:
         gc.enable()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_beta=st.floats(-12.0, 2.0),
+    k_over=st.floats(1.0, 10.0),
+    m_max=st.sampled_from([1, 200, 700]),
+)
+def test_residual_history_never_rises_for_k_at_least_sigma_1_squared(seed, log_beta, k_over, m_max):
+    # each squared norm sums y_i^2 times a factor that falls with m where
+    # 0 <= r < 1, in the same order at every sweep, so no rounding can raise it
+    base = noisy_interior_problem()
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(base.observed.shape) * 10.0 ** rng.uniform(-8.0, 3.0)
+    K = k_over * estimate_k(base)
+    p = replace(base, observed=y, K=K, beta=10.0**log_beta, m_max=m_max)
+    history = iterative_thresholding(p).residual_history
+    assert len(history) == m_max
+    assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def test_sweep_norms_sum_the_rows_in_order():
+    # the squared norms are y_i^2-weighted sums of the table's rows, added in
+    # the order of i with no BLAS: a sequential loop gives the same bits
+    p = noisy_interior_problem(beta=1e-8, m_max=200)
+    rep = iterative_thresholding(p)
+    op = _operator_of(p)
+    table = op.damping(rep.diagnostics["K"], p.beta, 200)
+    y_s, rest_sq = op.coordinates(p.observed)
+    sums = np.zeros((4, table.squares.shape[2]))
+    for weight, rows in zip(y_s * y_s, table.squares.transpose(1, 0, 2)):
+        sums += weight * rows
+    assert rep.residual_history == np.sqrt(sums[0, :-1] + rest_sq).tolist()
+    assert rep.diagnostics["final_step"] == math.sqrt(sums[3, -2])
 
 
 @pytest.mark.parametrize("beta", [1e14, 1e20, 1e308])

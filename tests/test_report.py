@@ -139,8 +139,8 @@ def test_served_set_ups_are_read_only():
     table = [a for a in vars(damping).values() if isinstance(a, np.ndarray)]
     operator = dict(vars(op))
     assert callable(operator.pop("damping"))  # the memo; every other attribute is an array
-    served = [*s.trace_weights, s.c, s.d, s.v, s.resolvent(), sweeps.powers, sweeps.coupling,
-              *operator.values(), *table, *inverse_t._windows(33, 2),
+    served = [*s.trace_weights, s.c, s.d, s.v, s.e_spectrum, s.resolvent(), sweeps.powers,
+              sweeps.coupling, *operator.values(), *table, *inverse_t._windows(33, 2),
               *inverse_x._omega_mesh(dom, (0.1, 0.35), 65)]
     for a in served:
         assert isinstance(a, np.ndarray) and not a.flags.writeable
